@@ -17,14 +17,14 @@ from .metrics import (acceptance_by_distance, acceptance_by_hour,
                       bootstrap_mean_diff, daily_counts, delta_percent,
                       pearson)
 from .ridegen import GridSpec, Ride, generate_rides
-from .sim import (Action, DriverState, PlatformParams, SimConfig, Trajectory,
+from .sim import (Action, Fleet, PlatformParams, SimConfig, Trajectory,
                   Transition, run_episode)
 from .synth import SyntheticLogSpec, SyntheticPolicy, generate_synthetic_log
 from .training import BcConfig, RlConfig, train_bc, train_rl
 
 __all__ = [
     "__version__",
-    "Action", "BcConfig", "CategoricalQAgent", "DemandScaler", "DriverState",
+    "Action", "BcConfig", "CategoricalQAgent", "DemandScaler", "Fleet",
     "EmpiricalDistribution", "FeatureScales", "GridSpec", "PlatformParams",
     "ReplayBuffer", "Ride", "RlConfig", "SimConfig", "SyntheticLogSpec",
     "SyntheticPolicy", "TimeProfile", "Trajectory", "Transition",

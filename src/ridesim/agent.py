@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -21,6 +22,9 @@ from .ridegen import GridSpec
 from .sim import Action, OBS_DIM, Transition
 
 AGENT_MAGIC = "ridesim-agent v1"
+# Header lines an agent file must carry; learning_rate defaults when absent.
+AGENT_HEADER_KEYS = ("atoms", "v_min", "v_max", "gamma", "epsilon",
+                     "sync_every", "train_steps", "scales")
 
 N_ACTIONS = 2
 DEFAULT_ATOMS = 51
@@ -203,16 +207,33 @@ class CategoricalQAgent:
     def q_values(self, obs: np.ndarray, net: nn.Mlp | None = None) -> np.ndarray:
         return expected_q(self.value_distribution(obs, net), self.atoms)
 
+    def decide(self, obs_batch: np.ndarray,
+               rng: np.random.Generator) -> Iterator[Action]:
+        """Epsilon-greedy decisions for a (batch, 6) block of raw obs, in order.
+
+        One forward pass scores every row up front; the decisions are then
+        yielded lazily, so the exploration draws (a uniform, then an action
+        when exploring) are made only for the rows actually consumed.
+        """
+        return self._explore(self.greedy_actions(obs_batch).tolist(), rng)
+
+    def _explore(self, greedy: list, rng: np.random.Generator) -> Iterator[Action]:
+        for action in greedy:
+            if self.epsilon > 0 and rng.random() < self.epsilon:
+                yield Action(int(rng.integers(0, N_ACTIONS)))
+            else:
+                yield Action(action)
+
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> Action:
-        """Epsilon-greedy decision; on an exact value tie the driver accepts."""
-        if self.epsilon > 0 and rng.random() < self.epsilon:
-            return Action(int(rng.integers(0, N_ACTIONS)))
-        q = self.q_values(obs)
-        return Action.ACCEPT if q[Action.ACCEPT] >= q[Action.REJECT] else Action.REJECT
+        """Decision on one raw observation: `decide` on a one-row batch."""
+        return next(self.decide(np.asarray(obs)[None, :], rng))
 
     def greedy_actions(self, obs_batch: np.ndarray,
                        net: nn.Mlp | None = None) -> np.ndarray:
-        """Vectorized greedy decisions for a (batch, 6) block of raw obs."""
+        """Vectorized greedy decisions for a (batch, 6) block of raw obs.
+
+        On an exact value tie the driver accepts.
+        """
         net = net or self.online
         x = np.atleast_2d(obs_batch) / self.scales.as_array()
         logits = nn.forward(net, x).reshape(len(x), N_ACTIONS, -1)
@@ -295,6 +316,9 @@ class CategoricalQAgent:
             key, _, value = lines[idx].partition(" ")
             header[key] = value
             idx += 1
+        for key in AGENT_HEADER_KEYS:
+            if key not in header:
+                raise ValueError(f"{path}: agent header has no {key!r} line")
         online_start = idx + 1
         target_marker = lines.index("target", online_start)
         online = nn.parse_checkpoint(lines[online_start:target_marker],
@@ -305,11 +329,10 @@ class CategoricalQAgent:
         atoms = np.linspace(float(header["v_min"]), float(header["v_max"]),
                             atom_count)
         scale_vals = [float(v) for v in header["scales"].split()]
-        scales = FeatureScales(pickup_km=scale_vals[0], trip_km=scale_vals[1],
-                               minute_of_day=scale_vals[2],
-                               trips_to_goal=scale_vals[3],
-                               drop_center_km=scale_vals[4],
-                               idle_minutes=scale_vals[5])
+        if len(scale_vals) != OBS_DIM:
+            raise ValueError(f"{path}: expected {OBS_DIM} feature scales, "
+                             f"found {len(scale_vals)}")
+        scales = FeatureScales(*scale_vals)
         agent = cls(online=online, target=target, atoms=atoms, scales=scales,
                     gamma=float(header["gamma"]),
                     epsilon=float(header["epsilon"]),

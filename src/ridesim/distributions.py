@@ -12,6 +12,7 @@ between runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -63,15 +64,27 @@ def inverse_sample(dist: EmpiricalDistribution, u):
     the bracketing order statistics, so u=0 gives the minimum, u=1 the
     maximum. Accepts a scalar or an array of u values.
     """
+    n = dist.samples.size
+    if isinstance(u, float):
+        # The per-ride path: one chained compare, which NaN also fails.
+        if not 0.0 <= u <= 1.0:
+            raise ValueError("u must lie in [0, 1]")
+        return float(np.interp(u * (n - 1), _index_grid(n), dist.samples))
     u_arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u_arr)) or np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise ValueError("u must lie in [0, 1]")
-    n = dist.samples.size
-    pos = u_arr * (n - 1)
-    out = np.interp(pos, np.arange(n), dist.samples)
+    out = np.interp(u_arr * (n - 1), _index_grid(n), dist.samples)
     if np.isscalar(u) or u_arr.ndim == 0:
         return float(out)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _index_grid(n: int) -> np.ndarray:
+    """Read-only 0..n-1 positions of the order statistics, as floats."""
+    grid = np.arange(n, dtype=float)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 One episode covers a whole number of weeks. Every minute the demand profile
 emits new rides, each ride is offered to idle drivers nearest-first until one
-accepts or the offer budget runs out, and busy drivers progress toward their
-drop points at a constant speed. Each offer produces an observation, an
-accept/reject decision, a scalar reward and, chained with the driver's next
-offer, a transition for learning.
+accepts or the offer budget runs out, and a driver who accepts is busy for
+the pickup and trip legs at a constant speed, then idles at the drop point.
+Each offer produces an observation, an accept/reject decision, a scalar
+reward and, chained with the driver's next offer, a transition for learning.
 
 Observations are raw engineering units (km, minutes); consumers apply their
 own normalization.
@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Sequence
 
 import numpy as np
 
-from .distributions import TimeProfile, probabilistic_round
+from .distributions import (EmpiricalDistribution, TimeProfile, inverse_sample,
+                            probabilistic_round)
 from .ridegen import GridSpec, Ride, generate_rides
-from .distributions import EmpiricalDistribution, inverse_sample
 
 MINUTES_PER_DAY = 1440
 MINUTES_PER_WEEK = 7 * MINUTES_PER_DAY
@@ -40,12 +39,6 @@ F_IDLE_MINUTES = 5    # minutes since the driver's last completed trip
 class Action(IntEnum):
     REJECT = 0
     ACCEPT = 1
-
-
-class DriverStatus(IntEnum):
-    IDLE = 0
-    TO_PICKUP = 1
-    ON_TRIP = 2
 
 
 @dataclass
@@ -110,25 +103,6 @@ def weekly_goal(last_week_trips: int, multiplier: float) -> int:
     return max(1, int(math.floor(last_week_trips * multiplier + 0.5)))
 
 
-@dataclass
-class DriverState:
-    driver_id: int
-    x: float
-    y: float
-    status: DriverStatus = DriverStatus.IDLE
-    busy_until: int = 0
-    pickup_eta: int = 0
-    dest_x: float = 0.0
-    dest_y: float = 0.0
-    idle_since: int = 0
-    trips_completed_week: int = 0
-    weekly_goal_trips: int = 1
-    last_week_trips: int = 0
-
-    def trips_to_goal(self) -> int:
-        return max(0, self.weekly_goal_trips - self.trips_completed_week)
-
-
 def travel_minutes(distance_km: float, speed_kmh: float) -> int:
     """Whole minutes to cover the distance, rounded up, at least 1."""
     if distance_km < 0:
@@ -139,21 +113,6 @@ def travel_minutes(distance_km: float, speed_kmh: float) -> int:
     # minute do not round up an extra minute through float error.
     raw = distance_km * 60.0 / speed_kmh
     return max(1, int(math.ceil(raw - 1e-9)))
-
-
-def make_observation(driver: DriverState, ride: Ride, clock: int,
-                     grid: GridSpec) -> np.ndarray:
-    """Six-feature offer observation in raw units (see F_* layout)."""
-    pickup_km = math.hypot(driver.x - ride.pickup_x, driver.y - ride.pickup_y)
-    cx, cy = grid.center()
-    drop_center_km = math.hypot(ride.drop_x - cx, ride.drop_y - cy)
-    idle = max(0, clock - driver.idle_since)
-    return np.array([pickup_km,
-                     ride.distance_km,
-                     float(clock % MINUTES_PER_DAY),
-                     float(driver.trips_to_goal()),
-                     drop_center_km,
-                     float(idle)], dtype=float)
 
 
 def reward_for_features(params: PlatformParams, *, pickup_km: float,
@@ -191,53 +150,6 @@ def reward_from_observation(params: PlatformParams, obs: np.ndarray,
         idle_minutes=float(obs[F_IDLE_MINUTES]),
         goal_trips=goal_trips,
         action=action)
-
-
-def compute_reward(params: PlatformParams, ride: Ride, driver: DriverState,
-                   action: Action, clock: int) -> float:
-    pickup_km = math.hypot(driver.x - ride.pickup_x, driver.y - ride.pickup_y)
-    return reward_for_features(
-        params,
-        pickup_km=pickup_km,
-        trip_km=ride.distance_km,
-        minute_of_day=clock % MINUTES_PER_DAY,
-        trips_to_goal=driver.trips_to_goal(),
-        idle_minutes=max(0, clock - driver.idle_since),
-        goal_trips=driver.weekly_goal_trips,
-        action=action)
-
-
-def assign_ride(driver: DriverState, ride: Ride, now: int, speed_kmh: float) -> None:
-    """Commit an accepted ride: driver goes busy until pickup plus trip end."""
-    pickup_km = math.hypot(driver.x - ride.pickup_x, driver.y - ride.pickup_y)
-    total = travel_minutes(pickup_km + ride.distance_km, speed_kmh)
-    driver.busy_until = now + total
-    driver.pickup_eta = min(now + travel_minutes(pickup_km, speed_kmh),
-                            driver.busy_until)
-    driver.dest_x = ride.drop_x
-    driver.dest_y = ride.drop_y
-    driver.status = DriverStatus.TO_PICKUP
-
-
-def advance(driver: DriverState, now: int) -> bool:
-    """Progress a busy driver's phase at the given minute.
-
-    Returns True when the driver completed a trip at this call. Completion
-    snaps the driver to the drop point and restarts the idle counter at the
-    completion minute, so idle gaps measure from the actual trip end.
-    """
-    if driver.status == DriverStatus.IDLE:
-        return False
-    if now >= driver.busy_until:
-        driver.x = driver.dest_x
-        driver.y = driver.dest_y
-        driver.status = DriverStatus.IDLE
-        driver.idle_since = driver.busy_until
-        driver.trips_completed_week += 1
-        return True
-    if driver.status == DriverStatus.TO_PICKUP and now >= driver.pickup_eta:
-        driver.status = DriverStatus.ON_TRIP
-    return False
 
 
 @dataclass
@@ -347,34 +259,135 @@ class SimConfig:
         return int(seq[index % len(seq)])
 
 
-def dispatch(ride: Ride, drivers: Sequence[DriverState], agent,
-             config: SimConfig, clock: int,
-             rng: np.random.Generator) -> tuple[list[OfferRecord], DriverState | None]:
+class Fleet:
+    """Every driver's state as parallel arrays indexed by driver id.
+
+    A driver is either idle at (x, y) or busy until `busy_until`, when the
+    trip completes: the driver then snaps to the drop point, its idle counter
+    restarts at `busy_until` (not at the minute the completion is processed)
+    and the trip counts toward this week's goal.
+    """
+
+    def __init__(self, x, y, goal):
+        self.x = np.array(x, dtype=float)
+        self.y = np.array(y, dtype=float)
+        n = self.x.size
+        self.idle = np.ones(n, dtype=bool)
+        self.busy_until = np.zeros(n, dtype=np.int64)
+        self.drop_x = np.zeros(n)
+        self.drop_y = np.zeros(n)
+        self.idle_since = np.zeros(n, dtype=np.int64)
+        self.trips_week = np.zeros(n, dtype=np.int64)
+        self.goal = np.array(goal, dtype=np.int64)  # this week's trip goal
+        self.next_completion = math.inf  # earliest busy_until of a busy driver
+
+    @classmethod
+    def place(cls, config: SimConfig, rng: np.random.Generator) -> "Fleet":
+        """Start every driver idle at a pickup-distributed point in the grid.
+
+        Draws one uniform for x, then one for y, driver by driver.
+        """
+        u = rng.random((config.driver_count, 2))
+        x = np.clip(inverse_sample(config.pickup_x_dist, u[:, 0]),
+                    0.0, config.grid.width_km)
+        y = np.clip(inverse_sample(config.pickup_y_dist, u[:, 1]),
+                    0.0, config.grid.height_km)
+        multiplier = config.params.weekly_target_multiplier
+        return cls(x, y, [weekly_goal(config.initial_trips_for(i), multiplier)
+                          for i in range(config.driver_count)])
+
+    def start_week(self, multiplier: float) -> None:
+        """Set next week's goals from this week's completed trips."""
+        self.goal[:] = [weekly_goal(t, multiplier) for t in self.trips_week.tolist()]
+        self.trips_week[:] = 0
+
+    def complete_trips(self, now: int) -> int:
+        """Complete every trip due by `now`; returns how many completed."""
+        if now < self.next_completion:
+            return 0
+        done = np.flatnonzero(~self.idle & (self.busy_until <= now))
+        self.x[done] = self.drop_x[done]
+        self.y[done] = self.drop_y[done]
+        self.idle_since[done] = self.busy_until[done]
+        self.trips_week[done] += 1
+        self.idle[done] = True
+        busy = self.busy_until[~self.idle]
+        self.next_completion = int(busy.min()) if busy.size else math.inf
+        return done.size
+
+    def assign(self, driver_id: int, ride: Ride, now: int, speed_kmh: float) -> None:
+        """Commit an accepted ride: busy for the pickup plus the trip leg."""
+        pickup_km = math.hypot(self.x[driver_id] - ride.pickup_x,
+                               self.y[driver_id] - ride.pickup_y)
+        done = now + travel_minutes(pickup_km + ride.distance_km, speed_kmh)
+        self.busy_until[driver_id] = done
+        self.drop_x[driver_id] = ride.drop_x
+        self.drop_y[driver_id] = ride.drop_y
+        self.idle[driver_id] = False
+        self.next_completion = min(self.next_completion, done)
+
+    def nearest_idle(self, x: float, y: float, k: int) -> list[int]:
+        """Ids of up to k idle drivers nearest to (x, y).
+
+        Ordered by straight-line distance, ties to the lower id. A partition
+        on squared distance narrows the field first; its cut keeps a 1e-9
+        relative margin so that no driver the exact hypot order would place
+        in the first k is dropped by rounding.
+        """
+        ids = np.flatnonzero(self.idle)
+        if ids.size > k:
+            dx = self.x[ids] - x
+            dy = self.y[ids] - y
+            d2 = dx * dx + dy * dy
+            cut = np.partition(d2, k - 1)[k - 1]
+            ids = ids[d2 <= cut * (1.0 + 1e-9)]
+        keyed = sorted(zip(map(math.hypot, (self.x[ids] - x).tolist(),
+                               (self.y[ids] - y).tolist()), ids.tolist()))
+        return [i for _, i in keyed[:k]]
+
+    def observe(self, driver_ids: list[int], ride: Ride, clock: int,
+                grid: GridSpec) -> np.ndarray:
+        """Offer observations in raw units (see F_* layout), one row per driver."""
+        ids = np.asarray(driver_ids, dtype=np.int64)
+        cx, cy = grid.center()
+        obs = np.empty((ids.size, OBS_DIM))
+        obs[:, F_PICKUP_KM] = list(map(math.hypot,
+                                       (self.x[ids] - ride.pickup_x).tolist(),
+                                       (self.y[ids] - ride.pickup_y).tolist()))
+        obs[:, F_TRIP_KM] = ride.distance_km
+        obs[:, F_MINUTE_OF_DAY] = clock % MINUTES_PER_DAY
+        obs[:, F_TRIPS_TO_GOAL] = np.maximum(0, self.goal[ids] - self.trips_week[ids])
+        obs[:, F_DROP_CENTER_KM] = math.hypot(ride.drop_x - cx, ride.drop_y - cy)
+        obs[:, F_IDLE_MINUTES] = np.maximum(0, clock - self.idle_since[ids])
+        return obs
+
+
+def dispatch(ride: Ride, fleet: Fleet, agent, config: SimConfig, clock: int,
+             rng: np.random.Generator) -> tuple[list[OfferRecord], int | None]:
     """Offer one ride to idle drivers nearest-first until someone accepts.
 
     At most config.max_offers drivers are polled; every polled driver yields
-    an OfferRecord whether they accepted or not. Returns the records and the
-    assigned driver, or None when the ride goes unserved.
+    an OfferRecord whether they accepted or not. The agent scores all
+    candidates at once but decides lazily, so its exploration draws stop at
+    the first accept. Returns the records and the assigned driver's id, or
+    None when the ride goes unserved.
     """
-    idle = [d for d in drivers if d.status == DriverStatus.IDLE]
-    idle.sort(key=lambda d: (math.hypot(d.x - ride.pickup_x, d.y - ride.pickup_y),
-                             d.driver_id))
+    ids = fleet.nearest_idle(ride.pickup_x, ride.pickup_y, config.max_offers)
     records = []
-    assigned = None
-    for driver in idle[:config.max_offers]:
-        obs = make_observation(driver, ride, clock, config.grid)
-        action = agent.act(obs, rng)
-        reward = reward_from_observation(config.params, obs,
-                                         driver.weekly_goal_trips, action)
-        records.append(OfferRecord(minute=clock, driver_id=driver.driver_id,
-                                   obs=obs, action=action, reward=reward,
-                                   goal_trips=driver.weekly_goal_trips,
-                                   ride=ride))
+    if not ids:
+        return records, None
+    obs_batch = fleet.observe(ids, ride, clock, config.grid)
+    for driver_id, obs, action in zip(ids, obs_batch,
+                                      agent.decide(obs_batch, rng)):
+        goal = int(fleet.goal[driver_id])
+        reward = reward_from_observation(config.params, obs, goal, action)
+        records.append(OfferRecord(minute=clock, driver_id=driver_id, obs=obs,
+                                   action=action, reward=reward,
+                                   goal_trips=goal, ride=ride))
         if action == Action.ACCEPT:
-            assign_ride(driver, ride, clock, config.speed_kmh)
-            assigned = driver
-            break
-    return records, assigned
+            fleet.assign(driver_id, ride, clock, config.speed_kmh)
+            return records, driver_id
+    return records, None
 
 
 def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLog:
@@ -385,17 +398,7 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
     the trips actually completed. Unserved rides are lost; they never
     re-enter the queue.
     """
-    drivers = []
-    for i in range(config.driver_count):
-        x = min(max(inverse_sample(config.pickup_x_dist, rng.random()), 0.0),
-                config.grid.width_km)
-        y = min(max(inverse_sample(config.pickup_y_dist, rng.random()), 0.0),
-                config.grid.height_km)
-        last = config.initial_trips_for(i)
-        d = DriverState(driver_id=i, x=x, y=y, last_week_trips=last)
-        d.weekly_goal_trips = weekly_goal(last, config.params.weekly_target_multiplier)
-        drivers.append(d)
-
+    fleet = Fleet.place(config, rng)
     total_minutes = config.weeks * MINUTES_PER_WEEK
     days = config.weeks * 7
     log = EpisodeLog(weeks=config.weeks, start_dow=config.start_dow,
@@ -403,19 +406,13 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
                      daily_lost=[0] * days)
     # Per-driver open transition awaiting the next observation.
     pending: dict[int, tuple] = {}
-    chains: dict[int, Trajectory] = {d.driver_id: Trajectory(d.driver_id)
-                                     for d in drivers}
+    chains = {i: Trajectory(i) for i in range(config.driver_count)}
 
     for minute in range(total_minutes):
+        # A trip ending on a week's first minute counts toward the new week.
         if minute > 0 and minute % MINUTES_PER_WEEK == 0:
-            for d in drivers:
-                d.last_week_trips = d.trips_completed_week
-                d.trips_completed_week = 0
-                d.weekly_goal_trips = weekly_goal(
-                    d.last_week_trips, config.params.weekly_target_multiplier)
-        for d in drivers:
-            if d.status != DriverStatus.IDLE and advance(d, minute):
-                log.completed_trips += 1
+            fleet.start_week(config.params.weekly_target_multiplier)
+        log.completed_trips += fleet.complete_trips(minute)
         day = minute // MINUTES_PER_DAY
         dow = (config.start_dow + day) % 7
         mean = config.time_profile.means[dow][minute % MINUTES_PER_DAY]
@@ -427,7 +424,7 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
                                count, minute, rng)
         log.daily_generated[day] += count
         for ride in rides:
-            records, assigned = dispatch(ride, drivers, agent, config, minute, rng)
+            records, assigned = dispatch(ride, fleet, agent, config, minute, rng)
             log.offers.extend(records)
             for rec in records:
                 log.total_reward += rec.reward

@@ -27,9 +27,9 @@ from ridesim.metrics import (acceptance_by_distance, bootstrap_mean_diff,
                              curve_pearson, delta_percent)
 from ridesim.nn import Mlp, gradient_check, loss_and_grad_batch
 from ridesim.ridegen import GridSpec, generate_rides
-from ridesim.sim import (Action, DriverState, PlatformParams, Ride, SimConfig,
-                         Transition, compute_reward, reward_for_features,
-                         run_episode)
+from ridesim.sim import (Action, Fleet, PlatformParams, Ride, SimConfig,
+                         Transition, reward_for_features,
+                         reward_from_observation, run_episode)
 from ridesim.synth import (SyntheticLogSpec, SyntheticPolicy,
                            generate_synthetic_log)
 from ridesim.training import BcConfig, RlConfig, reward_support, train_bc, train_rl
@@ -80,13 +80,15 @@ def test_reward_formula_hand_values(capsys):
             == pytest.approx(110.0, abs=1e-9)
 
         # The full driver/ride path reproduces the same 360 state.
-        driver = DriverState(driver_id=0, x=2.0, y=2.0)
-        driver.weekly_goal_trips = 40
-        driver.trips_completed_week = 37
-        driver.idle_since = 710
+        fleet = Fleet([2.0], [2.0], goal=[40])
+        fleet.trips_week[0] = 37
+        fleet.idle_since[0] = 710
         ride = Ride(pickup_x=2.0, pickup_y=3.0, drop_x=2.0, drop_y=8.0,
                     distance_km=5.0, created_minute=720)
-        assert compute_reward(params, ride, driver, Action.ACCEPT, clock=720) \
+        obs = fleet.observe([0], ride, 720, GridSpec(width_km=10.0,
+                                                     height_km=10.0))[0]
+        assert reward_from_observation(params, obs, int(fleet.goal[0]),
+                                       Action.ACCEPT) \
             == pytest.approx(360.0, abs=1e-9)
 
         # The multiplier is live exactly in hours 6-8 and 16-19, half-open.
@@ -224,8 +226,8 @@ def test_simulated_demand_matches_fitted_profile(capsys):
                            start_dow=records[0].created_time.weekday())
 
         class RejectAll:
-            def act(self, obs, rng):
-                return Action.REJECT
+            def decide(self, obs_batch, rng):
+                return iter([Action.REJECT] * len(obs_batch))
 
         replications = []
         for i in range(20):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridesim.agent import (CategoricalQAgent, FeatureScales, ReplayBuffer,
-                           expected_q, project_target, project_target_batch,
+from ridesim.agent import (AGENT_HEADER_KEYS, CategoricalQAgent,
+                           FeatureScales, ReplayBuffer, expected_q,
+                           project_target, project_target_batch,
                            tabular_q_update)
 from ridesim.nn import loss_and_grad_batch
 from ridesim.ridegen import GridSpec
@@ -206,6 +207,30 @@ class TestCategoricalQAgent:
         singles = [int(agent.act(o, rng)) for o in obs]
         np.testing.assert_array_equal(batch, singles)
 
+    def test_decide_draws_only_for_consumed_rows(self, scales):
+        agent = make_agent(scales, epsilon=0.5, seed=3)
+        obs = np.abs(np.random.default_rng(4).normal(size=(5, 6)))
+        batched_rng = np.random.default_rng(12)
+        decisions = agent.decide(obs, batched_rng)
+        first_two = [next(decisions), next(decisions)]
+        single_rng = np.random.default_rng(12)
+        assert first_two == [agent.act(o, single_rng) for o in obs[:2]]
+        # the three unconsumed rows drew nothing
+        assert batched_rng.random() == single_rng.random()
+
+    def test_decide_scores_the_batch_in_one_forward_pass(self, scales,
+                                                         monkeypatch):
+        from ridesim import nn
+        agent = make_agent(scales, epsilon=0.0, seed=6)
+        calls = []
+        forward = nn.forward
+        monkeypatch.setattr(nn, "forward",
+                            lambda net, x: calls.append(len(x)) or forward(net, x))
+        obs = np.abs(np.random.default_rng(7).normal(size=(4, 6)))
+        decisions = list(agent.decide(obs, np.random.default_rng(0)))
+        assert calls == [4]
+        assert decisions == [Action(a) for a in agent.greedy_actions(obs)]
+
     def test_terminal_training_is_supervised(self, scales):
         """With terminal transitions the projected target is a point mass at
         the reward, independent of the target net, so the train step must
@@ -298,6 +323,26 @@ class TestAgentPersistence:
         stamped.write_text("# provenance line\n\n" + path.read_text())
         loaded = CategoricalQAgent.load(stamped)
         np.testing.assert_array_equal(loaded.atoms, agent.atoms)
+
+    @pytest.mark.parametrize("key", AGENT_HEADER_KEYS)
+    def test_load_names_a_missing_header_key(self, scales, tmp_path, key):
+        path = tmp_path / "agent.txt"
+        make_agent(scales).save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(ln for ln in lines
+                                  if not ln.startswith(key + " ")) + "\n")
+        with pytest.raises(ValueError, match=repr(key)):
+            CategoricalQAgent.load(path)
+
+    def test_load_rejects_a_short_scales_line(self, scales, tmp_path):
+        path = tmp_path / "agent.txt"
+        make_agent(scales).save(path)
+        text = path.read_text()
+        start = text.index("scales ")
+        end = text.index("\n", start)
+        path.write_text(text[:start] + "scales 1.0 2.0" + text[end:])
+        with pytest.raises(ValueError, match="feature scales"):
+            CategoricalQAgent.load(path)
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "bad.txt"

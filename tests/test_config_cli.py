@@ -248,6 +248,18 @@ class TestCliPipeline:
             assert (sub / "agent_rl.txt").exists()
             assert (sub / "acceptance_by_hour.csv").exists()
 
+    def test_agent_file_without_gamma_exits_2(self, pipeline, tmp_path,
+                                              capsys):
+        cfg_path, out = pipeline
+        bad = tmp_path / "agent_no_gamma.txt"
+        lines = (out / "agent_bc.txt").read_text().splitlines()
+        bad.write_text("\n".join(ln for ln in lines
+                                 if not ln.startswith("gamma ")) + "\n")
+        code = cli.main(["evaluate", "--config", str(cfg_path),
+                         "--agent", str(bad)])
+        assert code == 2
+        assert "'gamma'" in capsys.readouterr().err
+
     def test_read_helpers_skip_headers(self, pipeline):
         _, out = pipeline
         lines = read_data_lines(out / "cleaning_report.txt")

@@ -44,6 +44,20 @@ class TestInverseSample:
         with pytest.raises(ValueError):
             inverse_sample(quartet, float("nan"))
 
+    def test_rejects_infinities(self, quartet):
+        for u in (float("inf"), float("-inf"), np.float64("nan")):
+            with pytest.raises(ValueError):
+                inverse_sample(quartet, u)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 250, 4001])
+    def test_scalar_path_matches_array_path_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        dist = fit_empirical(rng.gamma(2.0, 3.0, n))
+        u = np.concatenate([rng.random(4000), np.arange(n) / (n - 1),
+                            [0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324]])
+        scalar = np.array([inverse_sample(dist, float(v)) for v in u])
+        assert scalar.tobytes() == inverse_sample(dist, u).tobytes()
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30),
            st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)

@@ -3,7 +3,8 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from ridesim.ingest import (CleaningReport, LOG_COLUMNS, TripRecord, clean,
+from ridesim.ingest import (CleaningReport, LOG_COLUMNS, TIME_FORMAT,
+                            TripRecord, clean,
                             driver_weekly_averages, extract_demonstrations,
                             format_minute, log_span, parse_minute,
                             parse_trip_log, record_to_row, training_window,
@@ -37,6 +38,14 @@ def make_record(driver="d1", trip="t1", created=datetime(2026, 2, 2, 8, 0),
                       status=status, payment_method="cash")
 
 
+def _or_none(parse, *args):
+    """The parsed value, or None when parsing raises ValueError."""
+    try:
+        return parse(*args)
+    except ValueError:
+        return None
+
+
 class TestTimestamps:
     def test_roundtrip(self):
         t = datetime(2026, 2, 2, 8, 5)
@@ -48,6 +57,42 @@ class TestTimestamps:
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             parse_minute("02/02/2026 08:05")
+
+    def test_canonical_strings_parse_as_strptime_does(self):
+        # Every field pattern of the zero-padded form, in and out of range:
+        # the value, or the rejection, must be the strptime one.
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            year, month, day, hour, minute, second = (
+                int(rng.integers(lo, hi)) for lo, hi in
+                ((1, 9999), (0, 14), (0, 33), (0, 25), (0, 62), (0, 62)))
+            text = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}"
+            for text, fmt in ((text, TIME_FORMAT),
+                              (f"{text}:{second:02d}", "%Y-%m-%dT%H:%M:%S")):
+                assert _or_none(parse_minute, text) == \
+                    _or_none(datetime.strptime, text, fmt), text
+
+    def test_unpadded_fields_still_parse(self):
+        assert parse_minute("2024-3-5T1:7") == datetime(2024, 3, 5, 1, 7)
+
+    @pytest.mark.parametrize("text", ["2024-01-01T24:00", "2024-02-30T10:00",
+                                      "2023-02-29T00:00", "2024-01-01T10:60",
+                                      "2024-01-01T10:00:60", "2024-01-01 10:00",
+                                      "2024-01-01T10:00\n",
+                                      "\u00b2\u2070\u00b2\u2074-01-01T10:00"])
+    def test_rejects_impossible_or_foreign_times(self, text):
+        with pytest.raises(ValueError, match="bad timestamp"):
+            parse_minute(text)
+
+    @pytest.mark.parametrize("text", [
+        "\u0662\u0660\u0662\u0664-\u0660\u0661-\u0660\u0662T\u0661\u0660:\u0663\u0660",
+        "\uff12\uff10\uff12\uff14-01-02T10:30"])
+    def test_non_ascii_decimal_digits_keep_the_strptime_reading(self, text):
+        # Only ASCII digits take the fromisoformat path; other decimal digits
+        # are left to strptime, which reads them in a year but rejects them
+        # in the other fields, as before.
+        assert _or_none(parse_minute, text) == \
+            _or_none(datetime.strptime, text, TIME_FORMAT)
 
 
 class TestParseTripLog:

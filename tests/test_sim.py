@@ -1,14 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from ridesim.distributions import TimeProfile, fit_empirical
 from ridesim.ridegen import GridSpec, Ride
-from ridesim.sim import (Action, DriverState, DriverStatus, EpisodeLog,
-                         OfferRecord, PlatformParams, SimConfig, Transition,
-                         advance, assign_ride, compute_reward, dispatch,
-                         make_observation, reward_for_features,
-                         reward_from_observation, run_episode, travel_minutes,
-                         weekly_goal)
+from ridesim.sim import (Action, EpisodeLog, Fleet, OfferRecord,
+                         PlatformParams, SimConfig, Transition, dispatch,
+                         reward_for_features, reward_from_observation,
+                         run_episode, travel_minutes, weekly_goal)
 
 
 @pytest.fixture
@@ -21,6 +21,12 @@ def params():
 @pytest.fixture
 def grid():
     return GridSpec(width_km=10.0, height_km=10.0)
+
+
+def make_fleet(*positions, goal=1):
+    """Idle drivers at the given (x, y) points, ids in argument order."""
+    return Fleet([p[0] for p in positions], [p[1] for p in positions],
+                 goal=[goal] * len(positions))
 
 
 class TestTravelMinutes:
@@ -113,26 +119,27 @@ class TestReward:
         assert reward == pytest.approx(360.0 - 250.0, abs=1e-9)
 
     def test_observation_reward_matches_feature_reward(self, params, grid):
-        driver = DriverState(driver_id=0, x=2.0, y=2.0)
-        driver.weekly_goal_trips = 40
-        driver.idle_since = 100
+        fleet = make_fleet((2.0, 2.0), goal=40)
+        fleet.idle_since[0] = 100
         ride = Ride(pickup_x=2.0, pickup_y=3.0, drop_x=2.0, drop_y=8.0,
                     distance_km=5.0, created_minute=147)
-        obs = make_observation(driver, ride, 147, grid)
+        obs = fleet.observe([0], ride, 147, grid)[0]
         via_obs = reward_from_observation(params, obs, 40, Action.ACCEPT)
-        direct = compute_reward(params, ride, driver, Action.ACCEPT, 147)
+        direct = reward_for_features(params, pickup_km=1.0, trip_km=5.0,
+                                     minute_of_day=147, trips_to_goal=40,
+                                     idle_minutes=47.0, goal_trips=40,
+                                     action=Action.ACCEPT)
         assert via_obs == pytest.approx(direct, abs=1e-12)
 
 
 class TestObservation:
     def test_feature_layout(self, grid):
-        driver = DriverState(driver_id=0, x=2.0, y=2.0)
-        driver.weekly_goal_trips = 10
-        driver.trips_completed_week = 4
-        driver.idle_since = 100
+        fleet = make_fleet((2.0, 2.0), goal=10)
+        fleet.trips_week[0] = 4
+        fleet.idle_since[0] = 100
         ride = Ride(pickup_x=2.0, pickup_y=5.0, drop_x=5.0, drop_y=9.0,
                     distance_km=5.0, created_minute=147)
-        obs = make_observation(driver, ride, 147, grid)
+        obs = fleet.observe([0], ride, 147, grid)[0]
         assert obs[0] == pytest.approx(3.0)       # pickup distance
         assert obs[1] == pytest.approx(5.0)       # trip distance
         assert obs[2] == 147.0                    # minute of day
@@ -141,51 +148,76 @@ class TestObservation:
         assert obs[5] == 47.0                     # idle minutes
 
     def test_minute_of_day_wraps(self, grid):
-        driver = DriverState(driver_id=0, x=0.0, y=0.0)
+        fleet = make_fleet((0.0, 0.0))
         ride = Ride(pickup_x=1.0, pickup_y=0.0, drop_x=2.0, drop_y=1.0,
                     distance_km=1.0, created_minute=1500)
-        obs = make_observation(driver, ride, 1500, grid)
+        obs = fleet.observe([0], ride, 1500, grid)[0]
         assert obs[2] == 60.0
 
     def test_goal_deficit_never_negative(self, grid):
-        driver = DriverState(driver_id=0, x=0.0, y=0.0)
-        driver.weekly_goal_trips = 3
-        driver.trips_completed_week = 7
+        fleet = make_fleet((0.0, 0.0), goal=3)
+        fleet.trips_week[0] = 7
         ride = Ride(pickup_x=1.0, pickup_y=0.0, drop_x=2.0, drop_y=1.0,
                     distance_km=1.0, created_minute=0)
-        assert make_observation(driver, ride, 0, grid)[3] == 0.0
+        assert fleet.observe([0], ride, 0, grid)[0][3] == 0.0
+
+    def test_rows_follow_the_requested_driver_order(self, grid):
+        fleet = make_fleet((0.0, 0.0), (3.0, 4.0))
+        ride = Ride(pickup_x=0.0, pickup_y=0.0, drop_x=2.0, drop_y=1.0,
+                    distance_km=1.0, created_minute=0)
+        obs = fleet.observe([1, 0], ride, 0, grid)
+        assert obs[:, 0].tolist() == [5.0, 0.0]
 
 
 class TestDriverLifecycle:
     def test_assign_then_advance_to_completion(self):
-        driver = DriverState(driver_id=0, x=0.0, y=0.0)
+        fleet = make_fleet((0.0, 0.0))
         ride = Ride(pickup_x=0.0, pickup_y=3.0, drop_x=0.0, drop_y=6.0,
                     distance_km=3.0, created_minute=100)
-        assign_ride(driver, ride, now=100, speed_kmh=30.0)
-        assert driver.status == DriverStatus.TO_PICKUP
-        assert driver.busy_until == 100 + 12  # 6 km at 30 km/h
-        assert driver.pickup_eta == 100 + 6
+        fleet.assign(0, ride, now=100, speed_kmh=30.0)
+        assert not fleet.idle[0]
+        assert fleet.busy_until[0] == 100 + 12  # 6 km at 30 km/h
 
-        assert not advance(driver, 105)
-        assert driver.status == DriverStatus.TO_PICKUP
-        assert not advance(driver, 106)
-        assert driver.status == DriverStatus.ON_TRIP
-        assert not advance(driver, 111)
-        assert advance(driver, 112)
-        assert driver.status == DriverStatus.IDLE
-        assert (driver.x, driver.y) == (0.0, 6.0)
-        assert driver.idle_since == 112
-        assert driver.trips_completed_week == 1
+        for minute in (105, 106, 111):
+            assert fleet.complete_trips(minute) == 0
+            assert not fleet.idle[0]
+        assert fleet.complete_trips(112) == 1
+        assert fleet.idle[0]
+        assert (fleet.x[0], fleet.y[0]) == (0.0, 6.0)
+        assert fleet.idle_since[0] == 112
+        assert fleet.trips_week[0] == 1
+        assert fleet.complete_trips(113) == 0
 
     def test_completion_during_longer_gap_uses_busy_until(self):
-        # advance may first run minutes after busy_until; idle must still
-        # count from the scheduled completion, not the polling minute
-        driver = DriverState(driver_id=0, x=0.0, y=0.0)
+        # completions may first be processed minutes after busy_until; idle
+        # must still count from the scheduled completion, not the polling
+        # minute
+        fleet = make_fleet((0.0, 0.0))
         ride = Ride(pickup_x=0.0, pickup_y=1.0, drop_x=0.0, drop_y=2.0,
                     distance_km=1.0, created_minute=0)
-        assign_ride(driver, ride, now=0, speed_kmh=30.0)
-        assert advance(driver, driver.busy_until + 50)
-        assert driver.idle_since == driver.busy_until
+        fleet.assign(0, ride, now=0, speed_kmh=30.0)
+        assert fleet.complete_trips(int(fleet.busy_until[0]) + 50) == 1
+        assert fleet.idle_since[0] == fleet.busy_until[0]
+
+    def test_only_due_trips_complete(self):
+        fleet = make_fleet((0.0, 0.0), (5.0, 5.0))
+        short = Ride(pickup_x=0.0, pickup_y=1.0, drop_x=0.0, drop_y=2.0,
+                     distance_km=1.0, created_minute=0)
+        long = Ride(pickup_x=5.0, pickup_y=5.0, drop_x=5.0, drop_y=9.0,
+                    distance_km=4.0, created_minute=0)
+        fleet.assign(0, short, now=0, speed_kmh=30.0)   # busy until 4
+        fleet.assign(1, long, now=0, speed_kmh=30.0)    # busy until 8
+        assert fleet.complete_trips(4) == 1
+        assert fleet.idle.tolist() == [True, False]
+        assert fleet.complete_trips(8) == 1
+        assert (fleet.x[1], fleet.y[1]) == (5.0, 9.0)
+
+    def test_week_start_sets_goals_from_completed_trips(self):
+        fleet = make_fleet((0.0, 0.0), (1.0, 1.0), goal=6)
+        fleet.trips_week[:] = [3, 0]
+        fleet.start_week(1.5)
+        assert fleet.goal.tolist() == [weekly_goal(3, 1.5), 1]
+        assert fleet.trips_week.tolist() == [0, 0]
 
 
 class _FixedAgent:
@@ -195,10 +227,11 @@ class _FixedAgent:
         self.script = list(script)
         self.calls = 0
 
-    def act(self, obs, rng):
-        action = self.script[self.calls % len(self.script)]
-        self.calls += 1
-        return action
+    def decide(self, obs_batch, rng):
+        for _ in obs_batch:
+            action = self.script[self.calls % len(self.script)]
+            self.calls += 1
+            yield action
 
 
 def _sim_config(grid, params, demand=0.0, **kwargs):
@@ -213,44 +246,97 @@ def _sim_config(grid, params, demand=0.0, **kwargs):
 class TestDispatch:
     def test_nearest_idle_driver_polled_first(self, grid, params):
         config = _sim_config(grid, params, driver_count=3, max_offers=5)
-        near = DriverState(driver_id=0, x=1.0, y=1.0)
-        far = DriverState(driver_id=1, x=9.0, y=9.0)
-        busy = DriverState(driver_id=2, x=0.0, y=0.0,
-                           status=DriverStatus.ON_TRIP)
+        fleet = make_fleet((1.0, 1.0), (9.0, 9.0), (0.0, 0.0))
+        fleet.assign(2, Ride(pickup_x=0.0, pickup_y=0.0, drop_x=9.0,
+                             drop_y=0.0, distance_km=9.0, created_minute=0),
+                     now=0, speed_kmh=30.0)
         ride = Ride(pickup_x=0.0, pickup_y=0.0, drop_x=1.0, drop_y=1.0,
                     distance_km=1.4, created_minute=10)
         agent = _FixedAgent([Action.REJECT, Action.ACCEPT])
-        records, assigned = dispatch(ride, [far, busy, near], agent, config,
-                                     10, np.random.default_rng(0))
+        records, assigned = dispatch(ride, fleet, agent, config, 10,
+                                     np.random.default_rng(0))
+        # the busy driver sits on the pickup point but is never polled
         assert [r.driver_id for r in records] == [0, 1]
         assert [r.action for r in records] == [Action.REJECT, Action.ACCEPT]
-        assert assigned is far
-        assert far.status == DriverStatus.TO_PICKUP
+        assert assigned == 1
+        assert not fleet.idle[1]
         assert records[0].reward == 0.0
+
+    def test_equal_distances_go_to_the_lower_id(self, grid, params):
+        config = _sim_config(grid, params, driver_count=3, max_offers=2)
+        fleet = make_fleet((6.0, 5.0), (4.0, 5.0), (5.0, 5.5))
+        ride = Ride(pickup_x=5.0, pickup_y=5.0, drop_x=1.0, drop_y=1.0,
+                    distance_km=5.6, created_minute=0)
+        records, _ = dispatch(ride, fleet, _FixedAgent([Action.REJECT]),
+                              config, 0, np.random.default_rng(0))
+        assert [r.driver_id for r in records] == [2, 0]
 
     def test_poll_stops_at_first_accept(self, grid, params):
         config = _sim_config(grid, params, driver_count=3)
-        drivers = [DriverState(driver_id=i, x=float(i), y=0.0)
-                   for i in range(3)]
+        fleet = make_fleet(*[(float(i), 0.0) for i in range(3)])
         ride = Ride(pickup_x=0.0, pickup_y=0.0, drop_x=1.0, drop_y=1.0,
                     distance_km=1.4, created_minute=0)
         agent = _FixedAgent([Action.ACCEPT])
-        records, assigned = dispatch(ride, drivers, agent, config, 0,
+        records, assigned = dispatch(ride, fleet, agent, config, 0,
                                      np.random.default_rng(0))
         assert len(records) == 1
-        assert assigned is drivers[0]
+        assert assigned == 0
+        assert agent.calls == 1
 
     def test_offer_cap_limits_polling(self, grid, params):
         config = _sim_config(grid, params, driver_count=8, max_offers=5)
-        drivers = [DriverState(driver_id=i, x=float(i), y=0.0)
-                   for i in range(8)]
+        fleet = make_fleet(*[(float(i), 0.0) for i in range(8)])
         ride = Ride(pickup_x=0.0, pickup_y=0.0, drop_x=1.0, drop_y=1.0,
                     distance_km=1.4, created_minute=0)
         agent = _FixedAgent([Action.REJECT])
-        records, assigned = dispatch(ride, drivers, agent, config, 0,
+        records, assigned = dispatch(ride, fleet, agent, config, 0,
                                      np.random.default_rng(0))
-        assert len(records) == 5
+        assert [r.driver_id for r in records] == [0, 1, 2, 3, 4]
         assert assigned is None
+
+    def test_ride_without_idle_driver_is_unserved(self, grid, params):
+        config = _sim_config(grid, params, driver_count=1)
+        fleet = make_fleet((0.0, 0.0))
+        fleet.assign(0, Ride(pickup_x=0.0, pickup_y=0.0, drop_x=5.0,
+                             drop_y=0.0, distance_km=5.0, created_minute=0),
+                     now=0, speed_kmh=30.0)
+        ride = Ride(pickup_x=1.0, pickup_y=0.0, drop_x=1.0, drop_y=1.0,
+                    distance_km=1.0, created_minute=1)
+        agent = _FixedAgent([Action.ACCEPT])
+        assert dispatch(ride, fleet, agent, config, 1,
+                        np.random.default_rng(0)) == ([], None)
+        assert agent.calls == 0
+
+    def test_squared_distance_rounding_does_not_reorder(self):
+        # Both drivers are 6.917406031446344 km away by hypot, a tie that
+        # goes to id 0, yet driver 1's squared distance rounds lower.
+        fleet = make_fleet((6.369616873214543, 2.697867137638703),
+                           (2.3777519492833683, 6.495906547324199))
+        dx = fleet.x - 0.0
+        dy = fleet.y - 0.0
+        squared = dx * dx + dy * dy
+        assert math.hypot(dx[0], dy[0]) == math.hypot(dx[1], dy[1])
+        assert squared[1] < squared[0]
+        assert fleet.nearest_idle(0.0, 0.0, 1) == [0]
+
+    def test_nearest_idle_matches_a_full_sort(self):
+        # Coarse coordinates make many exact distance ties, fine ones make
+        # near-ties that squared distance and hypot may round apart.
+        rng = np.random.default_rng(4)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            step = (1.0, 0.5, 1e-7)[trial % 3]
+            xs = np.round(rng.uniform(0, 10, n) / step) * step
+            ys = np.round(rng.uniform(0, 10, n) / step) * step
+            fleet = Fleet(xs, ys, goal=[1] * n)
+            fleet.idle[:] = rng.random(n) < 0.7
+            px, py = float(xs[0]) + 1e-9 * trial, float(ys[-1])
+            k = int(rng.integers(1, 6))
+            expected = sorted((math.hypot(x - px, y - py), i)
+                              for i, (x, y) in enumerate(zip(xs.tolist(),
+                                                             ys.tolist()))
+                              if fleet.idle[i])
+            assert fleet.nearest_idle(px, py, k) == [i for _, i in expected[:k]]
 
 
 class TestRunEpisode:
@@ -302,3 +388,27 @@ class TestRunEpisode:
         # second-week goals come from week-1 completions, not the seed value
         goals = {o.goal_trips for o in week2_offers}
         assert all(g >= 1 for g in goals)
+
+    def test_trip_ending_on_the_week_boundary_counts_for_the_new_week(
+            self, grid, params):
+        # One ride a week at 00:05 Monday and one at 23:59 Sunday; at this
+        # speed every trip takes one minute, so the Sunday trip ends on the
+        # first minute of week 2. Goals reset before that trip completes:
+        # week 2's goal comes from the Monday trip alone, and the Sunday
+        # trip already meets it.
+        means = np.zeros((7, 1440))
+        means[0, 5] = means[6, 1439] = 1.0
+        config = SimConfig(grid=grid, params=params,
+                           pickup_x_dist=fit_empirical([2.0, 8.0]),
+                           pickup_y_dist=fit_empirical([2.0, 8.0]),
+                           trip_distance_dist=fit_empirical([1.0, 4.0]),
+                           time_profile=TimeProfile(means=means,
+                                                    scale_factor=1.0),
+                           driver_count=1, weeks=2, speed_kmh=1e6,
+                           initial_weekly_trips=5)
+        log = run_episode(config, _FixedAgent([Action.ACCEPT]),
+                          np.random.default_rng(0))
+        assert [o.minute for o in log.offers] == [5, 10079, 10085, 20159]
+        week2 = log.offers[2]
+        assert week2.goal_trips == 1
+        assert week2.obs[3] == 0.0

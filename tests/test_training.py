@@ -162,8 +162,8 @@ class _StubAgent:
         self.train_steps = 1
         self.saved = 0
 
-    def act(self, obs, rng):
-        return Action.REJECT
+    def decide(self, obs_batch, rng):
+        return iter([Action.REJECT] * len(obs_batch))
 
     def train_step(self, batch):
         return 0.0
@@ -224,8 +224,8 @@ class TestTrainRl:
 
     def test_best_metric_tracks_episode_rewards(self):
         class _AcceptStub(_StubAgent):
-            def act(self, obs, rng):
-                return Action.ACCEPT
+            def decide(self, obs_batch, rng):
+                return iter([Action.ACCEPT] * len(obs_batch))
 
         report = train_rl(_AcceptStub(), tiny_sim_config(),
                           RlConfig(iterations=3, patience=10),
