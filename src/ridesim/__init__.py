@@ -9,8 +9,8 @@ then refines it against the simulated marketplace economics.
 __version__ = "0.1.0"
 
 from .agent import CategoricalQAgent, FeatureScales, ReplayBuffer
-from .distributions import (DemandScaler, EmpiricalDistribution, TimeProfile,
-                            fit_empirical, fit_time_profile, inverse_sample,
+from .distributions import (EmpiricalDistribution, TimeProfile, fit_empirical,
+                            fit_time_profile, inverse_sample,
                             probabilistic_round)
 from .ingest import TripRecord, clean, extract_demonstrations, read_trip_log
 from .metrics import (acceptance_by_distance, acceptance_by_hour,
@@ -19,15 +19,15 @@ from .metrics import (acceptance_by_distance, acceptance_by_hour,
 from .ridegen import GridSpec, Ride, generate_rides
 from .sim import (Action, Fleet, PlatformParams, SimConfig, Trajectory,
                   Transition, run_episode)
-from .synth import SyntheticLogSpec, SyntheticPolicy, generate_synthetic_log
+from .synth import SyntheticLogSpec, generate_synthetic_log
 from .training import BcConfig, RlConfig, train_bc, train_rl
 
 __all__ = [
     "__version__",
-    "Action", "BcConfig", "CategoricalQAgent", "DemandScaler", "Fleet",
+    "Action", "BcConfig", "CategoricalQAgent", "Fleet",
     "EmpiricalDistribution", "FeatureScales", "GridSpec", "PlatformParams",
     "ReplayBuffer", "Ride", "RlConfig", "SimConfig", "SyntheticLogSpec",
-    "SyntheticPolicy", "TimeProfile", "Trajectory", "Transition",
+    "TimeProfile", "Trajectory", "Transition",
     "TripRecord", "acceptance_by_distance", "acceptance_by_hour",
     "bootstrap_mean_diff", "clean", "daily_counts", "delta_percent",
     "extract_demonstrations", "fit_empirical", "fit_time_profile",

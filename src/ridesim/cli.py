@@ -22,6 +22,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,11 +30,9 @@ from . import __version__
 from .agent import CategoricalQAgent, FeatureScales
 from .artifacts import (read_csv_artifact, read_data_lines, seed_stream,
                         write_artifact, write_csv_artifact)
-from .config import (Config, ConfigError, build_bc_config, build_grid,
-                     build_platform, build_rl_config, build_synth_spec,
-                     config_from_dict, config_hash, config_to_dict,
-                     load_config)
-from .distributions import (MINUTES_PER_DAY, DemandScaler, distribution_lines,
+from .config import (Config, ConfigError, config_from_dict, config_hash,
+                     config_to_dict, load_config)
+from .distributions import (MINUTES_PER_DAY, distribution_lines,
                             fit_empirical, fit_time_profile,
                             probabilistic_round, read_distribution,
                             read_time_profile, time_profile_lines)
@@ -109,7 +108,7 @@ def _initial_trips(cfg: Config, out: Path):
 
 def _build_sim_config(cfg: Config, out: Path) -> SimConfig:
     px, py, tkm, profile = _read_fitted(out)
-    return SimConfig(grid=build_grid(cfg), params=build_platform(cfg),
+    return SimConfig(grid=cfg.grid, params=cfg.platform,
                      pickup_x_dist=px, pickup_y_dist=py,
                      trip_distance_dist=tkm, time_profile=profile,
                      driver_count=cfg.sim.driver_count, weeks=cfg.sim.weeks,
@@ -141,8 +140,8 @@ def _find_agent(out: Path, explicit) -> Path:
 
 def cmd_synth(args) -> int:
     cfg, out, digest = _load(args)
-    spec = build_synth_spec(cfg)
-    records = generate_synthetic_log(spec, cfg.seed)
+    records = generate_synthetic_log(cfg.synth, cfg.grid, cfg.platform,
+                                     cfg.sim.speed_kmh, cfg.seed)
     rows = [record_to_row(r) for r in records]
     path = out / "synthetic_trips.csv"
     write_csv_artifact(path, LOG_COLUMNS, rows, __version__, digest, cfg.seed)
@@ -160,7 +159,7 @@ def cmd_ingest(args) -> int:
     records, rejects = read_trip_log(log_path)
     if not records and not rejects:
         raise PipelineError(f"{log_path} contains no data rows")
-    kept, report = clean(records, build_grid(cfg).latlon_bounds())
+    kept, report = clean(records, cfg.grid.latlon_bounds())
     write_csv_artifact(out / "cleaned_trips.csv", LOG_COLUMNS,
                        [record_to_row(r) for r in kept],
                        __version__, digest, cfg.seed)
@@ -183,10 +182,9 @@ def cmd_fit(args) -> int:
     train = window_records(records, train_win)
     if len(train) < 2:
         raise PipelineError("training window holds fewer than 2 trips")
-    grid = build_grid(cfg)
     xs, ys = [], []
     for rec in train:
-        x, y = grid.to_xy(rec.pickup_lat, rec.pickup_lon)
+        x, y = cfg.grid.to_xy(rec.pickup_lat, rec.pickup_lon)
         xs.append(x)
         ys.append(y)
     fits = [("pickup_x", fit_empirical(xs), "dist_pickup_x.txt"),
@@ -197,7 +195,7 @@ def cmd_fit(args) -> int:
         write_artifact(out / filename, distribution_lines(dist, name),
                        __version__, digest, cfg.seed)
     profile = fit_time_profile([r.created_time for r in train],
-                               DemandScaler(cfg.demand.scale_factor))
+                               cfg.demand.scale_factor)
     write_artifact(out / "time_profile.txt", time_profile_lines(profile),
                    __version__, digest, cfg.seed)
     averages = driver_weekly_averages(train)
@@ -216,7 +214,6 @@ def cmd_fit(args) -> int:
 def cmd_generate(args) -> int:
     cfg, out, digest = _load(args)
     px, py, tkm, profile = _read_fitted(out)
-    grid = build_grid(cfg)
     rng = seed_stream(cfg.seed, "generate")
     rides = []
     for minute in range(cfg.sim.weeks * 7 * MINUTES_PER_DAY):
@@ -224,7 +221,8 @@ def cmd_generate(args) -> int:
         count = probabilistic_round(
             float(profile.means[dow][minute % MINUTES_PER_DAY]), rng)
         if count:
-            rides.extend(generate_rides(grid, px, py, tkm, count, minute, rng))
+            rides.extend(generate_rides(cfg.grid, px, py, tkm, count,
+                                        minute, rng))
     write_csv_artifact(out / "rides.csv", RIDE_COLUMNS,
                        [ride_to_row(r) for r in rides],
                        __version__, digest, cfg.seed)
@@ -236,8 +234,8 @@ def cmd_generate(args) -> int:
 def _demonstrations(cfg: Config, out: Path) -> list:
     records = _read_cleaned(_require(out / "cleaned_trips.csv", "ingest"))
     train_win, _ = training_window(records, cfg.demand.holdout_days)
-    return extract_demonstrations(records, build_platform(cfg),
-                                  build_grid(cfg), window=train_win,
+    return extract_demonstrations(records, cfg.platform, cfg.grid,
+                                  window=train_win,
                                   speed_kmh=cfg.sim.speed_kmh)
 
 
@@ -260,13 +258,13 @@ def _write_train_report(path: Path, report, metric_column: str,
 def cmd_train_bc(args) -> int:
     cfg, out, digest = _load(args)
     trajectories = _demonstrations(cfg, out)
-    scales = FeatureScales.for_grid(build_grid(cfg))
+    scales = FeatureScales.for_grid(cfg.grid)
     agent = build_agent_for_demonstrations(trajectories, scales,
                                            seed_stream(cfg.seed, "bc-init"),
                                            **_agent_kwargs(cfg))
     agent_path = out / "agent_bc.txt"
     agent_path.parent.mkdir(parents=True, exist_ok=True)
-    report = train_bc(agent, trajectories, build_bc_config(cfg),
+    report = train_bc(agent, trajectories, cfg.bc,
                       seed_stream(cfg.seed, "bc-train"),
                       checkpoint_path=agent_path)
     _stamp_agent(agent_path, digest, cfg.seed)
@@ -286,7 +284,7 @@ def cmd_train_rl(args) -> int:
     agent = CategoricalQAgent.load(_require(out / "agent_bc.txt", "train-bc"))
     sim_config = _build_sim_config(cfg, out)
     agent_path = out / "agent_rl.txt"
-    report = train_rl(agent, sim_config, build_rl_config(cfg),
+    report = train_rl(agent, sim_config, cfg.rl,
                       seed_stream(cfg.seed, "rl-train"),
                       checkpoint_path=agent_path)
     _stamp_agent(agent_path, digest, cfg.seed)
@@ -336,17 +334,42 @@ def _holdout_actuals(cfg: Config, out: Path):
             "daily": counts, "offers": _offers_from_records(holdout)}
 
 
-def _replicate(sim_config: SimConfig, agent, seed: int, replications: int,
-               stream_prefix: str):
+def _replicate_and_write(sim_config: SimConfig, agent, cfg: Config, seed: int,
+                         stream_prefix: str, out: Path, digest: str,
+                         actual_daily=None) -> SimpleNamespace:
+    """Replicate episodes; write daily counts and both acceptance curves.
+
+    `cfg` gives the replication count and the demand scale; `seed` names the
+    random streams and stamps the headers, so a sweep variant keeps the base
+    run's seed. With `actual_daily`, every run is cut to that many days and
+    the report compares against it.
+    """
     daily, offers, rewards, completed = [], [], [], []
-    for i in range(replications):
+    for i in range(cfg.evaluate.replications):
         rng = seed_stream(seed, f"{stream_prefix}-rep-{i}")
         episode = run_episode(sim_config, agent, rng)
         daily.append(episode.daily_generated)
         offers.extend(episode.offers)
         rewards.append(episode.total_reward)
         completed.append(episode.completed_trips)
-    return daily, offers, rewards, completed
+    if actual_daily is not None:
+        daily = [d[:len(actual_daily)] for d in daily]
+    report = daily_counts(daily, actual_daily,
+                          start_dow=sim_config.start_dow,
+                          scale=cfg.demand.scale_factor)
+    hour_curve = acceptance_by_hour(offers)
+    dist_curve = acceptance_by_distance(offers)
+    for name, columns, rows in (
+            ("daily_counts.csv", DAILY_COUNT_COLUMNS, report.to_rows()),
+            ("acceptance_by_hour.csv", ACCEPTANCE_COLUMNS,
+             curve_rows(hour_curve)),
+            ("acceptance_by_distance.csv", ACCEPTANCE_COLUMNS,
+             curve_rows(dist_curve))):
+        write_csv_artifact(out / name, columns, rows, __version__, digest,
+                           seed)
+    return SimpleNamespace(report=report, offers=offers, rewards=rewards,
+                           completed=completed, hour_curve=hour_curve,
+                           dist_curve=dist_curve)
 
 
 def _correlation_line(name: str, fn) -> str:
@@ -368,38 +391,22 @@ def cmd_evaluate(args) -> int:
         weeks = max(1, -(-actuals["days"] // 7))
         sim_config = replace(sim_config, weeks=weeks,
                              start_dow=actuals["start_dow"])
-    reps = cfg.evaluate.replications
-    daily, offers, rewards, completed = _replicate(
-        sim_config, agent, cfg.seed, reps, "evaluate")
+    actual_series = None if actuals is None else actuals["daily"]
+    runs = _replicate_and_write(sim_config, agent, cfg, cfg.seed, "evaluate",
+                                out, digest, actual_series)
 
-    actual_series = None
-    if actuals is not None:
-        daily = [d[:actuals["days"]] for d in daily]
-        actual_series = actuals["daily"]
-    report = daily_counts(daily, actual_series,
-                          start_dow=sim_config.start_dow,
-                          scale=cfg.demand.scale_factor)
-    write_csv_artifact(out / "daily_counts.csv", DAILY_COUNT_COLUMNS,
-                       report.to_rows(), __version__, digest, cfg.seed)
-
-    hour_curve = acceptance_by_hour(offers)
-    dist_curve = acceptance_by_distance(offers)
-    write_csv_artifact(out / "acceptance_by_hour.csv", ACCEPTANCE_COLUMNS,
-                       curve_rows(hour_curve), __version__, digest, cfg.seed)
-    write_csv_artifact(out / "acceptance_by_distance.csv", ACCEPTANCE_COLUMNS,
-                       curve_rows(dist_curve), __version__, digest, cfg.seed)
-
+    offers = runs.offers
     accepted = sum(1 for o in offers if o.action == Action.ACCEPT)
     lines = [f"agent {agent_path.name}",
-             f"replications {reps}",
-             f"simulated_days {len(report.rows)}",
+             f"replications {cfg.evaluate.replications}",
+             f"simulated_days {len(runs.report.rows)}",
              f"offers_total {len(offers)}",
              f"acceptance_rate {accepted / len(offers):.6f}" if offers
              else "acceptance_rate unavailable",
-             f"mean_episode_reward {float(np.mean(rewards)):.6f}",
-             f"mean_completed_trips {float(np.mean(completed)):.6f}"]
+             f"mean_episode_reward {float(np.mean(runs.rewards)):.6f}",
+             f"mean_completed_trips {float(np.mean(runs.completed)):.6f}"]
     if actual_series is not None:
-        predicted = [row.predicted_mean for row in report.rows]
+        predicted = [row.predicted_mean for row in runs.report.rows]
         lines.append(_correlation_line(
             "daily_count_pearson",
             lambda: pearson(predicted, actual_series)))
@@ -411,10 +418,10 @@ def cmd_evaluate(args) -> int:
         log_dist = acceptance_by_distance(actuals["offers"])
         lines.append(_correlation_line(
             "hourly_acceptance_pearson",
-            lambda: curve_pearson(hour_curve, log_hour)))
+            lambda: curve_pearson(runs.hour_curve, log_hour)))
         lines.append(_correlation_line(
             "distance_acceptance_pearson",
-            lambda: curve_pearson(dist_curve, log_dist)))
+            lambda: curve_pearson(runs.dist_curve, log_dist)))
     write_artifact(out / "correlations.txt", lines, __version__, digest,
                    cfg.seed)
     print("\n".join(lines))
@@ -453,7 +460,7 @@ def cmd_sweep(args) -> int:
         sim_config = _build_sim_config(variant, out)
         agent_path = sub_out / "agent_rl.txt"
         agent_path.parent.mkdir(parents=True, exist_ok=True)
-        report = train_rl(agent, sim_config, build_rl_config(variant),
+        report = train_rl(agent, sim_config, variant.rl,
                           seed_stream(cfg.seed, f"sweep-{label}-train"),
                           checkpoint_path=agent_path)
         _stamp_agent(agent_path, variant_digest, cfg.seed)
@@ -461,30 +468,17 @@ def cmd_sweep(args) -> int:
                             "episode_reward", variant_digest, cfg.seed)
 
         agent.epsilon = 0.0
-        daily, offers, rewards, completed = _replicate(
-            sim_config, agent, cfg.seed, variant.evaluate.replications,
-            f"sweep-{label}")
-        count_report = daily_counts(daily, None,
-                                    start_dow=sim_config.start_dow,
-                                    scale=variant.demand.scale_factor)
-        write_csv_artifact(sub_out / "daily_counts.csv", DAILY_COUNT_COLUMNS,
-                           count_report.to_rows(), __version__,
-                           variant_digest, cfg.seed)
-        write_csv_artifact(sub_out / "acceptance_by_hour.csv",
-                           ACCEPTANCE_COLUMNS,
-                           curve_rows(acceptance_by_hour(offers)),
-                           __version__, variant_digest, cfg.seed)
-        write_csv_artifact(sub_out / "acceptance_by_distance.csv",
-                           ACCEPTANCE_COLUMNS,
-                           curve_rows(acceptance_by_distance(offers)),
-                           __version__, variant_digest, cfg.seed)
+        runs = _replicate_and_write(sim_config, agent, variant, cfg.seed,
+                                    f"sweep-{label}", sub_out, variant_digest)
+        offers = runs.offers
         accepted = sum(1 for o in offers if o.action == Action.ACCEPT)
         rate = accepted / len(offers) if offers else float("nan")
+        reward = float(np.mean(runs.rewards))
         summary.append([str(value), str(len(offers)), str(accepted),
-                        f"{rate:.6f}", f"{float(np.mean(completed)):.6f}",
-                        f"{float(np.mean(rewards)):.6f}"])
+                        f"{rate:.6f}", f"{float(np.mean(runs.completed)):.6f}",
+                        f"{reward:.6f}"])
         print(f"{cfg.sweep.param}={value}: acceptance {rate:.4f}, "
-              f"mean reward {float(np.mean(rewards)):.2f}")
+              f"mean reward {reward:.2f}")
     write_csv_artifact(out / "sweep" / "summary.csv",
                        ["value", "offers", "accepted", "acceptance_rate",
                         "mean_completed_trips", "mean_episode_reward"],

@@ -1,10 +1,14 @@
 """Run configuration: a YAML file mapped onto a tree of dataclasses.
 
-Unknown keys are fatal and reported by their dotted path, so a typo in a
-nested section fails loudly instead of silently running defaults. Command
-line overrides (`section.key=value`) are applied to the raw mapping before
-validation and therefore obey the same rules. A canonical hash of the fully
-resolved configuration is stamped into every artifact header.
+The `grid`, `platform`, `bc`, `rl` and `synth` sections are the domain types
+themselves (`GridSpec`, `PlatformParams`, `BcConfig`, `RlConfig`,
+`SyntheticLogSpec`): each knob is declared once, on its type, and checked
+once, when the section is built. Unknown keys are fatal and reported by
+their dotted path, so a typo in a nested section fails loudly instead of
+silently running defaults. Command line overrides (`section.key=value`) are
+applied to the raw mapping before validation and therefore obey the same
+rules. A canonical hash of the fully resolved configuration is stamped into
+every artifact header.
 """
 
 from __future__ import annotations
@@ -13,16 +17,13 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 
 import yaml
 
-from .agent import FeatureScales
-from .ingest import TIME_FORMAT
 from .ridegen import GridSpec
 from .sim import PlatformParams
-from .synth import SyntheticLogSpec, SyntheticPolicy
+from .synth import SyntheticLogSpec
 from .training import BcConfig, RlConfig
 
 
@@ -37,34 +38,9 @@ class PathsSection:
 
 
 @dataclass
-class GridSection:
-    width_km: float = 10.0
-    height_km: float = 10.0
-    noise_epsilon_km: float = 0.25
-    origin_lat: float = 0.0
-    origin_lon: float = 0.0
-
-
-@dataclass
 class DemandSection:
     scale_factor: float = 35.0
     holdout_days: int = 7
-
-
-@dataclass
-class PlatformSection:
-    fare_per_km: float = 100.0
-    cost_per_km: float = 30.0
-    peak_hours: list = field(default_factory=lambda: [[6, 8], [16, 19]])
-    peak_fare_multiplier: float = 2.0
-    weekly_reward_amount: float = 2000.0
-    weekly_target_multiplier: float = 1.0
-    fare_weight: float = 1.0
-    cost_weight: float = 1.0
-    idle_cost_weight: float = 1.0
-    bonus_weight: float = 1.0
-    idle_cost_per_minute: float = 1.0
-    default_weekly_goal: int = 40
 
 
 @dataclass
@@ -89,44 +65,8 @@ class AgentSection:
 
 
 @dataclass
-class BcSection:
-    iterations: int = 150
-    buffer_trajectories: int = 1000
-    batch_size: int = 64
-    eval_fraction: float = 0.1
-
-
-@dataclass
-class RlSection:
-    iterations: int = 50
-    exploration: float = 0.05
-    patience: int = 5
-    batch_size: int = 64
-    buffer_transitions: int = 50000
-
-
-@dataclass
 class EvaluateSection:
     replications: int = 20
-
-
-@dataclass
-class SynthSection:
-    driver_count: int = 50
-    days: int = 28
-    start: str = "2026-02-02T00:00"
-    offers_per_driver_day: float = 8.0
-    weight_pickup_km: float = -1.5
-    weight_trip_km: float = 4.0
-    weight_minute_of_day: float = 0.0
-    weight_trips_to_goal: float = 1.2
-    weight_drop_center_km: float = -0.3
-    weight_idle_minutes: float = -0.1
-    bias: float = 1.1
-    trip_km_log_mean: float = 1.2527629684953681
-    trip_km_log_sigma: float = 0.45
-    trip_km_min: float = 0.3
-    trip_km_max: float = 25.0
 
 
 @dataclass
@@ -139,46 +79,72 @@ class SweepSection:
 class Config:
     seed: int = 7
     paths: PathsSection = field(default_factory=PathsSection)
-    grid: GridSection = field(default_factory=GridSection)
+    grid: GridSpec = field(default_factory=GridSpec)
     demand: DemandSection = field(default_factory=DemandSection)
-    platform: PlatformSection = field(default_factory=PlatformSection)
+    platform: PlatformParams = field(default_factory=PlatformParams)
     sim: SimSection = field(default_factory=SimSection)
     agent: AgentSection = field(default_factory=AgentSection)
-    bc: BcSection = field(default_factory=BcSection)
-    rl: RlSection = field(default_factory=RlSection)
+    bc: BcConfig = field(default_factory=BcConfig)
+    rl: RlConfig = field(default_factory=RlConfig)
     evaluate: EvaluateSection = field(default_factory=EvaluateSection)
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SyntheticLogSpec = field(default_factory=SyntheticLogSpec)
     sweep: SweepSection = field(default_factory=SweepSection)
 
 
-_SECTION_TYPES = {f.name: f.type for f in dataclasses.fields(Config)}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(Config)
+             if f.name != "seed"}
 
 
-def _fill(target, data: dict, prefix: str):
-    names = {f.name for f in dataclasses.fields(target)}
-    for key, value in data.items():
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(default, value, key: str):
+    """`value` coerced to the type of the field's default, or ConfigError.
+
+    Null is accepted only where the default is null; such fields are checked
+    in `validate_config`. A tuple default holds [start, end] hour pairs.
+    """
+    if default is None:
+        return value
+    if isinstance(default, int):
+        if not _is_int(value):
+            raise ConfigError(f"{key} must be an integer")
+        return value
+    if isinstance(default, float):
+        if not (_is_int(value) or isinstance(value, float)):
+            raise ConfigError(f"{key} must be a number")
+        return float(value)
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string")
+        return value
+    if isinstance(default, tuple):
+        if not (isinstance(value, (list, tuple)) and all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(_is_int(v) for v in pair) for pair in value)):
+            raise ConfigError(f"{key} must be a list of [start, end] pairs")
+        return tuple(tuple(pair) for pair in value)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list")
+    return value
+
+
+def _section(cls, mapping, name: str):
+    """Section `name` of type `cls`: field defaults overlaid by `mapping`."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"section {name} must be a mapping")
+    defaults = cls()
+    names = {f.name for f in dataclasses.fields(cls)}
+    values = {}
+    for key, value in mapping.items():
         if key not in names:
-            raise ConfigError(f"unknown key: {prefix}{key}")
-        current = getattr(target, key)
-        if isinstance(current, bool) or value is None:
-            setattr(target, key, value)
-        elif isinstance(current, int):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{prefix}{key} must be an integer")
-            setattr(target, key, value)
-        elif isinstance(current, float) and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            setattr(target, key, float(value))
-        elif isinstance(current, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"{prefix}{key} must be a string")
-            setattr(target, key, value)
-        elif isinstance(current, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"{prefix}{key} must be a list")
-            setattr(target, key, value)
-        else:
-            setattr(target, key, value)
+            raise ConfigError(f"unknown key: {name}.{key}")
+        values[key] = _checked(getattr(defaults, key), value, f"{name}.{key}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> Config:
@@ -189,15 +155,12 @@ def config_from_dict(data: dict) -> Config:
     cfg = Config()
     for key, value in data.items():
         if key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ConfigError("seed must be an integer")
             cfg.seed = value
-        elif key in _SECTION_TYPES and key != "seed":
-            if value is None:
-                continue
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {key} must be a mapping")
-            _fill(getattr(cfg, key), value, f"{key}.")
+        elif key in _SECTIONS:
+            if value is not None:
+                setattr(cfg, key, _section(_SECTIONS[key], value, key))
         else:
             raise ConfigError(f"unknown key: {key}")
     validate_config(cfg)
@@ -243,10 +206,7 @@ def load_config(path=None, overrides=()) -> Config:
 
 
 def validate_config(cfg: Config):
-    if cfg.platform.fare_per_km < 0:
-        raise ConfigError("platform.fare_per_km must be non-negative")
-    if cfg.platform.cost_per_km < 0:
-        raise ConfigError("platform.cost_per_km must be non-negative")
+    """Checks of the sections that have no domain type of their own."""
     if cfg.demand.scale_factor <= 0:
         raise ConfigError("demand.scale_factor must be positive")
     if cfg.demand.holdout_days < 0:
@@ -259,19 +219,17 @@ def validate_config(cfg: Config):
         raise ConfigError("sim.start_dow must be in 0..6")
     if cfg.agent.atom_count < 2:
         raise ConfigError("agent.atom_count must be at least 2")
-    if not 0.0 <= cfg.agent.gamma <= 1.0:
-        raise ConfigError("agent.gamma must be in [0, 1]")
+    if not 0.0 <= cfg.agent.gamma < 1.0:
+        raise ConfigError("agent.gamma must be in [0, 1)")
     if not 0.0 <= cfg.agent.epsilon <= 1.0:
         raise ConfigError("agent.epsilon must be in [0, 1]")
     if cfg.evaluate.replications < 1:
         raise ConfigError("evaluate.replications must be at least 1")
     init = cfg.sim.initial_weekly_trips
     if init is not None:
-        ok_scalar = isinstance(init, int) and not isinstance(init, bool)
         ok_list = (isinstance(init, list) and init
-                   and all(isinstance(v, int) and not isinstance(v, bool)
-                           for v in init))
-        if not (ok_scalar or ok_list):
+                   and all(_is_int(v) for v in init))
+        if not (_is_int(init) or ok_list):
             raise ConfigError(
                 "sim.initial_weekly_trips must be an integer or integer list")
 
@@ -287,71 +245,11 @@ def config_hash(cfg: Config) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# builders from sections to domain objects
+# bench/worker.py reads the grid and platform through these two names.
 
 def build_grid(cfg: Config) -> GridSpec:
-    g = cfg.grid
-    return GridSpec(width_km=g.width_km, height_km=g.height_km,
-                    noise_epsilon_km=g.noise_epsilon_km,
-                    origin_lat=g.origin_lat, origin_lon=g.origin_lon)
+    return cfg.grid
 
 
 def build_platform(cfg: Config) -> PlatformParams:
-    p = cfg.platform
-    try:
-        peaks = tuple((int(a), int(b)) for a, b in p.peak_hours)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("platform.peak_hours must be [start, end] pairs") from exc
-    params = PlatformParams(
-        fare_per_km=p.fare_per_km, cost_per_km=p.cost_per_km,
-        peak_hours=peaks, peak_fare_multiplier=p.peak_fare_multiplier,
-        weekly_reward_amount=p.weekly_reward_amount,
-        weekly_target_multiplier=p.weekly_target_multiplier,
-        fare_weight=p.fare_weight, cost_weight=p.cost_weight,
-        idle_cost_weight=p.idle_cost_weight, bonus_weight=p.bonus_weight,
-        idle_cost_per_minute=p.idle_cost_per_minute,
-        default_weekly_goal=p.default_weekly_goal)
-    params.validate()
-    return params
-
-
-def build_scales(cfg: Config) -> FeatureScales:
-    return FeatureScales.for_grid(build_grid(cfg))
-
-
-def build_bc_config(cfg: Config) -> BcConfig:
-    b = cfg.bc
-    return BcConfig(iterations=b.iterations,
-                    buffer_trajectories=b.buffer_trajectories,
-                    batch_size=b.batch_size, eval_fraction=b.eval_fraction)
-
-
-def build_rl_config(cfg: Config) -> RlConfig:
-    r = cfg.rl
-    return RlConfig(iterations=r.iterations, exploration=r.exploration,
-                    patience=r.patience, batch_size=r.batch_size,
-                    buffer_transitions=r.buffer_transitions)
-
-
-def build_synth_spec(cfg: Config) -> SyntheticLogSpec:
-    s = cfg.synth
-    policy = SyntheticPolicy(
-        weight_pickup_km=s.weight_pickup_km,
-        weight_trip_km=s.weight_trip_km,
-        weight_minute_of_day=s.weight_minute_of_day,
-        weight_trips_to_goal=s.weight_trips_to_goal,
-        weight_drop_center_km=s.weight_drop_center_km,
-        weight_idle_minutes=s.weight_idle_minutes,
-        bias=s.bias)
-    try:
-        start = datetime.strptime(s.start, TIME_FORMAT)
-    except ValueError as exc:
-        raise ConfigError(f"synth.start: {exc}") from exc
-    return SyntheticLogSpec(
-        grid=build_grid(cfg), params=build_platform(cfg), policy=policy,
-        driver_count=s.driver_count, days=s.days, start=start,
-        offers_per_driver_day=s.offers_per_driver_day,
-        trip_km_log_mean=s.trip_km_log_mean,
-        trip_km_log_sigma=s.trip_km_log_sigma,
-        trip_km_min=s.trip_km_min, trip_km_max=s.trip_km_max,
-        speed_kmh=cfg.sim.speed_kmh)
+    return cfg.platform

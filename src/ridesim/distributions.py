@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .artifacts import read_data_lines
 
 PROFILE_MAGIC = "ridesim-profile v1"
 DIST_MAGIC = "ridesim-dist v1"
@@ -88,17 +90,6 @@ def _index_grid(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DemandScaler:
-    """Divides raw demand so one simulated week stays at a tractable size."""
-
-    scale_factor: float = 35.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.scale_factor) or self.scale_factor <= 0:
-            raise ValueError("scale_factor must be positive and finite")
-
-
-@dataclass(frozen=True)
 class TimeProfile:
     """Mean scaled ride count for every (day-of-week, minute) slot."""
 
@@ -120,13 +111,16 @@ class TimeProfile:
 
 
 def fit_time_profile(created_times: Iterable[datetime],
-                     scaler: DemandScaler) -> TimeProfile:
+                     scale_factor: float) -> TimeProfile:
     """Average ride creations per (day-of-week, minute) slot, scaled down.
 
     Each slot's raw count is divided by the number of calendar dates with
-    that day of week inside the log's date span, then by the scale factor.
+    that day of week inside the log's date span, then by the scale factor,
+    which divides demand so one simulated week stays at a tractable size.
     The log must span at least one full week so every slot has support.
     """
+    if not math.isfinite(scale_factor) or scale_factor <= 0:
+        raise ValueError("scale_factor must be positive and finite")
     times = list(created_times)
     if not times:
         raise ValueError("cannot fit a time profile from an empty log")
@@ -143,8 +137,8 @@ def fit_time_profile(created_times: Iterable[datetime],
     occurrences = np.zeros(DAYS_PER_WEEK, dtype=float)
     for offset in range(span_days):
         occurrences[(first + timedelta(days=offset)).weekday()] += 1.0
-    means = counts / occurrences[:, None] / scaler.scale_factor
-    return TimeProfile(means=means, scale_factor=scaler.scale_factor)
+    means = counts / occurrences[:, None] / scale_factor
+    return TimeProfile(means=means, scale_factor=scale_factor)
 
 
 def probabilistic_round(x: float, rng: np.random.Generator) -> int:
@@ -193,18 +187,28 @@ def write_distribution(dist: EmpiricalDistribution, path, name: str) -> None:
         fh.write("\n".join(distribution_lines(dist, name)) + "\n")
 
 
+def _keyed(lines: list, index: int, key: str) -> str:
+    """The value of line `index`, which must read `<key> <value>`."""
+    line = lines[index] if index < len(lines) else ""
+    found, _, value = line.partition(" ")
+    if found != key or not value:
+        raise ValueError(f"payload line {index + 1} is not a {key!r} line")
+    return value
+
+
 def read_distribution(path) -> tuple[str, EmpiricalDistribution]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh
-                 if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != DIST_MAGIC:
-        raise ValueError(f"{path}: not a distribution artifact")
-    name = lines[1].split(" ", 1)[1]
-    count = int(lines[2].split(" ", 1)[1])
-    samples = np.array([float(v) for v in lines[3:3 + count]])
-    if samples.size != count:
-        raise ValueError(f"{path}: expected {count} samples, found {samples.size}")
-    return name, EmpiricalDistribution(samples=samples)
+    lines = read_data_lines(path)
+    try:
+        if lines[:1] != [DIST_MAGIC]:
+            raise ValueError("not a distribution artifact")
+        name = _keyed(lines, 1, "name")
+        count = int(_keyed(lines, 2, "count"))
+        samples = np.array([float(v) for v in lines[3:]])
+        if samples.size != count:
+            raise ValueError(f"expected {count} samples, found {samples.size}")
+        return name, EmpiricalDistribution(samples=samples)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def time_profile_lines(profile: TimeProfile) -> list:
@@ -221,15 +225,21 @@ def write_time_profile(profile: TimeProfile, path) -> None:
 
 
 def read_time_profile(path) -> TimeProfile:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh
-                 if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != PROFILE_MAGIC:
-        raise ValueError(f"{path}: not a time profile artifact")
-    scale = float(lines[1].split(" ", 1)[1])
-    means = np.zeros((DAYS_PER_WEEK, MINUTES_PER_DAY), dtype=float)
-    for ln in lines[2:2 + DAYS_PER_WEEK]:
-        parts = ln.split(" ")
-        dow = int(parts[1])
-        means[dow] = [float(v) for v in parts[2:]]
-    return TimeProfile(means=means, scale_factor=scale)
+    lines = read_data_lines(path)
+    try:
+        if lines[:1] != [PROFILE_MAGIC]:
+            raise ValueError("not a time profile artifact")
+        scale = float(_keyed(lines, 1, "scale"))
+        if len(lines) != 2 + DAYS_PER_WEEK:
+            raise ValueError(f"expected {DAYS_PER_WEEK} dow rows, "
+                             f"found {len(lines) - 2}")
+        rows = [_keyed(lines, 2 + dow, "dow").split()
+                for dow in range(DAYS_PER_WEEK)]
+        for dow, row in enumerate(rows):
+            if row[:1] != [str(dow)] or len(row) != 1 + MINUTES_PER_DAY:
+                raise ValueError(f"row {dow + 1} is not dow {dow} "
+                                 f"with {MINUTES_PER_DAY} values")
+        means = np.array([[float(v) for v in row[1:]] for row in rows])
+        return TimeProfile(means=means, scale_factor=scale)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -238,36 +238,34 @@ def load_checkpoint(path) -> Mlp:
 
 
 def parse_checkpoint(lines, label: str = "checkpoint") -> Mlp:
+    """Network from `checkpoint_lines` output, every block in that order."""
     if not lines or lines[0] != MLP_MAGIC:
         raise ValueError(f"{label}: not a network checkpoint")
-    dims = [int(v) for v in lines[1].split()[1:]]
-    weights = [np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])]
-    biases = [np.zeros(b) for b in dims[1:]]
-    idx = 2
-    while idx < len(lines):
-        header = lines[idx].split()
-        if not header:
-            idx += 1
-            continue
-        if header[0] == "W":
-            which, rows, cols = int(header[1]), int(header[2]), int(header[3])
-            block = np.array([[float(v) for v in lines[idx + 1 + r].split()]
-                              for r in range(rows)])
-            if block.shape != (rows, cols):
-                raise ValueError(f"{label}: malformed weight block {which}")
-            weights[which] = block
-            idx += 1 + rows
-        elif header[0] == "b":
-            which = int(header[1])
-            biases[which] = np.array([float(v) for v in lines[idx + 1].split()])
-            idx += 2
-        else:
-            raise ValueError(f"{label}: unexpected line {lines[idx]!r}")
-    net = Mlp(layer_dims=dims, weights=weights, biases=biases)
-    for w, (a, b) in zip(net.weights, zip(dims[:-1], dims[1:])):
-        if w.shape != (a, b):
-            raise ValueError(f"{label}: weight shape mismatch")
-    return net
+    rows = [ln.split() for ln in lines[1:] if ln.strip()]
+    try:
+        if not rows or rows[0][0] != "dims" or len(rows[0]) < 3:
+            raise ValueError("no dims line with two or more layer sizes")
+        dims = [int(v) for v in rows[0][1:]]
+        pairs = list(enumerate(zip(dims[:-1], dims[1:])))
+        shapes = ([(f"W {i} {a} {b}", (a, b)) for i, (a, b) in pairs]
+                  + [(f"b {i} {b}", (1, b)) for i, (_, b) in pairs])
+        blocks, pos = [], 1
+        for header, shape in shapes:
+            if pos >= len(rows) or " ".join(rows[pos]) != header:
+                raise ValueError(f"no {header!r} block where expected")
+            block = np.array([[float(v) for v in row]
+                              for row in rows[pos + 1:pos + 1 + shape[0]]])
+            if block.shape != shape:
+                raise ValueError(f"block {header!r} is malformed")
+            blocks.append(block)
+            pos += 1 + shape[0]
+        if pos < len(rows):
+            raise ValueError(f"unexpected line {' '.join(rows[pos])!r}")
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
+    n = len(pairs)
+    return Mlp(layer_dims=dims, weights=blocks[:n],
+               biases=[b[0] for b in blocks[n:]])
 
 
 def checkpoint_lines(net: Mlp) -> list:

@@ -24,8 +24,8 @@ MAX_HALVING_ITERATIONS = 64
 class GridSpec:
     """Service region as a width x height km box anchored at a lat/lon corner."""
 
-    width_km: float
-    height_km: float
+    width_km: float = 10.0
+    height_km: float = 10.0
     noise_epsilon_km: float = 0.25
     origin_lat: float = 0.0  # southwest corner
     origin_lon: float = 0.0

@@ -63,9 +63,6 @@ class PlatformParams:
     default_weekly_goal: int = 40
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if not math.isfinite(self.fare_per_km) or self.fare_per_km < 0:
             raise ValueError("fare_per_km must be non-negative")
         if not math.isfinite(self.cost_per_km) or self.cost_per_km < 0:

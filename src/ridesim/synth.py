@@ -12,33 +12,39 @@ the same rules demonstration extraction applies when it reads the log back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from .agent import FeatureScales
-from .ingest import TripRecord, format_minute
+from .ingest import TIME_FORMAT, TripRecord
 from .ridegen import GridSpec
 from .sim import PlatformParams, travel_minutes, weekly_goal
 
-DEFAULT_HOURLY_WEIGHTS = (0.20, 0.15, 0.10, 0.10, 0.15, 0.40,
-                          1.20, 1.50, 1.30, 0.80, 0.70, 0.70,
-                          0.80, 0.80, 0.90, 1.00, 1.30, 1.50,
-                          1.40, 1.10, 0.70, 0.50, 0.40, 0.30)
+HOURLY_WEIGHTS = (0.20, 0.15, 0.10, 0.10, 0.15, 0.40,
+                  1.20, 1.50, 1.30, 0.80, 0.70, 0.70,
+                  0.80, 0.80, 0.90, 1.00, 1.30, 1.50,
+                  1.40, 1.10, 0.70, 0.50, 0.40, 0.30)
 
-DEFAULT_WEEKDAY_FACTORS = (1.0, 1.0, 1.0, 1.05, 1.15, 1.25, 0.85)
+WEEKDAY_FACTORS = (1.0, 1.0, 1.0, 1.05, 1.15, 1.25, 0.85)
 
 
 @dataclass(frozen=True)
-class SyntheticPolicy:
-    """Logistic accept policy over the normalized observation vector.
+class SyntheticLogSpec:
+    """Size of the synthetic log and the logistic policy that labels it.
 
-    The idle weight must stay small: the idle feature is unbounded minutes
-    since the last completion, and a strong penalty locks rarely-accepting
-    drivers into rejecting forever.
+    The accept logit is the `weight_*` vector dotted with the observation
+    divided by the grid's feature scales, plus `bias`. The idle weight must
+    stay small: the idle feature is unbounded minutes since the last
+    completion, and a strong penalty locks rarely-accepting drivers into
+    rejecting forever. `start` is a midnight timestamp in TIME_FORMAT.
     """
 
+    driver_count: int = 50
+    days: int = 28
+    start: str = "2026-02-02T00:00"  # a Monday
+    offers_per_driver_day: float = 8.0
     weight_pickup_km: float = -1.5
     weight_trip_km: float = 4.0
     weight_minute_of_day: float = 0.0
@@ -46,6 +52,28 @@ class SyntheticPolicy:
     weight_drop_center_km: float = -0.3
     weight_idle_minutes: float = -0.1
     bias: float = 1.1
+    trip_km_log_mean: float = math.log(3.5)
+    trip_km_log_sigma: float = 0.45
+    trip_km_min: float = 0.3
+    trip_km_max: float = 25.0
+
+    def __post_init__(self):
+        if self.driver_count < 1:
+            raise ValueError("driver_count must be at least 1")
+        if self.days < 1:
+            raise ValueError("days must be at least 1")
+        if self.offers_per_driver_day <= 0:
+            raise ValueError("offers_per_driver_day must be positive")
+        start = self.start_time()
+        if start.hour or start.minute:
+            raise ValueError("start must be a midnight timestamp")
+
+    def start_time(self) -> datetime:
+        try:
+            return datetime.strptime(self.start, TIME_FORMAT)
+        except ValueError:
+            raise ValueError(f"start {self.start!r} does not match "
+                             f"{TIME_FORMAT}") from None
 
     def weights(self) -> np.ndarray:
         return np.array([self.weight_pickup_km, self.weight_trip_km,
@@ -59,61 +87,20 @@ class SyntheticPolicy:
         return 1.0 / (1.0 + math.exp(-logit))
 
 
-@dataclass
-class SyntheticLogSpec:
-    grid: GridSpec
-    params: PlatformParams = field(default_factory=PlatformParams)
-    scales: FeatureScales | None = None  # None: derived from the grid
-    policy: SyntheticPolicy = field(default_factory=SyntheticPolicy)
-    driver_count: int = 50
-    days: int = 28
-    start: datetime = datetime(2026, 2, 2)  # a Monday, at midnight
-    offers_per_driver_day: float = 8.0
-    hourly_weights: tuple = DEFAULT_HOURLY_WEIGHTS
-    weekday_factors: tuple = DEFAULT_WEEKDAY_FACTORS
-    trip_km_log_mean: float = math.log(3.5)
-    trip_km_log_sigma: float = 0.45
-    trip_km_min: float = 0.3
-    trip_km_max: float = 25.0
-    pickup_spread_km: float | None = None
-    speed_kmh: float = 30.0
-
-    def __post_init__(self):
-        if self.driver_count < 1:
-            raise ValueError("driver_count must be at least 1")
-        if self.days < 1:
-            raise ValueError("days must be at least 1")
-        if self.offers_per_driver_day <= 0:
-            raise ValueError("offers_per_driver_day must be positive")
-        if len(self.hourly_weights) != 24 or min(self.hourly_weights) < 0:
-            raise ValueError("hourly_weights needs 24 non-negative entries")
-        if len(self.weekday_factors) != 7 or min(self.weekday_factors) <= 0:
-            raise ValueError("weekday_factors needs 7 positive entries")
-        if self.start != datetime.combine(self.start.date(), datetime.min.time()):
-            raise ValueError("start must be a midnight timestamp")
-        if self.scales is None:
-            self.scales = FeatureScales.for_grid(self.grid)
-
-    def effective_spread(self) -> float:
-        if self.pickup_spread_km is not None:
-            return self.pickup_spread_km
-        return min(self.grid.width_km, self.grid.height_km) / 4.0
-
-
-def _sample_point(spec: SyntheticLogSpec, rng: np.random.Generator) -> tuple:
-    cx, cy = spec.grid.center()
-    spread = spec.effective_spread()
+def _sample_point(grid: GridSpec, spread: float,
+                  rng: np.random.Generator) -> tuple:
+    cx, cy = grid.center()
     x = float(np.clip(rng.normal(cx, spread),
-                      0.02 * spec.grid.width_km, 0.98 * spec.grid.width_km))
+                      0.02 * grid.width_km, 0.98 * grid.width_km))
     y = float(np.clip(rng.normal(cy, spread),
-                      0.02 * spec.grid.height_km, 0.98 * spec.grid.height_km))
+                      0.02 * grid.height_km, 0.98 * grid.height_km))
     return x, y
 
 
-def _place_drop(spec: SyntheticLogSpec, px: float, py: float, distance: float,
+def _place_drop(grid: GridSpec, px: float, py: float, distance: float,
                 rng: np.random.Generator) -> tuple:
     """Drop at the sampled distance, shrinking it until the grid holds it."""
-    w, h = spec.grid.width_km, spec.grid.height_km
+    w, h = grid.width_km, grid.height_km
     for _ in range(64):
         angle = rng.uniform(0.0, 2.0 * math.pi)
         dx = px + distance * math.cos(angle)
@@ -124,29 +111,34 @@ def _place_drop(spec: SyntheticLogSpec, px: float, py: float, distance: float,
     raise RuntimeError("drop placement failed; pickup outside the grid?")
 
 
-def generate_synthetic_log(spec: SyntheticLogSpec, seed: int) -> list:
+def generate_synthetic_log(spec: SyntheticLogSpec, grid: GridSpec,
+                           params: PlatformParams, speed_kmh: float,
+                           seed: int) -> list:
     """Simulate spec.days days of offers and return schema-ready records.
 
     Offers whose start would slip past the final day (a driver still busy at
     midnight) are dropped so the log spans exactly spec.days dates.
     """
     rng = np.random.default_rng(seed)
-    hourly = np.array(spec.hourly_weights, dtype=float)
+    scales = FeatureScales.for_grid(grid)
+    spread = min(grid.width_km, grid.height_km) / 4.0
+    start = spec.start_time()
+    hourly = np.array(HOURLY_WEIGHTS, dtype=float)
     hourly = hourly / hourly.sum()
     records = []
     for d in range(spec.driver_count):
         driver_id = f"d{d:03d}"
-        x, y = _sample_point(spec, rng)
-        goal = weekly_goal(spec.params.default_weekly_goal,
-                           spec.params.weekly_target_multiplier)
+        x, y = _sample_point(grid, spread, rng)
+        goal = weekly_goal(params.default_weekly_goal,
+                           params.weekly_target_multiplier)
         completed = 0
         week = 0
-        last_completion = spec.start
-        busy_until = spec.start
+        last_completion = start
+        busy_until = start
         trip_seq = 0
         for day in range(spec.days):
-            date = spec.start + timedelta(days=day)
-            factor = spec.weekday_factors[date.weekday()]
+            date = start + timedelta(days=day)
+            factor = WEEKDAY_FACTORS[date.weekday()]
             count = int(rng.poisson(spec.offers_per_driver_day * factor))
             minutes = np.sort(rng.choice(24, size=count, p=hourly) * 60
                               + rng.integers(0, 60, size=count))
@@ -154,22 +146,22 @@ def generate_synthetic_log(spec: SyntheticLogSpec, seed: int) -> list:
                 created = date + timedelta(minutes=int(minute))
                 if created < busy_until:
                     created = busy_until
-                if created >= spec.start + timedelta(days=spec.days):
+                if created >= start + timedelta(days=spec.days):
                     continue
-                offer_week = (created - spec.start).days // 7
+                offer_week = (created - start).days // 7
                 while week < offer_week:
                     week += 1
                     goal = weekly_goal(completed,
-                                       spec.params.weekly_target_multiplier)
+                                       params.weekly_target_multiplier)
                     completed = 0
-                pickup_x, pickup_y = _sample_point(spec, rng)
+                pickup_x, pickup_y = _sample_point(grid, spread, rng)
                 pickup_km = math.hypot(x - pickup_x, y - pickup_y)
                 raw_km = float(np.clip(rng.lognormal(spec.trip_km_log_mean,
                                                      spec.trip_km_log_sigma),
                                        spec.trip_km_min, spec.trip_km_max))
-                drop_x, drop_y, trip_km = _place_drop(spec, pickup_x, pickup_y,
+                drop_x, drop_y, trip_km = _place_drop(grid, pickup_x, pickup_y,
                                                       raw_km, rng)
-                cx, cy = spec.grid.center()
+                cx, cy = grid.center()
                 idle = max(0, int((created - last_completion)
                                   .total_seconds() // 60))
                 trips_to_goal = max(0, goal - completed)
@@ -178,20 +170,20 @@ def generate_synthetic_log(spec: SyntheticLogSpec, seed: int) -> list:
                                 float(trips_to_goal),
                                 math.hypot(drop_x - cx, drop_y - cy),
                                 float(idle)], dtype=float)
-                p_accept = spec.policy.accept_probability(obs, spec.scales)
+                p_accept = spec.accept_probability(obs, scales)
                 accept = rng.random() < p_accept
                 assigned = created
                 decision = created + timedelta(minutes=1)
                 trip_seq += 1
                 trip_id = f"t{d:03d}-{trip_seq:05d}"
-                pickup_lat, pickup_lon = spec.grid.to_latlon(pickup_x, pickup_y)
-                drop_lat, drop_lon = spec.grid.to_latlon(drop_x, drop_y)
+                pickup_lat, pickup_lon = grid.to_latlon(pickup_x, pickup_y)
+                drop_lat, drop_lon = grid.to_latlon(drop_x, drop_y)
                 payment = "cash" if rng.random() < 0.6 else "card"
                 if accept:
                     pickup_time = decision + timedelta(
-                        minutes=travel_minutes(pickup_km, spec.speed_kmh))
+                        minutes=travel_minutes(pickup_km, speed_kmh))
                     completion = pickup_time + timedelta(
-                        minutes=travel_minutes(trip_km, spec.speed_kmh))
+                        minutes=travel_minutes(trip_km, speed_kmh))
                     records.append(TripRecord(
                         driver_id=driver_id, trip_id=trip_id,
                         created_time=created, assigned_time=assigned,

@@ -25,7 +25,6 @@ class BcConfig:
     buffer_trajectories: int = 1000
     batch_size: int = 64
     eval_fraction: float = 0.1
-    batches_per_iteration: int | None = None  # default: one buffer pass
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -45,9 +44,6 @@ class RlConfig:
     patience: int = 5
     batch_size: int = 64
     buffer_transitions: int = 50_000
-    batches_per_iteration: int | None = None
-    min_improvement: float = 0.0
-    allow_cold_start: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -56,6 +52,8 @@ class RlConfig:
             raise ValueError("exploration must lie in [0, 1]")
         if self.patience < 0:
             raise ValueError("patience must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
 
 @dataclass
@@ -149,7 +147,7 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
 
     buffer = ReplayBuffer(capacity=len(train_transitions))
     buffer.extend(train_transitions)
-    batches = config.batches_per_iteration or max(1, len(buffer) // config.batch_size)
+    batches = max(1, len(buffer) // config.batch_size)
 
     report = TrainReport(phase="bc", metric_name="holdout_agreement")
     started = time.perf_counter()
@@ -175,19 +173,19 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
 
 
 def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
-             rng: np.random.Generator,
-             checkpoint_path=None) -> TrainReport:
+             rng: np.random.Generator, checkpoint_path=None,
+             allow_cold_start: bool = False) -> TrainReport:
     """Simulator-in-the-loop refinement with early stopping.
 
     Each iteration collects one full episode at the configured exploration
     rate, appends its transitions to the replay buffer and runs one buffer
     pass of minibatch updates. The undiscounted episode reward is the
     improvement metric; `patience` non-improving iterations in a row stop
-    the run. A cold agent is refused unless explicitly allowed.
+    the run. A cold agent is refused unless `allow_cold_start` is set.
     """
-    if agent.train_steps == 0 and not config.allow_cold_start:
+    if agent.train_steps == 0 and not allow_cold_start:
         raise ValueError("agent has no prior training; "
-                         "enable allow_cold_start to train from scratch")
+                         "pass allow_cold_start=True to train from scratch")
     buffer = ReplayBuffer(capacity=config.buffer_transitions)
     report = TrainReport(phase="rl", metric_name="episode_reward")
     agent.epsilon = config.exploration
@@ -197,7 +195,7 @@ def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
         episode = run_episode(sim_config, agent, rng)
         for traj in episode.trajectories.values():
             buffer.extend(traj.transitions)
-        batches = config.batches_per_iteration or max(1, len(buffer) // config.batch_size)
+        batches = max(1, len(buffer) // config.batch_size)
         losses = []
         for _ in range(batches):
             batch = buffer.sample(config.batch_size, rng)
@@ -206,7 +204,7 @@ def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
         report.iterations.append(IterationStats(iteration=iteration,
                                                 loss=float(np.mean(losses)),
                                                 metric=metric))
-        if metric > report.best_metric + config.min_improvement:
+        if metric > report.best_metric:
             report.best_metric = metric
             report.best_iteration = iteration
             stale = 0

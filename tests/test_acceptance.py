@@ -19,7 +19,7 @@ from ridesim import cli
 from ridesim.agent import (CategoricalQAgent, FeatureScales, expected_q,
                            project_target, tabular_q_update)
 from ridesim.artifacts import comparable_lines, seed_stream
-from ridesim.distributions import (DemandScaler, fit_empirical,
+from ridesim.distributions import (fit_empirical,
                                    fit_time_profile, inverse_sample,
                                    ks_statistic, probabilistic_round)
 from ridesim.ingest import extract_demonstrations, training_window
@@ -30,8 +30,7 @@ from ridesim.ridegen import GridSpec, generate_rides
 from ridesim.sim import (Action, Fleet, PlatformParams, Ride, SimConfig,
                          Transition, reward_for_features,
                          reward_from_observation, run_episode)
-from ridesim.synth import (SyntheticLogSpec, SyntheticPolicy,
-                           generate_synthetic_log)
+from ridesim.synth import SyntheticLogSpec, generate_synthetic_log
 from ridesim.training import BcConfig, RlConfig, reward_support, train_bc, train_rl
 
 
@@ -208,12 +207,10 @@ def test_simulated_demand_matches_fitted_profile(capsys):
     with verdict(capsys, "demand reproduction"):
         grid = GridSpec(width_km=10.0, height_km=10.0)
         params = PlatformParams(peak_fare_multiplier=1.0)
-        spec = SyntheticLogSpec(grid=grid, params=params,
-                                policy=SyntheticPolicy(),
-                                driver_count=50, days=21)
-        records = generate_synthetic_log(spec, seed=7)
+        spec = SyntheticLogSpec(driver_count=50, days=21)
+        records = generate_synthetic_log(spec, grid, params, 30.0, seed=7)
         profile = fit_time_profile([r.created_time for r in records],
-                                   DemandScaler(scale_factor=2.0))
+                                   scale_factor=2.0)
 
         xs = [grid.to_xy(r.pickup_lat, r.pickup_lon)[0] for r in records]
         ys = [grid.to_xy(r.pickup_lat, r.pickup_lon)[1] for r in records]
@@ -301,9 +298,10 @@ def test_projection_matches_oracle_and_gradients_check_out(capsys):
 
 def margin_policy(params, scales, beta=0.05):
     """Logistic oracle whose logit is proportional to the net earnings of
-    accepting, so reward-scored cloning can recover its decisions."""
+    accepting, so reward-scored cloning can recover its decisions. Returns
+    the policy fields of a `SyntheticLogSpec`."""
     margin = params.fare_per_km - params.cost_per_km
-    return SyntheticPolicy(
+    return dict(
         weight_pickup_km=-beta * params.cost_per_km * scales.pickup_km,
         weight_trip_km=beta * margin * scales.trip_km,
         weight_minute_of_day=0.0, weight_trips_to_goal=0.0,
@@ -318,9 +316,8 @@ def oracle_world():
     params = PlatformParams(peak_fare_multiplier=1.0, idle_cost_per_minute=0.0,
                             weekly_reward_amount=0.0)
     policy = margin_policy(params, scales)
-    spec = SyntheticLogSpec(grid=grid, params=params, policy=policy,
-                            driver_count=50, days=21)
-    records = generate_synthetic_log(spec, seed=42)
+    spec = SyntheticLogSpec(driver_count=50, days=21, **policy)
+    records = generate_synthetic_log(spec, grid, params, 30.0, seed=42)
     train_win, hold_win = training_window(records, holdout_days=7)
     return SimpleNamespace(grid=grid, params=params, policy=policy,
                            scales=scales, records=records,
@@ -337,10 +334,9 @@ def incentive_world():
     scales = FeatureScales.for_grid(grid)
     params = PlatformParams(peak_fare_multiplier=1.0, cost_per_km=60.0,
                             idle_cost_per_minute=0.0, weekly_reward_amount=0.0)
-    spec = SyntheticLogSpec(grid=grid, params=params,
-                            policy=margin_policy(params, scales),
-                            driver_count=50, days=21, trip_km_max=4.9)
-    records = generate_synthetic_log(spec, seed=42)
+    spec = SyntheticLogSpec(driver_count=50, days=21, trip_km_max=4.9,
+                            **margin_policy(params, scales))
+    records = generate_synthetic_log(spec, grid, params, 30.0, seed=42)
     return SimpleNamespace(grid=grid, params=params, records=records)
 
 
@@ -406,7 +402,7 @@ def build_sim_config(world, records, params, **kwargs):
     xs = [grid.to_xy(r.pickup_lat, r.pickup_lon)[0] for r in records]
     ys = [grid.to_xy(r.pickup_lat, r.pickup_lon)[1] for r in records]
     profile = fit_time_profile([r.created_time for r in records],
-                               DemandScaler(scale_factor=2.0))
+                               scale_factor=2.0)
     defaults = dict(driver_count=50, weeks=1,
                     start_dow=records[0].created_time.weekday())
     defaults.update(kwargs)

@@ -1,12 +1,19 @@
+import shutil
+
 import numpy as np
 import pytest
 
 from ridesim import cli
+from ridesim.agent import FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
                                read_data_lines, seed_stream)
 from ridesim.config import (Config, ConfigError, apply_override,
-                            build_platform, build_scales, build_synth_spec,
-                            config_from_dict, config_hash, load_config)
+                            config_from_dict, config_hash, config_to_dict,
+                            load_config)
+from ridesim.ridegen import GridSpec
+from ridesim.sim import PlatformParams
+from ridesim.synth import SyntheticLogSpec
+from ridesim.training import BcConfig, RlConfig
 
 
 class TestConfigParsing:
@@ -15,8 +22,16 @@ class TestConfigParsing:
         assert cfg.seed == 7
         assert cfg.grid.width_km == 10.0
         assert cfg.agent.gamma == 0.6
-        assert cfg.platform.peak_hours == [[6, 8], [16, 19]]
+        assert cfg.platform.peak_hours == ((6, 8), (16, 19))
         assert cfg.sim.initial_weekly_trips is None
+
+    def test_sections_are_the_domain_types(self):
+        cfg = config_from_dict({})
+        assert cfg.grid == GridSpec()
+        assert cfg.platform == PlatformParams()
+        assert cfg.bc == BcConfig()
+        assert cfg.rl == RlConfig()
+        assert cfg.synth == SyntheticLogSpec()
 
     def test_unknown_keys_fail_with_dotted_path(self):
         with pytest.raises(ConfigError, match="unknown key: agentt"):
@@ -59,7 +74,7 @@ class TestOverrides:
                                  "platform.peak_hours=[[7, 9]]",
                                  "sim.initial_weekly_trips=[3, 4]"])
         assert cfg.agent.gamma == 0.5
-        assert cfg.platform.peak_hours == [[7, 9]]
+        assert cfg.platform.peak_hours == ((7, 9),)
         assert cfg.sim.initial_weekly_trips == [3, 4]
 
     def test_override_wins_over_file(self, tmp_path):
@@ -100,34 +115,114 @@ class TestConfigHash:
         b = config_from_dict({"agent": {"gamma": 0.59}})
         assert config_hash(a) != config_hash(b)
 
+    def test_default_hash_is_pinned(self):
+        # Artifact headers carry this digest; a moved default or a renamed
+        # key changes it.
+        assert config_hash(Config()) == (
+            "0fa5bf70f99435ad167519f9afc2bdf4ae95612b367a372f1c37a1f1e936b9fd")
+
+    def test_dict_roundtrip(self):
+        # `sweep` rebuilds every variant through this path.
+        cfg = config_from_dict({
+            "seed": 3, "grid": {"width_km": 12},
+            "platform": {"peak_hours": [[7, 9], [17, 20]],
+                         "fare_per_km": 90},
+            "sim": {"initial_weekly_trips": [3, 4]},
+            "agent": {"hidden": [8, 8]}, "rl": {"patience": 2},
+            "synth": {"start": "2026-03-02T00:00", "bias": 0.5},
+            "sweep": {"param": "platform.fare_per_km", "values": [80, 90]}})
+        assert cfg != Config()
+        back = config_from_dict(config_to_dict(cfg))
+        assert back == cfg
+        assert config_hash(back) == config_hash(cfg)
+        scalar = config_from_dict({"sim": {"initial_weekly_trips": 5}})
+        assert config_from_dict(config_to_dict(scalar)) == scalar
+
 
 class TestBuilders:
     def test_platform_peaks_become_tuples(self):
         cfg = config_from_dict({"platform": {"peak_hours": [[7, 9]]}})
-        params = build_platform(cfg)
+        params = cfg.platform
         assert params.peak_hours == ((7, 9),)
         assert params.is_peak(7 * 60) and not params.is_peak(9 * 60)
 
     def test_platform_bad_peaks(self):
-        cfg = Config()
-        cfg.platform.peak_hours = [[7]]
-        with pytest.raises(ConfigError, match="peak_hours"):
-            build_platform(cfg)
+        for bad in ([[7]], [[7, "9"]], 7, [[True, 9]]):
+            with pytest.raises(ConfigError, match="platform.peak_hours"):
+                config_from_dict({"platform": {"peak_hours": bad}})
+        with pytest.raises(ConfigError, match="platform: bad peak hour"):
+            config_from_dict({"platform": {"peak_hours": [[9, 7]]}})
 
     def test_scales_follow_grid(self):
         cfg = config_from_dict({"grid": {"width_km": 6.0, "height_km": 8.0}})
-        assert build_scales(cfg).drop_center_km == pytest.approx(5.0)
+        scales = FeatureScales.for_grid(cfg.grid)
+        assert scales.drop_center_km == pytest.approx(5.0)
 
     def test_synth_spec_start_parsed(self):
         cfg = config_from_dict({"synth": {"start": "2026-03-02T00:00"}})
-        spec = build_synth_spec(cfg)
-        assert spec.start.year == 2026 and spec.start.month == 3
+        start = cfg.synth.start_time()
+        assert start.year == 2026 and start.month == 3
 
     def test_synth_spec_bad_start(self):
-        cfg = Config()
-        cfg.synth.start = "next tuesday"
-        with pytest.raises(ConfigError, match="synth.start"):
-            build_synth_spec(cfg)
+        with pytest.raises(ConfigError, match="synth: start 'next tuesday'"):
+            config_from_dict({"synth": {"start": "next tuesday"}})
+        with pytest.raises(ConfigError, match="synth: start must be a midnight"):
+            config_from_dict({"synth": {"start": "2026-03-02T06:00"}})
+
+
+class TestValuesCheckedAtLoad:
+    """Every bad value stops the load with its dotted key."""
+
+    def test_null_fare_override(self):
+        with pytest.raises(ConfigError,
+                           match="platform.fare_per_km must be a number"):
+            load_config(None, ["platform.fare_per_km=null"])
+
+    def test_string_fare(self):
+        with pytest.raises(ConfigError,
+                           match="platform.fare_per_km must be a number"):
+            config_from_dict({"platform": {"fare_per_km": "abc"}})
+
+    def test_string_peak_multiplier(self):
+        with pytest.raises(ConfigError,
+                           match="platform.peak_fare_multiplier must be"):
+            config_from_dict({"platform": {"peak_fare_multiplier": "abc"}})
+
+    def test_null_batch_size(self):
+        with pytest.raises(ConfigError, match="bc.batch_size must be"):
+            config_from_dict({"bc": {"batch_size": None}})
+
+    def test_gamma_of_one_rejected(self):
+        with pytest.raises(ConfigError, match=r"agent.gamma must be in \[0, 1\)"):
+            config_from_dict({"agent": {"gamma": 1.0}})
+        config_from_dict({"agent": {"gamma": 0.0}})
+
+    def test_null_only_where_the_default_is_null(self):
+        cfg = config_from_dict({"sim": {"initial_weekly_trips": None}})
+        assert cfg.sim.initial_weekly_trips is None
+        for section, key in (("sim", "driver_count"), ("synth", "start"),
+                             ("agent", "hidden"), ("grid", "width_km")):
+            with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+                config_from_dict({section: {key: None}})
+
+    def test_domain_checks_name_the_section(self):
+        with pytest.raises(ConfigError, match="platform: fare_per_km"):
+            config_from_dict({"platform": {"fare_per_km": -1}})
+        with pytest.raises(ConfigError, match="rl: batch_size"):
+            config_from_dict({"rl": {"batch_size": 0}})
+        with pytest.raises(ConfigError, match="grid: grid dimensions"):
+            config_from_dict({"grid": {"width_km": 0}})
+
+    def test_bad_values_exit_2_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text('platform:\n  fare_per_km: "abc"\n')
+        for argv in (["--set", "platform.fare_per_km=null"],
+                     ["--config", str(path)],
+                     ["--set", "agent.gamma=1.0"]):
+            code = cli.main(["generate", "--out", str(tmp_path)] + argv)
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestSeedStreams:
@@ -259,6 +354,34 @@ class TestCliPipeline:
                          "--agent", str(bad)])
         assert code == 2
         assert "'gamma'" in capsys.readouterr().err
+
+    def test_agent_file_without_a_weight_block_exits_2(self, pipeline,
+                                                       tmp_path, capsys):
+        cfg_path, out = pipeline
+        lines = (out / "agent_bc.txt").read_text().splitlines()
+        start = next(i for i, ln in enumerate(lines) if ln.startswith("W 1 "))
+        rows = int(lines[start].split()[2])
+        bad = tmp_path / "agent_no_w1.txt"
+        bad.write_text("\n".join(lines[:start] + lines[start + 1 + rows:])
+                       + "\n")
+        code = cli.main(["evaluate", "--config", str(cfg_path),
+                         "--agent", str(bad)])
+        assert code == 2
+        assert "agent_no_w1.txt:online: no 'W 1" in capsys.readouterr().err
+
+    def test_truncated_distribution_exits_2(self, pipeline, tmp_path, capsys):
+        cfg_path, out = pipeline
+        for name in ("dist_pickup_x.txt", "dist_pickup_y.txt",
+                     "dist_trip_km.txt", "time_profile.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        lines = (out / "dist_pickup_x.txt").read_text().splitlines()
+        magic = lines.index("ridesim-dist v1")
+        (tmp_path / "dist_pickup_x.txt").write_text(
+            "\n".join(lines[:magic + 1]) + "\n")
+        code = cli.main(["generate", "--config", str(cfg_path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "dist_pickup_x.txt" in capsys.readouterr().err
 
     def test_read_helpers_skip_headers(self, pipeline):
         _, out = pipeline

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridesim.distributions import (DemandScaler, EmpiricalDistribution,
+from ridesim.distributions import (EmpiricalDistribution,
                                    TimeProfile, fit_empirical,
                                    fit_time_profile, inverse_sample,
                                    ks_statistic, probabilistic_round,
@@ -137,7 +137,7 @@ class TestTimeProfile:
         for day in [0, 7]:  # both Mondays, 2 rides each at 08:30
             times.extend([start + timedelta(days=day, hours=8, minutes=30)] * 2)
         times.append(start + timedelta(days=2, hours=9))  # one Wednesday ride
-        profile = fit_time_profile(times, DemandScaler(scale_factor=2.0))
+        profile = fit_time_profile(times, scale_factor=2.0)
         # Monday 08:30: 4 rides over 2 Mondays -> 2 per Monday, scaled by 1/2
         assert profile.means[0][8 * 60 + 30] == pytest.approx(1.0)
         # Wednesday 09:00: 1 ride over 1 Wednesday, scaled by 1/2
@@ -148,11 +148,14 @@ class TestTimeProfile:
         start = datetime(2026, 2, 2)
         times = [start, start + timedelta(days=5)]
         with pytest.raises(ValueError):
-            fit_time_profile(times, DemandScaler())
+            fit_time_profile(times, 35.0)
 
     def test_scaler_validation(self):
-        with pytest.raises(ValueError):
-            DemandScaler(scale_factor=0.0)
+        start = datetime(2026, 2, 2)
+        times = [start, start + timedelta(days=7)]
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale_factor"):
+                fit_time_profile(times, scale_factor=bad)
 
 
 class TestKsStatistic:
@@ -202,3 +205,49 @@ class TestRoundTrips:
         name, back = read_distribution(path)
         assert name == "x"
         assert np.array_equal(back.samples, dist.samples)
+
+
+class TestStrictReaders:
+    """Truncated or malformed artifacts fail with the file name, never load."""
+
+    def _profile_file(self, tmp_path):
+        profile = TimeProfile(means=np.full((7, 1440), 0.01), scale_factor=2.0)
+        path = tmp_path / "p.txt"
+        write_time_profile(profile, path)
+        return path
+
+    def test_distribution_with_only_its_magic_line(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("ridesim-dist v1\n")
+        with pytest.raises(ValueError, match="d.txt.*'name'"):
+            read_distribution(path)
+
+    def test_distribution_with_extra_samples(self, tmp_path):
+        path = tmp_path / "d.txt"
+        write_distribution(fit_empirical([1.0, 2.0]), path, "x")
+        path.write_text(path.read_text() + "3.0\n")
+        with pytest.raises(ValueError, match="expected 2 samples, found 3"):
+            read_distribution(path)
+
+    def test_profile_missing_weekend_rows(self, tmp_path):
+        path = self._profile_file(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(ln for ln in lines
+                                  if not ln.startswith(("dow 5", "dow 6")))
+                        + "\n")
+        with pytest.raises(ValueError, match="p.txt.*expected 7 dow rows"):
+            read_time_profile(path)
+
+    def test_profile_row_out_of_range(self, tmp_path):
+        path = self._profile_file(tmp_path)
+        path.write_text(path.read_text().replace("dow 6 ", "dow 9 "))
+        with pytest.raises(ValueError, match="p.txt.*not dow 6"):
+            read_time_profile(path)
+
+    def test_profile_short_row(self, tmp_path):
+        path = self._profile_file(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="p.txt.*1440 values"):
+            read_time_profile(path)

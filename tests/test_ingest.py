@@ -11,7 +11,7 @@ from ridesim.ingest import (CleaningReport, LOG_COLUMNS, TIME_FORMAT,
                             window_records)
 from ridesim.ridegen import GridSpec
 from ridesim.sim import Action, PlatformParams, reward_for_features
-from ridesim.synth import SyntheticLogSpec, SyntheticPolicy, generate_synthetic_log
+from ridesim.synth import SyntheticLogSpec, generate_synthetic_log
 
 HEADER = ",".join(LOG_COLUMNS)
 
@@ -377,10 +377,9 @@ class TestSyntheticRoundtrip:
     def test_extraction_matches_generated_log(self):
         grid = GridSpec(width_km=10.0, height_km=10.0)
         params = PlatformParams()
-        spec = SyntheticLogSpec(grid=grid, params=params,
-                                policy=SyntheticPolicy(), driver_count=5,
-                                days=8, offers_per_driver_day=5.0)
-        records = generate_synthetic_log(spec, seed=3)
+        spec = SyntheticLogSpec(driver_count=5, days=8,
+                                offers_per_driver_day=5.0)
+        records = generate_synthetic_log(spec, grid, params, 30.0, seed=3)
         assert records, "generator produced an empty log"
         statuses = {r.status for r in records}
         assert statuses <= {"completed", "rejected"}

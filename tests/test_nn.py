@@ -192,3 +192,18 @@ class TestCheckpoint:
         lines = checkpoint_lines(net) + ["X what"]
         with pytest.raises(ValueError, match="unexpected line"):
             parse_checkpoint(lines)
+
+    def test_missing_weight_block_rejected(self):
+        from ridesim.nn import checkpoint_lines
+        lines = checkpoint_lines(make_net([4, 8, 6], seed=3))
+        start = lines.index("W 1 8 6")
+        lines = lines[:start] + lines[start + 9:]
+        with pytest.raises(ValueError, match="net.txt: no 'W 1 8 6' block"):
+            parse_checkpoint(lines, label="net.txt")
+
+    def test_truncated_checkpoint_rejected(self):
+        from ridesim.nn import checkpoint_lines
+        lines = checkpoint_lines(make_net([4, 8, 6], seed=3))
+        for cut in (1, 2, 5, len(lines) - 1):
+            with pytest.raises(ValueError, match="net.txt: "):
+                parse_checkpoint(lines[:cut], label="net.txt")

@@ -74,9 +74,9 @@ class TestPeakHours:
 
     def test_validation_rejects_bad_window(self):
         with pytest.raises(ValueError):
-            PlatformParams(peak_hours=((8, 6),)).validate()
+            PlatformParams(peak_hours=((8, 6),))
         with pytest.raises(ValueError):
-            PlatformParams(fare_per_km=-1.0).validate()
+            PlatformParams(fare_per_km=-1.0)
 
 
 class TestReward:

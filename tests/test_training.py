@@ -200,8 +200,8 @@ class TestTrainRl:
         agent = build_agent_for_demonstrations(trajs, FeatureScales(), rng,
                                                hidden=(8,), atom_count=11)
         report = train_rl(agent, tiny_sim_config(),
-                          RlConfig(iterations=2, allow_cold_start=True,
-                                   patience=5), rng)
+                          RlConfig(iterations=2, patience=5), rng,
+                          allow_cold_start=True)
         assert report.phase == "rl"
         assert len(report.iterations) == 2
         assert agent.train_steps > 0
