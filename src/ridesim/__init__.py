@@ -8,7 +8,8 @@ then refines it against the simulated marketplace economics.
 
 __version__ = "0.1.0"
 
-from .agent import CategoricalQAgent, FeatureScales, ReplayBuffer
+from .agent import (CategoricalQAgent, FeatureScales, ReplayBuffer,
+                    TransitionBatch)
 from .distributions import (EmpiricalDistribution, TimeProfile, fit_empirical,
                             fit_time_profile, inverse_sample,
                             probabilistic_round)
@@ -27,7 +28,7 @@ __all__ = [
     "Action", "BcConfig", "CategoricalQAgent", "Fleet",
     "EmpiricalDistribution", "FeatureScales", "GridSpec", "PlatformParams",
     "ReplayBuffer", "Ride", "RlConfig", "SimConfig", "SyntheticLogSpec",
-    "TimeProfile", "Trajectory", "Transition",
+    "TimeProfile", "Trajectory", "Transition", "TransitionBatch",
     "TripRecord", "acceptance_by_distance", "acceptance_by_hour",
     "bootstrap_mean_diff", "clean", "daily_counts", "delta_percent",
     "extract_demonstrations", "fit_empirical", "fit_time_profile",

@@ -11,15 +11,15 @@ target copy for the bootstrap.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from . import nn
+from .artifacts import write_lines_atomic
 from .ridegen import GridSpec
-from .sim import Action, OBS_DIM, Transition
+from .sim import Action, OBS_DIM
 
 AGENT_MAGIC = "ridesim-agent v1"
 # Header lines an agent file must carry; learning_rate defaults when absent.
@@ -64,33 +64,86 @@ class FeatureScales:
                          self.idle_minutes], dtype=float)
 
 
+class TransitionBatch(NamedTuple):
+    """Transitions as parallel arrays, one row per transition."""
+
+    obs: np.ndarray        # (n, OBS_DIM) raw observations
+    action: np.ndarray     # (n,) int
+    reward: np.ndarray     # (n,) float
+    next_obs: np.ndarray   # (n, OBS_DIM)
+    terminal: np.ndarray   # (n,) bool
+
+    @classmethod
+    def of(cls, transitions) -> "TransitionBatch":
+        ts = list(transitions)
+        shape = (len(ts), OBS_DIM)
+        return cls(
+            obs=np.array([t.obs for t in ts], dtype=float).reshape(shape),
+            action=np.array([int(t.action) for t in ts], dtype=np.int64),
+            reward=np.array([t.reward for t in ts], dtype=float),
+            next_obs=np.array([t.next_obs for t in ts], dtype=float).reshape(shape),
+            terminal=np.array([t.terminal for t in ts], dtype=bool))
+
+
 class ReplayBuffer:
-    """Bounded FIFO transition store with uniform sampling."""
+    """Bounded FIFO transition store with uniform sampling.
+
+    Transitions live in ring arrays of `capacity` rows: `_next` is the row
+    the next transition is written to and `_size` counts the stored rows,
+    so the oldest row is `_next - _size` modulo the capacity. The arrays
+    are zero-filled on allocation, so the OS backs their pages only as
+    rows are first written.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._items = deque(maxlen=capacity)
+        self.obs = np.zeros((capacity, OBS_DIM))
+        self.action = np.zeros(capacity, dtype=np.int64)
+        self.reward = np.zeros(capacity)
+        self.next_obs = np.zeros((capacity, OBS_DIM))
+        self.terminal = np.zeros(capacity, dtype=bool)
+        self._next = 0
+        self._size = 0
 
     def __len__(self):
-        return len(self._items)
-
-    def add(self, transition: Transition) -> None:
-        self._items.append(transition)
+        return self._size
 
     def extend(self, transitions) -> None:
-        for t in transitions:
-            self._items.append(t)
+        """Append in order; beyond capacity the oldest rows are overwritten.
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list:
-        if not self._items:
+        Rows are written in place, in at most two contiguous runs, so no
+        temporary copy of the batch is made.
+        """
+        ts = list(transitions)
+        n = len(ts)
+        kept = ts[max(0, n - self.capacity):]
+        start = (self._next + n - len(kept)) % self.capacity
+        split = min(len(kept), self.capacity - start)
+        for row, run in ((start, kept[:split]), (0, kept[split:])):
+            if run:
+                rows = slice(row, row + len(run))
+                np.stack([t.obs for t in run], out=self.obs[rows])
+                self.action[rows] = [int(t.action) for t in run]
+                self.reward[rows] = [t.reward for t in run]
+                np.stack([t.next_obs for t in run], out=self.next_obs[rows])
+                self.terminal[rows] = [t.terminal for t in run]
+        self._next = (self._next + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
+        """Uniform draw with replacement, in draw order; index i of the
+        draw is the i-th oldest stored transition."""
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
-
-    def snapshot(self) -> list:
-        return list(self._items)
+        rows = rng.integers(0, self._size, size=batch_size)
+        oldest = (self._next - self._size) % self.capacity
+        if oldest:
+            rows = (rows + oldest) % self.capacity
+        return TransitionBatch(self.obs[rows], self.action[rows],
+                               self.reward[rows], self.next_obs[rows],
+                               self.terminal[rows])
 
 
 def _check_distributions(probs: np.ndarray) -> None:
@@ -106,7 +159,8 @@ def project_target_batch(probs: np.ndarray, rewards: np.ndarray,
 
     Each atom's mass moves to the clamped point r + gamma * z and is split
     linearly between the two bracketing atoms; a point landing exactly on an
-    atom keeps all its mass there. Row sums are preserved.
+    atom keeps all its mass there. Row sums are preserved. One `bincount`
+    adds every lower share, then every upper share, in row-major order.
     """
     probs = np.atleast_2d(np.asarray(probs, dtype=float))
     _check_distributions(probs)
@@ -115,17 +169,23 @@ def project_target_batch(probs: np.ndarray, rewards: np.ndarray,
     gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (batch,))
     v_min, v_max = float(atoms[0]), float(atoms[-1])
     dz = (v_max - v_min) / (k - 1)
-    shifted = np.clip(rewards[:, None] + gammas[:, None] * atoms[None, :],
-                      v_min, v_max)
-    pos = (shifted - v_min) / dz
-    lower = np.floor(pos).astype(int)
-    upper = np.minimum(lower + 1, k - 1)
-    frac = pos - lower
-    out = np.zeros_like(probs)
-    rows = np.repeat(np.arange(batch), k)
-    np.add.at(out, (rows, lower.ravel()), (probs * (1.0 - frac)).ravel())
-    np.add.at(out, (rows, upper.ravel()), (probs * frac).ravel())
-    return out
+    pos = gammas[:, None] * atoms[None, :]
+    pos += rewards[:, None]
+    np.clip(pos, v_min, v_max, out=pos)
+    pos -= v_min
+    pos /= dz
+    floor = np.floor(pos)
+    frac = pos - floor
+    index = np.empty((2, batch, k), dtype=np.intp)
+    index[0] = floor
+    np.minimum(index[0] + 1, k - 1, out=index[1])
+    index += np.arange(0, batch * k, k)[:, None]
+    mass = np.empty((2, batch, k))
+    np.subtract(1.0, frac, out=mass[0])
+    mass[0] *= probs
+    np.multiply(probs, frac, out=mass[1])
+    return np.bincount(index.ravel(), weights=mass.ravel(),
+                       minlength=batch * k).reshape(batch, k)
 
 
 def project_target(probs: np.ndarray, reward: float, gamma: float,
@@ -170,6 +230,8 @@ class CategoricalQAgent:
         self.sync_every = sync_every
         self.train_steps = train_steps
         self.adam = nn.AdamState.for_net(online, lr=learning_rate)
+        self._scale_array = scales.as_array()
+        self._grad = np.empty_like(online.flat)
 
     @classmethod
     def create(cls, scales: FeatureScales, v_min: float, v_max: float,
@@ -196,7 +258,7 @@ class CategoricalQAgent:
         return float(self.atoms[-1])
 
     def normalize(self, obs: np.ndarray) -> np.ndarray:
-        return np.asarray(obs, dtype=float) / self.scales.as_array()
+        return np.asarray(obs, dtype=float) / self._scale_array
 
     def value_distribution(self, obs: np.ndarray, net: nn.Mlp | None = None) -> np.ndarray:
         """Per-action atom probabilities for one raw observation."""
@@ -235,7 +297,7 @@ class CategoricalQAgent:
         On an exact value tie the driver accepts.
         """
         net = net or self.online
-        x = np.atleast_2d(obs_batch) / self.scales.as_array()
+        x = np.atleast_2d(obs_batch) / self._scale_array
         logits = nn.forward(net, x).reshape(len(x), N_ACTIONS, -1)
         q = expected_q(nn._softmax(logits), self.atoms)
         return np.where(q[:, Action.ACCEPT] >= q[:, Action.REJECT],
@@ -244,7 +306,7 @@ class CategoricalQAgent:
     def sync_target(self) -> None:
         self.target.copy_from(self.online)
 
-    def train_step(self, batch: list) -> float:
+    def train_step(self, batch: TransitionBatch) -> float:
         """One minibatch update toward projected one-step distributions.
 
         The bootstrap action comes from the target network's expected values
@@ -252,30 +314,25 @@ class CategoricalQAgent:
         entirely. Returns the batch loss. A non-finite loss aborts before any
         parameter changes.
         """
-        if not batch:
+        n = len(batch.reward)
+        if n == 0:
             raise ValueError("empty batch")
-        obs = np.stack([t.obs for t in batch])
-        next_obs = np.stack([t.next_obs for t in batch])
-        actions = np.array([int(t.action) for t in batch])
-        rewards = np.array([t.reward for t in batch], dtype=float)
-        terminal = np.array([t.terminal for t in batch], dtype=bool)
-
-        scales = self.scales.as_array()
-        next_logits = nn.forward(self.target, next_obs / scales)
-        next_logits = next_logits.reshape(len(batch), N_ACTIONS, -1)
-        next_probs = nn._softmax(next_logits)
+        scales = self._scale_array
+        next_logits = nn.forward(self.target, batch.next_obs / scales)
+        next_probs = nn._softmax(next_logits.reshape(n, N_ACTIONS, -1))
         next_q = expected_q(next_probs, self.atoms)
         bootstrap = np.where(next_q[:, Action.ACCEPT] >= next_q[:, Action.REJECT],
                              int(Action.ACCEPT), int(Action.REJECT))
-        chosen = next_probs[np.arange(len(batch)), bootstrap]
-        gammas = np.where(terminal, 0.0, self.gamma)
-        targets = project_target_batch(chosen, rewards, gammas, self.atoms)
+        chosen = next_probs[np.arange(n), bootstrap]
+        gammas = np.where(batch.terminal, 0.0, self.gamma)
+        targets = project_target_batch(chosen, batch.reward, gammas, self.atoms)
 
-        loss, gw, gb = nn.loss_and_grad_batch(self.online, obs / scales,
-                                              targets, actions, N_ACTIONS)
+        loss, _, _ = nn.loss_and_grad_batch(self.online, batch.obs / scales,
+                                            targets, batch.action, N_ACTIONS,
+                                            grad=self._grad)
         if not math.isfinite(loss):
             raise FloatingPointError("non-finite training loss; no update applied")
-        nn.adam_step(self.online, gw, gb, self.adam)
+        nn.adam_step(self.online, self._grad, self.adam)
         self.train_steps += 1
         if self.train_steps % self.sync_every == 0:
             self.sync_target()
@@ -300,8 +357,7 @@ class CategoricalQAgent:
         return lines
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
+        write_lines_atomic(path, self.to_lines())
 
     @classmethod
     def load(cls, path) -> "CategoricalQAgent":

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,12 +41,31 @@ def header_lines(version: str, config_digest: str, seed: int) -> list:
             f"# written {stamp}"]
 
 
+def write_lines_atomic(path, lines) -> None:
+    """Write each line plus a newline to `path`, all or nothing.
+
+    The lines go to a temporary file in the same directory, which then
+    replaces `path` in one `os.replace`: a reader, or a run that crashed
+    part-way, sees the old file or the new one, never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_artifact(path, body_lines, version: str, config_digest: str,
                    seed: int):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = header_lines(version, config_digest, seed) + list(body_lines)
-    path.write_text("\n".join(lines) + "\n")
+    write_lines_atomic(path, itertools.chain(
+        header_lines(version, config_digest, seed), body_lines))
 
 
 def csv_lines(columns, rows) -> list:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -217,6 +218,13 @@ def validate_config(cfg: Config):
         raise ConfigError("sim.weeks must be at least 1")
     if not 0 <= cfg.sim.start_dow <= 6:
         raise ConfigError("sim.start_dow must be in 0..6")
+    if cfg.sim.max_offers < 1:
+        raise ConfigError("sim.max_offers must be at least 1")
+    if not all(_is_int(h) and h >= 1 for h in cfg.agent.hidden):
+        raise ConfigError("agent.hidden must be a list of positive integers")
+    if not (math.isfinite(cfg.agent.learning_rate)
+            and cfg.agent.learning_rate > 0):
+        raise ConfigError("agent.learning_rate must be positive and finite")
     if cfg.agent.atom_count < 2:
         raise ConfigError("agent.atom_count must be at least 2")
     if not 0.0 <= cfg.agent.gamma < 1.0:

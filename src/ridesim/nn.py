@@ -11,68 +11,81 @@ trips bit for bit and reruns diff cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 MLP_MAGIC = "ridesim-mlp v1"
 
 
-@dataclass
 class Mlp:
-    layer_dims: list
-    weights: list   # weights[i]: (layer_dims[i], layer_dims[i+1])
-    biases: list    # biases[i]: (layer_dims[i+1],)
+    """Network parameters as one contiguous vector with per-layer views.
+
+    `flat` holds every weight matrix, then every bias vector, in layer
+    order. `weights[i]` (layer_dims[i], layer_dims[i+1]) and `biases[i]`
+    (layer_dims[i+1],) are views into it, so an optimizer can update the
+    whole network in one pass and a copy is one array copy.
+    """
+
+    def __init__(self, layer_dims, flat: np.ndarray | None = None):
+        dims = [int(d) for d in layer_dims]
+        if len(dims) < 2 or any(d < 1 for d in dims):
+            raise ValueError("layer_dims needs >= 2 positive entries")
+        size = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
+        if flat is None:
+            flat = np.zeros(size)
+        elif flat.shape != (size,):
+            raise ValueError(f"flat parameters must have shape ({size},)")
+        self.layer_dims = dims
+        self.flat = flat
+        self.weights, self.biases = self.views(flat)
+
+    def views(self, flat: np.ndarray) -> tuple[list, list]:
+        """Per-layer weight and bias views into a vector laid out like `flat`."""
+        pairs = list(zip(self.layer_dims[:-1], self.layer_dims[1:]))
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in pairs:
+            weights.append(flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+        for _, fan_out in pairs:
+            biases.append(flat[pos:pos + fan_out])
+            pos += fan_out
+        return weights, biases
 
     @classmethod
     def create(cls, layer_dims, rng: np.random.Generator) -> "Mlp":
         """He-initialized weights, zero biases."""
-        dims = [int(d) for d in layer_dims]
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ValueError("layer_dims needs >= 2 positive entries")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return cls(layer_dims=dims, weights=weights, biases=biases)
+        net = cls(layer_dims)
+        for w in net.weights:
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+        return net
 
     def copy(self) -> "Mlp":
-        return Mlp(layer_dims=list(self.layer_dims),
-                   weights=[w.copy() for w in self.weights],
-                   biases=[b.copy() for b in self.biases])
+        return Mlp(self.layer_dims, self.flat.copy())
 
     def copy_from(self, other: "Mlp") -> None:
-        for mine, theirs in zip(self.weights, other.weights):
-            mine[...] = theirs
-        for mine, theirs in zip(self.biases, other.biases):
-            mine[...] = theirs
+        self.flat[...] = other.flat
 
     def parameter_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Pure forward pass. Accepts (d_in,) or (batch, d_in)."""
     single = x.ndim == 1
-    a = np.atleast_2d(np.asarray(x, dtype=float))
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
-        if i != last:
-            a = np.maximum(a, 0.0)
-    return a[0] if single else a
+    out = _forward_cached(net, np.atleast_2d(np.asarray(x, dtype=float)))[-1]
+    return out[0] if single else out
 
 
 def _forward_cached(net: Mlp, x: np.ndarray):
     """Forward keeping post-activation values per layer for backprop."""
     activations = [x]
-    a = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = a @ w + b
+        a = activations[-1] @ w
+        a += b
         if i != last:
-            a = np.maximum(a, 0.0)
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
     return activations
 
@@ -92,12 +105,15 @@ def _check_targets(targets: np.ndarray) -> None:
 
 
 def loss_and_grad_batch(net: Mlp, xs: np.ndarray, targets: np.ndarray,
-                        actions: np.ndarray, n_actions: int):
+                        actions: np.ndarray, n_actions: int,
+                        grad: np.ndarray | None = None):
     """Mean cross-entropy over a batch, with gradients for every parameter.
 
     The network output is read as n_actions logit rows of equal width; only
-    the row of each sample's taken action receives loss. Returns
-    (loss, weight_grads, bias_grads).
+    the row of each sample's taken action receives loss. The gradient is
+    written into `grad`, a vector laid out like `net.flat` (a new one when
+    not given). Returns (loss, weight_grads, bias_grads), the gradient
+    tensors being views into that vector.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -116,20 +132,26 @@ def loss_and_grad_batch(net: Mlp, xs: np.ndarray, targets: np.ndarray,
     taken = logits[np.arange(batch), actions]             # (batch, atoms)
     # loss = logsumexp(z) - sum(t * z), stable form of -sum(t * log softmax(z))
     zmax = taken.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.exp(taken - zmax).sum(axis=1))
+    e = np.exp(taken - zmax)
+    total = e.sum(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(total[:, 0])
     loss = float(np.mean(lse - (targets * taken).sum(axis=1)))
 
     d_out = np.zeros((batch, n_actions, atoms))
-    d_out[np.arange(batch), actions] = (_softmax(taken) - targets) / batch
+    e /= total                                            # softmax(taken)
+    e -= targets
+    e /= batch
+    d_out[np.arange(batch), actions] = e
     delta = d_out.reshape(batch, out_dim)
 
-    weight_grads = [None] * len(net.weights)
-    bias_grads = [None] * len(net.biases)
+    weight_grads, bias_grads = net.views(np.empty_like(net.flat)
+                                         if grad is None else grad)
     for i in range(len(net.weights) - 1, -1, -1):
-        weight_grads[i] = acts[i].T @ delta
-        bias_grads[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=weight_grads[i])
+        np.sum(delta, axis=0, out=bias_grads[i])
         if i > 0:
-            delta = (delta @ net.weights[i].T) * (acts[i] > 0)
+            delta = delta @ net.weights[i].T
+            delta *= acts[i] > 0
     return loss, weight_grads, bias_grads
 
 
@@ -140,101 +162,55 @@ def loss_and_grad(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
                                np.array([action]), n_actions)
 
 
-def loss_only(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
-              n_actions: int) -> float:
-    """Loss via the pure forward pass, used by the finite-difference check."""
-    out = forward(net, x)
-    atoms = out.size // n_actions
-    z = out.reshape(n_actions, atoms)[action]
-    zmax = z.max()
-    lse = zmax + np.log(np.exp(z - zmax).sum())
-    return float(lse - (target * z).sum())
-
-
-def finite_difference_grads(net: Mlp, x: np.ndarray, target: np.ndarray,
-                            action: int, n_actions: int, eps: float = 1e-6):
-    """Central-difference gradients of the single-sample loss."""
-    weight_grads = [np.zeros_like(w) for w in net.weights]
-    bias_grads = [np.zeros_like(b) for b in net.biases]
-    for params, grads in ((net.weights, weight_grads), (net.biases, bias_grads)):
-        for tensor, grad in zip(params, grads):
-            flat = tensor.ravel()
-            gflat = grad.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                h = eps * max(1.0, abs(orig))
-                flat[j] = orig + h
-                up = loss_only(net, x, target, action, n_actions)
-                flat[j] = orig - h
-                down = loss_only(net, x, target, action, n_actions)
-                flat[j] = orig
-                gflat[j] = (up - down) / (2.0 * h)
-    return weight_grads, bias_grads
-
-
-def gradient_check(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
-                   n_actions: int, eps: float = 1e-6) -> float:
-    """Max normwise relative error between analytic and numeric gradients."""
-    _, aw, ab = loss_and_grad(net, x, target, action, n_actions)
-    nw, nb = finite_difference_grads(net, x, target, action, n_actions, eps)
-    worst = 0.0
-    for analytic, numeric in list(zip(aw, nw)) + list(zip(ab, nb)):
-        denom = max(np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-12)
-        err = np.linalg.norm(analytic - numeric) / denom
-        worst = max(worst, float(err))
-    return worst
-
-
-@dataclass
 class AdamState:
-    """First and second moment accumulators for every parameter tensor."""
+    """Adam's moment vectors for one network, laid out like its `flat`."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m_weights: list = field(default_factory=list)
-    v_weights: list = field(default_factory=list)
-    m_biases: list = field(default_factory=list)
-    v_biases: list = field(default_factory=list)
+    def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError("learning rate must be positive and finite")
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step = 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = np.empty((2, size))
 
     @classmethod
     def for_net(cls, net: Mlp, lr: float = 1e-3) -> "AdamState":
-        return cls(lr=lr,
-                   m_weights=[np.zeros_like(w) for w in net.weights],
-                   v_weights=[np.zeros_like(w) for w in net.weights],
-                   m_biases=[np.zeros_like(b) for b in net.biases],
-                   v_biases=[np.zeros_like(b) for b in net.biases])
+        return cls(net.flat.size, lr=lr)
 
 
-def adam_step(net: Mlp, weight_grads, bias_grads, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place."""
+def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of `net.flat`, in place.
+
+    `grad` is laid out like `net.flat`. Every element goes through the
+    textbook sequence m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), one whole-vector
+    operation at a time into preallocated scratch.
+    """
     state.step += 1
     t = state.step
     correct1 = 1.0 - state.beta1 ** t
     correct2 = 1.0 - state.beta2 ** t
-    groups = ((net.weights, weight_grads, state.m_weights, state.v_weights),
-              (net.biases, bias_grads, state.m_biases, state.v_biases))
-    for params, grads, ms, vs in groups:
-        for p, g, m, v in zip(params, grads, ms, vs):
-            m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-            v[...] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-            m_hat = m / correct1
-            v_hat = v / correct2
-            p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def save_checkpoint(net: Mlp, path) -> None:
-    """Text checkpoint: version, dims, then every tensor row in full precision."""
-    with open(path, "w") as fh:
-        fh.write("\n".join(checkpoint_lines(net)) + "\n")
-
-
-def load_checkpoint(path) -> Mlp:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    return parse_checkpoint(lines, label=str(path))
+    m, v = state.m, state.v
+    step, denom = state._scratch
+    m *= state.beta1
+    np.multiply(grad, 1.0 - state.beta1, out=step)
+    m += step
+    v *= state.beta2
+    np.multiply(grad, grad, out=step)
+    step *= 1.0 - state.beta2
+    v += step
+    np.divide(m, correct1, out=step)
+    step *= state.lr
+    np.divide(v, correct2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    net.flat -= step
 
 
 def parse_checkpoint(lines, label: str = "checkpoint") -> Mlp:
@@ -261,11 +237,9 @@ def parse_checkpoint(lines, label: str = "checkpoint") -> Mlp:
             pos += 1 + shape[0]
         if pos < len(rows):
             raise ValueError(f"unexpected line {' '.join(rows[pos])!r}")
+        return Mlp(dims, np.concatenate([block.ravel() for block in blocks]))
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from None
-    n = len(pairs)
-    return Mlp(layer_dims=dims, weights=blocks[:n],
-               biases=[b[0] for b in blocks[n:]])
 
 
 def checkpoint_lines(net: Mlp) -> list:
@@ -273,9 +247,8 @@ def checkpoint_lines(net: Mlp) -> list:
     lines = [MLP_MAGIC, "dims " + " ".join(str(d) for d in net.layer_dims)]
     for i, w in enumerate(net.weights):
         lines.append(f"W {i} {w.shape[0]} {w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        lines.extend(" ".join(map(repr, row)) for row in w.tolist())
     for i, b in enumerate(net.biases):
         lines.append(f"b {i} {b.size}")
-        lines.append(" ".join(repr(float(v)) for v in b))
+        lines.append(" ".join(map(repr, b.tolist())))
     return lines

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import CategoricalQAgent, FeatureScales, ReplayBuffer
+from .agent import (CategoricalQAgent, FeatureScales, ReplayBuffer,
+                    TransitionBatch)
 from .sim import Action, SimConfig, run_episode
 
 
@@ -111,11 +112,9 @@ def build_agent_for_demonstrations(trajectories, scales: FeatureScales,
     return CategoricalQAgent.create(scales, v_min, v_max, rng, **agent_kwargs)
 
 
-def _holdout_agreement(agent: CategoricalQAgent, transitions) -> float:
-    obs = np.stack([t.obs for t in transitions])
-    logged = np.array([int(t.action) for t in transitions])
-    predicted = agent.greedy_actions(obs)
-    return float(np.mean(predicted == logged))
+def _holdout_agreement(agent: CategoricalQAgent,
+                       holdout: TransitionBatch) -> float:
+    return float(np.mean(agent.greedy_actions(holdout.obs) == holdout.action))
 
 
 def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
@@ -147,6 +146,7 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
 
     buffer = ReplayBuffer(capacity=len(train_transitions))
     buffer.extend(train_transitions)
+    holdout_batch = TransitionBatch.of(holdout_transitions)
     batches = max(1, len(buffer) // config.batch_size)
 
     report = TrainReport(phase="bc", metric_name="holdout_agreement")
@@ -156,7 +156,7 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
         for _ in range(batches):
             batch = buffer.sample(config.batch_size, rng)
             losses.append(agent.train_step(batch))
-        agreement = _holdout_agreement(agent, holdout_transitions)
+        agreement = _holdout_agreement(agent, holdout_batch)
         report.iterations.append(IterationStats(iteration=iteration,
                                                 loss=float(np.mean(losses)),
                                                 metric=agreement))
@@ -193,8 +193,8 @@ def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
     started = time.perf_counter()
     for iteration in range(config.iterations):
         episode = run_episode(sim_config, agent, rng)
-        for traj in episode.trajectories.values():
-            buffer.extend(traj.transitions)
+        buffer.extend(t for traj in episode.trajectories.values()
+                      for t in traj.transitions)
         batches = max(1, len(buffer) // config.batch_size)
         losses = []
         for _ in range(batches):

@@ -16,8 +16,9 @@ import pytest
 import scipy.stats
 
 from ridesim import cli
-from ridesim.agent import (CategoricalQAgent, FeatureScales, expected_q,
-                           project_target, tabular_q_update)
+from nn_helpers import gradient_check
+from ridesim.agent import (CategoricalQAgent, FeatureScales, TransitionBatch,
+                           expected_q, project_target, tabular_q_update)
 from ridesim.artifacts import comparable_lines, seed_stream
 from ridesim.distributions import (fit_empirical,
                                    fit_time_profile, inverse_sample,
@@ -25,7 +26,7 @@ from ridesim.distributions import (fit_empirical,
 from ridesim.ingest import extract_demonstrations, training_window
 from ridesim.metrics import (acceptance_by_distance, bootstrap_mean_diff,
                              curve_pearson, delta_percent)
-from ridesim.nn import Mlp, gradient_check, loss_and_grad_batch
+from ridesim.nn import Mlp, loss_and_grad_batch
 from ridesim.ridegen import GridSpec, generate_rides
 from ridesim.sim import (Action, Fleet, PlatformParams, Ride, SimConfig,
                          Transition, reward_for_features,
@@ -129,7 +130,7 @@ def test_learning_kernels_match_closed_forms(capsys):
             batch.append(Transition(obs=obs, action=Action(int(rng.integers(2))),
                                     next_obs=obs, reward=float(rng.uniform(-4, 4)),
                                     terminal=True))
-        loss = agent.train_step(batch)
+        loss = agent.train_step(TransitionBatch.of(batch))
         xs = np.stack([t.obs for t in batch]) / scales.as_array()
         targets = np.stack([
             project_target(np.full(11, 1.0 / 11), t.reward, 0.0, twin.atoms)

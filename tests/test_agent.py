@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections import deque
+
 from ridesim.agent import (AGENT_HEADER_KEYS, CategoricalQAgent,
-                           FeatureScales, ReplayBuffer, expected_q,
-                           project_target, project_target_batch,
+                           FeatureScales, ReplayBuffer, TransitionBatch,
+                           expected_q, project_target, project_target_batch,
                            tabular_q_update)
 from ridesim.nn import loss_and_grad_batch
 from ridesim.ridegen import GridSpec
@@ -46,19 +48,39 @@ def tr(reward=1.0, terminal=False):
                       reward=reward, terminal=terminal)
 
 
+def random_transitions(rng, count):
+    out = []
+    for _ in range(count):
+        obs = rng.normal(size=6)
+        out.append(Transition(obs=obs, action=Action(int(rng.integers(2))),
+                              next_obs=rng.normal(size=6),
+                              reward=float(rng.normal()),
+                              terminal=bool(rng.random() < 0.2)))
+    return out
+
+
+def assert_batch_is(batch, transitions):
+    want = TransitionBatch.of(transitions)
+    for got, expected in zip(batch, want):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=3)
         for r in range(5):
-            buf.add(tr(reward=float(r)))
+            buf.extend([tr(reward=float(r))])
         assert len(buf) == 3
-        assert [t.reward for t in buf.snapshot()] == [2.0, 3.0, 4.0]
+        # rows 0 and 1 were overwritten by the 4th and 5th transitions
+        assert buf.reward.tolist() == [3.0, 4.0, 2.0]
 
     def test_sample_with_replacement(self):
         buf = ReplayBuffer(capacity=10)
-        buf.add(tr())
+        buf.extend([tr()])
         out = buf.sample(5, np.random.default_rng(0))
-        assert len(out) == 5
+        assert isinstance(out, TransitionBatch)
+        assert out.obs.shape == (5, 6) and len(out.reward) == 5
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
@@ -67,6 +89,36 @@ class TestReplayBuffer:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ReplayBuffer(0)
+
+    @pytest.mark.parametrize("capacity", [1, 5, 7, 32])
+    def test_matches_a_deque_across_wraparound(self, capacity):
+        """Same rows in the same order as a deque(maxlen) sampled with the
+        same generator, through chunks shorter and longer than the ring."""
+        rng = np.random.default_rng(capacity)
+        buf, ref = ReplayBuffer(capacity), deque(maxlen=capacity)
+        ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+        for size in (3, 1, capacity, 2 * capacity + 1, 0, 4, capacity - 1):
+            chunk = random_transitions(rng, size)
+            buf.extend(chunk)
+            ref.extend(chunk)
+            assert len(buf) == len(ref)
+            if ref:
+                batch = buf.sample(11, ours)
+                idx = theirs.integers(0, len(ref), size=11)
+                assert_batch_is(batch, [ref[i] for i in idx])
+
+    def test_extend_accepts_a_generator(self):
+        items = random_transitions(np.random.default_rng(1), 6)
+        buf = ReplayBuffer(4)
+        buf.extend(t for t in items)
+        assert_batch_is(buf.sample(8, np.random.default_rng(2)),
+                        [items[2:][i] for i in
+                         np.random.default_rng(2).integers(0, 4, size=8)])
+
+    def test_batch_of_an_empty_list_is_empty(self):
+        batch = TransitionBatch.of([])
+        assert batch.obs.shape == (0, 6) and batch.next_obs.shape == (0, 6)
+        assert all(len(column) == 0 for column in batch)
 
 
 def project_reference(probs, reward, gamma, atoms):
@@ -86,7 +138,46 @@ def project_reference(probs, reward, gamma, atoms):
     return out
 
 
+def project_add_at(probs, rewards, gammas, atoms):
+    """The two-`np.add.at` projection the bincount form replaced."""
+    batch, k = probs.shape
+    v_min, v_max = float(atoms[0]), float(atoms[-1])
+    dz = (v_max - v_min) / (k - 1)
+    shifted = np.clip(rewards[:, None] + gammas[:, None] * atoms[None, :],
+                      v_min, v_max)
+    pos = (shifted - v_min) / dz
+    lower = np.floor(pos).astype(int)
+    upper = np.minimum(lower + 1, k - 1)
+    frac = pos - lower
+    out = np.zeros_like(probs)
+    rows = np.repeat(np.arange(batch), k)
+    np.add.at(out, (rows, lower.ravel()), (probs * (1.0 - frac)).ravel())
+    np.add.at(out, (rows, upper.ravel()), (probs * frac).ravel())
+    return out
+
+
 class TestProjection:
+    def test_bitwise_equal_to_add_at(self):
+        rng = np.random.default_rng(31)
+        for case in range(200):
+            batch, k = int(rng.integers(1, 70)), int(rng.integers(2, 60))
+            atoms = np.linspace(float(rng.uniform(-30, 0)),
+                                float(rng.uniform(0.5, 40)), k)
+            probs = rng.dirichlet(np.ones(k) * rng.uniform(0.05, 3), size=batch)
+            span = atoms[-1] - atoms[0]
+            # far outside the support on both sides: clamped to the edges
+            rewards = rng.uniform(atoms[0] - 2 * span, atoms[-1] + 2 * span,
+                                  size=batch)
+            gammas = np.where(rng.random(batch) < 0.3, 0.0,
+                              rng.uniform(0.0, 0.99, size=batch))
+            if case % 3 == 0:
+                # gamma 0 puts every atom's mass exactly on an atom
+                rewards = atoms[rng.integers(0, k, size=batch)]
+                gammas[:] = 0.0
+            got = project_target_batch(probs, rewards, gammas, atoms)
+            want = project_add_at(probs, rewards, gammas, atoms)
+            assert got.tobytes() == want.tobytes(), case
+
     def test_midpoint_split_fixture(self):
         atoms = np.array([-1.0, 0.0, 1.0])
         probs = np.array([0.0, 1.0, 0.0])
@@ -244,7 +335,7 @@ class TestCategoricalQAgent:
             batch.append(Transition(obs=obs, action=Action(int(rng.integers(2))),
                                     next_obs=obs, reward=float(rng.uniform(-4, 4)),
                                     terminal=True))
-        loss = agent.train_step(batch)
+        loss = agent.train_step(TransitionBatch.of(batch))
 
         xs = np.stack([t.obs for t in batch]) / scales.as_array()
         targets = np.stack([
@@ -257,7 +348,7 @@ class TestCategoricalQAgent:
 
     def test_target_sync_counting(self, scales):
         agent = make_agent(scales, sync_every=3)
-        batch = [tr(reward=0.5, terminal=True)]
+        batch = TransitionBatch.of([tr(reward=0.5, terminal=True)])
         for step in range(1, 7):
             agent.train_step(batch)
             synced = all(
@@ -268,8 +359,9 @@ class TestCategoricalQAgent:
     def test_training_moves_expected_q_toward_reward(self, scales):
         agent = make_agent(scales, seed=10, learning_rate=5e-3)
         obs = np.ones(6)
-        batch = [Transition(obs=obs, action=Action.ACCEPT, next_obs=obs,
-                            reward=4.0, terminal=True)] * 32
+        batch = TransitionBatch.of(
+            [Transition(obs=obs, action=Action.ACCEPT, next_obs=obs,
+                        reward=4.0, terminal=True)] * 32)
         before = agent.q_values(obs)[Action.ACCEPT]
         for _ in range(200):
             agent.train_step(batch)
@@ -288,14 +380,36 @@ class TestCategoricalQAgent:
 
     def test_empty_batch_rejected(self, scales):
         with pytest.raises(ValueError):
-            make_agent(scales).train_step([])
+            make_agent(scales).train_step(TransitionBatch.of([]))
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_learning_rate_rejected(self, scales, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            make_agent(scales, learning_rate=lr)
+
+    def test_weights_stay_views_of_flat(self, scales, tmp_path):
+        agent = make_agent(scales, sync_every=2)
+        batch = TransitionBatch.of([tr(reward=1.0), tr(reward=-2.0, terminal=True)])
+        for _ in range(3):              # one target sync on the way
+            agent.train_step(batch)
+        agent.sync_target()
+        path = tmp_path / "agent.txt"
+        agent.save(path)
+        loaded = CategoricalQAgent.load(path)
+        for net in (agent.online, agent.target, loaded.online, loaded.target):
+            assert all(t.base is net.flat for t in net.weights + net.biases)
+        assert loaded.online.flat.tobytes() == agent.online.flat.tobytes()
+        # training the loaded agent moves the layers the forward pass reads
+        before = loaded.online.weights[-1].copy()
+        loaded.train_step(batch)
+        assert not np.array_equal(before, loaded.online.weights[-1])
 
 
 class TestAgentPersistence:
     def test_roundtrip_preserves_behavior(self, scales, tmp_path):
         agent = make_agent(scales, seed=21, gamma=0.7, epsilon=0.1,
                            sync_every=17)
-        agent.train_step([tr(reward=1.0, terminal=True)] * 8)
+        agent.train_step(TransitionBatch.of([tr(reward=1.0, terminal=True)] * 8))
         path = tmp_path / "agent.txt"
         agent.save(path)
         loaded = CategoricalQAgent.load(path)
@@ -314,6 +428,23 @@ class TestAgentPersistence:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(loaded.target.weights, agent.target.weights):
             np.testing.assert_array_equal(a, b)
+
+    def test_save_is_atomic(self, scales, tmp_path, monkeypatch):
+        agent = make_agent(scales)
+        path = tmp_path / "agent.txt"
+        agent.save(path)
+        before = path.read_text()
+        lines = make_agent(scales, seed=4).to_lines()
+
+        def partial():
+            yield from lines[:len(lines) // 2]
+            raise RuntimeError("crash mid-write")
+
+        monkeypatch.setattr(agent, "to_lines", partial)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            agent.save(path)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["agent.txt"]
 
     def test_load_skips_comment_header(self, scales, tmp_path):
         agent = make_agent(scales)

@@ -6,7 +6,7 @@ import pytest
 from ridesim import cli
 from ridesim.agent import FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
-                               read_data_lines, seed_stream)
+                               read_data_lines, seed_stream, write_artifact)
 from ridesim.config import (Config, ConfigError, apply_override,
                             config_from_dict, config_hash, config_to_dict,
                             load_config)
@@ -213,16 +213,37 @@ class TestValuesCheckedAtLoad:
         with pytest.raises(ConfigError, match="grid: grid dimensions"):
             config_from_dict({"grid": {"width_km": 0}})
 
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_learning_rate_must_be_positive_and_finite(self, value):
+        with pytest.raises(ConfigError, match="agent.learning_rate must be"):
+            config_from_dict({"agent": {"learning_rate": value}})
+
+    @pytest.mark.parametrize("hidden", [[1.5], [64, 0], [-8], [True], ["64"]])
+    def test_hidden_must_hold_positive_ints(self, hidden):
+        with pytest.raises(ConfigError, match="agent.hidden must be"):
+            config_from_dict({"agent": {"hidden": hidden}})
+
+    def test_max_offers_at_least_one(self):
+        with pytest.raises(ConfigError, match="sim.max_offers must be"):
+            config_from_dict({"sim": {"max_offers": 0}})
+        assert config_from_dict({"sim": {"max_offers": 1}}).sim.max_offers == 1
+
     def test_bad_values_exit_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
         path.write_text('platform:\n  fare_per_km: "abc"\n')
-        for argv in (["--set", "platform.fare_per_km=null"],
-                     ["--config", str(path)],
-                     ["--set", "agent.gamma=1.0"]):
+        for argv, key in ((["--set", "platform.fare_per_km=null"],
+                           "platform.fare_per_km"),
+                          (["--config", str(path)], "platform.fare_per_km"),
+                          (["--set", "agent.gamma=1.0"], "agent.gamma"),
+                          (["--set", "agent.learning_rate=-1.0"],
+                           "agent.learning_rate"),
+                          (["--set", "agent.hidden=[1.5]"], "agent.hidden"),
+                          (["--set", "sim.max_offers=0"], "sim.max_offers")):
             code = cli.main(["generate", "--out", str(tmp_path)] + argv)
             err = capsys.readouterr().err
             assert code == 2, argv
             assert err.startswith("error: ") and "Traceback" not in err
+            assert key in err, argv
 
 
 class TestSeedStreams:
@@ -240,6 +261,30 @@ class TestSeedStreams:
         a = seed_stream(11, "generate").random(5)
         b = seed_stream(12, "generate").random(5)
         assert not np.array_equal(a, b)
+
+
+class TestAtomicWrites:
+    def test_one_line_per_entry_then_a_newline(self, tmp_path):
+        path = tmp_path / "sub" / "a.txt"
+        write_artifact(path, ["x 1", "", "y 2"], "0.1", "abc", 3)
+        lines = path.read_text().split("\n")
+        assert lines[:3] == ["# ridesim 0.1", "# config abc", "# seed 3"]
+        assert lines[4:] == ["x 1", "", "y 2", ""]
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        write_artifact(path, ["old"], "0.1", "abc", 3)
+        before = path.read_text()
+
+        def body():
+            yield "new 1"
+            yield "new 2"
+            raise RuntimeError("crash mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            write_artifact(path, body(), "0.1", "abc", 3)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
 TINY_CONFIG = """\

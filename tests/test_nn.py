@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ridesim.nn import (AdamState, Mlp, adam_step, forward, gradient_check,
-                        load_checkpoint, loss_and_grad, loss_and_grad_batch,
-                        loss_only, parse_checkpoint, save_checkpoint)
+from nn_helpers import (gradient_check, load_checkpoint, loss_only,
+                        save_checkpoint)
+from ridesim.nn import (AdamState, Mlp, adam_step, checkpoint_lines, forward,
+                        loss_and_grad, loss_and_grad_batch, parse_checkpoint)
 
 
 def make_net(dims, seed=0):
@@ -132,34 +133,116 @@ class TestGradients:
         assert after < before
 
 
+def one_weight_net(value=1.0):
+    net = Mlp([1, 1])
+    net.weights[0][0, 0] = value
+    return net
+
+
+def adam_reference(params, grads, ms, vs, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Textbook per-tensor Adam step."""
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m[...] = b1 * m + (1.0 - b1) * g
+        v[...] = b2 * v + (1.0 - b2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
 class TestAdam:
     def test_first_step_is_bias_corrected(self):
-        net = Mlp(layer_dims=[1, 1], weights=[np.array([[1.0]])],
-                  biases=[np.zeros(1)])
+        net = one_weight_net()
         state = AdamState.for_net(net, lr=0.1)
-        wg = [np.array([[0.5]])]
-        bg = [np.zeros(1)]
-        adam_step(net, wg, bg, state)
+        adam_step(net, np.array([0.5, 0.0]), state)
         # m_hat/sqrt(v_hat) == sign(g) on step one, so the move is exactly lr
         assert net.weights[0][0, 0] == pytest.approx(0.9, abs=1e-6)
         assert state.step == 1
 
     def test_constant_gradient_keeps_unit_ratio(self):
-        net = Mlp(layer_dims=[1, 1], weights=[np.array([[1.0]])],
-                  biases=[np.zeros(1)])
+        net = one_weight_net()
         state = AdamState.for_net(net, lr=0.1)
         for _ in range(3):
-            adam_step(net, [np.array([[0.5]])], [np.zeros(1)], state)
+            adam_step(net, np.array([0.5, 0.0]), state)
         assert net.weights[0][0, 0] == pytest.approx(0.7, abs=1e-5)
 
     def test_zero_gradient_moves_nothing(self):
         net = make_net([2, 3, 2], seed=11)
-        snapshot = [w.copy() for w in net.weights]
+        snapshot = net.flat.copy()
         state = AdamState.for_net(net)
-        adam_step(net, [np.zeros_like(w) for w in net.weights],
-                  [np.zeros_like(b) for b in net.biases], state)
-        for w, s in zip(net.weights, snapshot):
-            np.testing.assert_array_equal(w, s)
+        adam_step(net, np.zeros_like(net.flat), state)
+        np.testing.assert_array_equal(net.flat, snapshot)
+
+    def test_flat_step_is_bitwise_the_per_tensor_step(self):
+        net = make_net([6, 16, 12, 22], seed=5)
+        ref = net.copy()
+        ref_w = [w.copy() for w in ref.weights]
+        ref_b = [b.copy() for b in ref.biases]
+        ms = [np.zeros_like(p) for p in ref_w + ref_b]
+        vs = [np.zeros_like(p) for p in ref_w + ref_b]
+        state = AdamState.for_net(net, lr=3e-3)
+        rng = np.random.default_rng(6)
+        for t in range(1, 51):
+            grad = rng.normal(size=net.flat.size) * rng.uniform(1e-4, 10.0)
+            gw, gb = net.views(grad)
+            adam_reference(ref_w + ref_b, gw + gb, ms, vs, t, lr=3e-3)
+            adam_step(net, grad, state)
+            for mine, theirs in zip(net.weights + net.biases, ref_w + ref_b):
+                assert mine.tobytes() == theirs.tobytes(), t
+        assert state.m.tobytes() == np.concatenate(
+            [m.ravel() for m in ms]).tobytes()
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("inf"), float("nan")])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            AdamState.for_net(one_weight_net(), lr=lr)
+
+
+def assert_views_of_flat(net):
+    tensors = net.weights + net.biases
+    assert net.flat.flags.c_contiguous and net.flat.flags.owndata
+    assert all(t.base is net.flat for t in tensors)
+    np.testing.assert_array_equal(
+        np.concatenate([t.ravel() for t in tensors]), net.flat)
+
+
+class TestFlatLayout:
+    def test_create_copy_copy_from_and_parse_keep_views(self):
+        net = make_net([6, 8, 4], seed=1)
+        assert_views_of_flat(net)
+        twin = net.copy()
+        assert_views_of_flat(twin)
+        assert not np.shares_memory(twin.flat, net.flat)
+        other = make_net([6, 8, 4], seed=2)
+        twin.copy_from(other)
+        assert_views_of_flat(twin)
+        np.testing.assert_array_equal(twin.flat, other.flat)
+        loaded = parse_checkpoint(checkpoint_lines(net))
+        assert_views_of_flat(loaded)
+        assert loaded.flat.tobytes() == net.flat.tobytes()
+
+    def test_writing_flat_moves_the_layers(self):
+        net = make_net([3, 2], seed=0)
+        net.flat[:] = np.arange(net.flat.size)
+        np.testing.assert_array_equal(net.weights[0], [[0, 1], [2, 3], [4, 5]])
+        np.testing.assert_array_equal(net.biases[0], [6, 7])
+
+    def test_gradient_lands_in_the_given_vector(self):
+        net = make_net([4, 8, 6], seed=2)
+        rng = np.random.default_rng(3)
+        xs = rng.normal(size=(5, 4))
+        targets = rng.dirichlet(np.ones(3), size=5)
+        actions = np.array([0, 1, 1, 0, 1])
+        grad = np.full(net.flat.size, np.nan)
+        loss, gw, gb = loss_and_grad_batch(net, xs, targets, actions, 2,
+                                           grad=grad)
+        assert all(g.base is grad for g in gw + gb)
+        fresh_loss, fw, fb = loss_and_grad_batch(net, xs, targets, actions, 2)
+        assert loss == fresh_loss
+        assert grad.tobytes() == np.concatenate(
+            [g.ravel() for g in fw + fb]).tobytes()
+
+    def test_flat_of_the_wrong_size_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Mlp([2, 3], np.zeros(5))
 
 
 class TestCheckpoint:
@@ -188,13 +271,11 @@ class TestCheckpoint:
 
     def test_garbage_line_rejected(self):
         net = make_net([2, 2])
-        from ridesim.nn import checkpoint_lines
         lines = checkpoint_lines(net) + ["X what"]
         with pytest.raises(ValueError, match="unexpected line"):
             parse_checkpoint(lines)
 
     def test_missing_weight_block_rejected(self):
-        from ridesim.nn import checkpoint_lines
         lines = checkpoint_lines(make_net([4, 8, 6], seed=3))
         start = lines.index("W 1 8 6")
         lines = lines[:start] + lines[start + 9:]
@@ -202,7 +283,6 @@ class TestCheckpoint:
             parse_checkpoint(lines, label="net.txt")
 
     def test_truncated_checkpoint_rejected(self):
-        from ridesim.nn import checkpoint_lines
         lines = checkpoint_lines(make_net([4, 8, 6], seed=3))
         for cut in (1, 2, 5, len(lines) - 1):
             with pytest.raises(ValueError, match="net.txt: "):
