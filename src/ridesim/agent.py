@@ -30,12 +30,6 @@ N_ACTIONS = 2
 DEFAULT_ATOMS = 51
 
 
-def tabular_q_update(q: float, alpha: float, reward: float, gamma: float,
-                     max_next_q: float) -> float:
-    """Classic one-step Q-learning update on a stored scalar value."""
-    return q + alpha * (reward + gamma * max_next_q - q)
-
-
 @dataclass(frozen=True)
 class FeatureScales:
     """Per-feature divisors that bring raw observations near [0, 1]."""
@@ -65,13 +59,18 @@ class FeatureScales:
 
 
 class TransitionBatch(NamedTuple):
-    """Transitions as parallel arrays, one row per transition."""
+    """Transitions as parallel arrays, one row per transition.
+
+    `targets`, when set, holds the rows' projected one-step distributions,
+    computed ahead of the update from the current target weights.
+    """
 
     obs: np.ndarray        # (n, OBS_DIM) raw observations
     action: np.ndarray     # (n,) int
     reward: np.ndarray     # (n,) float
     next_obs: np.ndarray   # (n, OBS_DIM)
     terminal: np.ndarray   # (n,) bool
+    targets: np.ndarray | None = None   # (n, atoms)
 
     @classmethod
     def of(cls, transitions) -> "TransitionBatch":
@@ -147,9 +146,11 @@ class ReplayBuffer:
 
 
 def _check_distributions(probs: np.ndarray) -> None:
-    if np.any(probs < -1e-12):
-        raise ValueError("distribution has negative mass")
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-6):
+    # "Every value passes" rather than "no value fails": NaN fails every
+    # comparison, and infinite mass makes its row sum inf or NaN.
+    if not np.all(probs >= -1e-12):
+        raise ValueError("distribution has negative or NaN mass")
+    if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-6):
         raise ValueError("distribution must sum to 1")
 
 
@@ -186,13 +187,6 @@ def project_target_batch(probs: np.ndarray, rewards: np.ndarray,
     np.multiply(probs, frac, out=mass[1])
     return np.bincount(index.ravel(), weights=mass.ravel(),
                        minlength=batch * k).reshape(batch, k)
-
-
-def project_target(probs: np.ndarray, reward: float, gamma: float,
-                   atoms: np.ndarray) -> np.ndarray:
-    """Single-distribution form of project_target_batch."""
-    return project_target_batch(probs[None, :], np.array([reward]),
-                                np.array([gamma]), atoms)[0]
 
 
 def expected_q(probs: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -257,18 +251,6 @@ class CategoricalQAgent:
     def v_max(self) -> float:
         return float(self.atoms[-1])
 
-    def normalize(self, obs: np.ndarray) -> np.ndarray:
-        return np.asarray(obs, dtype=float) / self._scale_array
-
-    def value_distribution(self, obs: np.ndarray, net: nn.Mlp | None = None) -> np.ndarray:
-        """Per-action atom probabilities for one raw observation."""
-        net = net or self.online
-        logits = nn.forward(net, self.normalize(obs)).reshape(N_ACTIONS, -1)
-        return nn._softmax(logits)
-
-    def q_values(self, obs: np.ndarray, net: nn.Mlp | None = None) -> np.ndarray:
-        return expected_q(self.value_distribution(obs, net), self.atoms)
-
     def decide(self, obs_batch: np.ndarray,
                rng: np.random.Generator) -> Iterator[Action]:
         """Epsilon-greedy decisions for a (batch, 6) block of raw obs, in order.
@@ -306,28 +288,40 @@ class CategoricalQAgent:
     def sync_target(self) -> None:
         self.target.copy_from(self.online)
 
-    def train_step(self, batch: TransitionBatch) -> float:
-        """One minibatch update toward projected one-step distributions.
+    def bootstrap_targets(self, next_obs: np.ndarray, reward: np.ndarray,
+                          terminal: np.ndarray) -> np.ndarray:
+        """Projected one-step return distributions, one row per transition.
 
         The bootstrap action comes from the target network's expected values
         on the next observation; terminal transitions drop the bootstrap term
-        entirely. Returns the batch loss. A non-finite loss aborts before any
-        parameter changes.
+        entirely. Only the rows and the target weights are read, so the
+        result is the same wherever those are.
         """
-        n = len(batch.reward)
-        if n == 0:
-            raise ValueError("empty batch")
-        scales = self._scale_array
-        next_logits = nn.forward(self.target, batch.next_obs / scales)
+        n = len(reward)
+        next_logits = nn.forward(self.target, next_obs / self._scale_array)
         next_probs = nn._softmax(next_logits.reshape(n, N_ACTIONS, -1))
         next_q = expected_q(next_probs, self.atoms)
         bootstrap = np.where(next_q[:, Action.ACCEPT] >= next_q[:, Action.REJECT],
                              int(Action.ACCEPT), int(Action.REJECT))
         chosen = next_probs[np.arange(n), bootstrap]
-        gammas = np.where(batch.terminal, 0.0, self.gamma)
-        targets = project_target_batch(chosen, batch.reward, gammas, self.atoms)
+        gammas = np.where(terminal, 0.0, self.gamma)
+        return project_target_batch(chosen, reward, gammas, self.atoms)
 
-        loss, _, _ = nn.loss_and_grad_batch(self.online, batch.obs / scales,
+    def train_step(self, batch: TransitionBatch) -> float:
+        """One minibatch update toward projected one-step distributions.
+
+        The targets are `batch.targets` when set, else `bootstrap_targets`
+        of the batch. Returns the batch loss. A non-finite loss aborts before
+        any parameter changes.
+        """
+        if len(batch.reward) == 0:
+            raise ValueError("empty batch")
+        targets = batch.targets
+        if targets is None:
+            targets = self.bootstrap_targets(batch.next_obs, batch.reward,
+                                             batch.terminal)
+        loss, _, _ = nn.loss_and_grad_batch(self.online,
+                                            batch.obs / self._scale_array,
                                             targets, batch.action, N_ACTIONS,
                                             grad=self._grad)
         if not math.isfinite(loss):

@@ -182,11 +182,6 @@ def distribution_lines(dist: EmpiricalDistribution, name: str) -> list:
     return lines
 
 
-def write_distribution(dist: EmpiricalDistribution, path, name: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(distribution_lines(dist, name)) + "\n")
-
-
 def _keyed(lines: list, index: int, key: str) -> str:
     """The value of line `index`, which must read `<key> <value>`."""
     line = lines[index] if index < len(lines) else ""
@@ -217,11 +212,6 @@ def time_profile_lines(profile: TimeProfile) -> list:
         row = " ".join(repr(float(v)) for v in profile.means[dow])
         lines.append(f"dow {dow} {row}")
     return lines
-
-
-def write_time_profile(profile: TimeProfile, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(time_profile_lines(profile)) + "\n")
 
 
 def read_time_profile(path) -> TimeProfile:

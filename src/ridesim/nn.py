@@ -97,10 +97,11 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _check_targets(targets: np.ndarray) -> None:
-    if np.any(targets < -1e-12):
-        raise ValueError("target distribution has negative mass")
+    # Phrased so that NaN, which fails every comparison, is rejected too.
+    if not np.all(targets >= -1e-12):
+        raise ValueError("target distribution has negative or NaN mass")
     sums = targets.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
+    if not np.all(np.abs(sums - 1.0) <= 1e-6):
         raise ValueError("target distribution must sum to 1")
 
 
@@ -153,13 +154,6 @@ def loss_and_grad_batch(net: Mlp, xs: np.ndarray, targets: np.ndarray,
             delta = delta @ net.weights[i].T
             delta *= acts[i] > 0
     return loss, weight_grads, bias_grads
-
-
-def loss_and_grad(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
-                  n_actions: int):
-    """Single-sample form of loss_and_grad_batch."""
-    return loss_and_grad_batch(net, x[None, :], target[None, :],
-                               np.array([action]), n_actions)
 
 
 class AdamState:

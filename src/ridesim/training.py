@@ -6,10 +6,23 @@ value distributions without ever touching the simulator. Phase two runs
 whole simulated weeks with a small exploration rate, feeding fresh
 transitions into the buffer, and stops early once the episode reward stops
 improving.
+
+The targets of a minibatch depend only on its rows and on the target
+weights, which stay fixed from one target sync to the next. So on Linux
+with a second CPU, each training call forks a helper process that computes
+them a few batches ahead while this process runs the updates: the batches
+of a window, which runs from one sync to the next or to the end of an
+iteration's updates, are all drawn before its first update. Elsewhere
+`train_step` computes them itself. The results are bitwise the same either
+way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +30,7 @@ import numpy as np
 
 from .agent import (CategoricalQAgent, FeatureScales, ReplayBuffer,
                     TransitionBatch)
-from .sim import Action, SimConfig, run_episode
+from .sim import OBS_DIM, Action, SimConfig, run_episode
 
 
 @dataclass
@@ -112,6 +125,176 @@ def build_agent_for_demonstrations(trajectories, scales: FeatureScales,
     return CategoricalQAgent.create(scales, v_min, v_max, rng, **agent_kwargs)
 
 
+# Batches per request to the target helper, and requests kept in flight
+# beyond the one whose batches are being trained on.
+_BATCHES_PER_REQUEST = 4
+_REQUESTS_AHEAD = 2
+# Seconds a closed helper gets to exit before it is killed.
+_HELPER_EXIT_S = 5.0
+
+
+def _has_second_cpu() -> bool:
+    """Whether a forked target helper can run beside this process."""
+    return sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+
+
+def _shared_array(shape, dtype=float) -> np.ndarray:
+    """A zeroed array in anonymous shared memory, shared with forked children."""
+    count = int(np.prod(shape))
+    memory = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(memory, dtype=dtype, count=count).reshape(shape)
+
+
+class _Slots:
+    """Shared memory the helper computes in: the target weights, and per
+    batch slot the rows it reads and the targets it writes."""
+
+    def __init__(self, agent: CategoricalQAgent, count: int, batch_size: int):
+        self.weights = _shared_array(agent.target.flat.shape)
+        self.next_obs = _shared_array((count, batch_size, OBS_DIM))
+        self.reward = _shared_array((count, batch_size))
+        self.terminal = _shared_array((count, batch_size), bool)
+        self.targets = _shared_array((count, batch_size, agent.atoms.size))
+
+
+def _serve_targets(agent: CategoricalQAgent, slots: _Slots, cpu: int, conn,
+                   parent_conn) -> None:
+    """Helper-process loop on CPU `cpu`. A request (first slot, count, sync)
+    fills the targets of its slots, after loading the shared target weights
+    when `sync` is set, and is answered with (slots done, exception or None)."""
+    parent_conn.close()
+    os.sched_setaffinity(0, {cpu})
+    try:
+        while True:
+            first, count, sync = conn.recv()
+            if sync:
+                agent.target.flat[...] = slots.weights
+            done, error = count, None
+            for i in range(first, first + count):
+                try:
+                    slots.targets[i] = agent.bootstrap_targets(
+                        slots.next_obs[i], slots.reward[i], slots.terminal[i])
+                except Exception as exc:   # re-raised by the trainer
+                    done, error = i - first, exc
+                    break
+            conn.send((done, error))
+    except (EOFError, OSError):
+        pass   # the training call closed its end
+    finally:
+        os._exit(0)   # skip the exit handlers and stream flushes of the parent
+
+
+class _TargetHelper:
+    """A forked process computing batch targets for one training call.
+
+    Rows, weights and targets pass through shared memory; the pipe carries
+    only requests and replies of a few bytes, so neither side can block on
+    a full pipe. Each request owns its own slots until its batches have
+    been trained on.
+    """
+
+    def __init__(self, agent: CategoricalQAgent, batch_size: int, cpu: int):
+        import multiprocessing   # here, to keep it off every CLI start
+        ctx = multiprocessing.get_context("fork")
+        self.slots = _Slots(agent, (_REQUESTS_AHEAD + 1) * _BATCHES_PER_REQUEST,
+                            batch_size)
+        self.conn, child_conn = ctx.Pipe()
+        self.process = ctx.Process(target=_serve_targets,
+                                   args=(agent, self.slots, cpu, child_conn,
+                                         self.conn), daemon=True)
+        self.process.start()
+        child_conn.close()
+
+    def _request(self, index: int, chunk: list, sync: bool) -> None:
+        """Ask for the targets of request `index`, the batches in `chunk`."""
+        first = index % (_REQUESTS_AHEAD + 1) * _BATCHES_PER_REQUEST
+        for i, batch in enumerate(chunk, first):
+            self.slots.next_obs[i] = batch.next_obs
+            self.slots.reward[i] = batch.reward
+            self.slots.terminal[i] = batch.terminal
+        try:
+            self.conn.send((first, len(chunk), sync))
+        except OSError as exc:
+            raise RuntimeError("target helper process died") from exc
+
+    def _reply(self):
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise RuntimeError("target helper process died") from exc
+
+    def with_targets(self, agent: CategoricalQAgent, batches: list):
+        """Yield `batches` in order with their targets set, from the current
+        target weights. A helper-side exception is raised in place of the
+        batch it failed on."""
+        self.slots.weights[...] = agent.target.flat
+        step, ahead = _BATCHES_PER_REQUEST, _REQUESTS_AHEAD
+        chunks = [batches[i:i + step] for i in range(0, len(batches), step)]
+        for k in range(min(ahead, len(chunks))):
+            self._request(k, chunks[k], sync=k == 0)
+        for k, chunk in enumerate(chunks):
+            done, error = self._reply()
+            if error is None and k + ahead < len(chunks):
+                self._request(k + ahead, chunks[k + ahead], sync=False)
+            first = k % (ahead + 1) * step
+            for i, batch in enumerate(chunk[:done], first):
+                yield batch._replace(targets=self.slots.targets[i])
+            if error is not None:
+                raise error
+
+    def close(self) -> None:
+        self.conn.close()
+        self.process.join(_HELPER_EXIT_S)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join()
+
+
+@contextlib.contextmanager
+def _target_helper(agent: CategoricalQAgent, batch_size: int):
+    """A `_TargetHelper` for the duration of a training call, or None when
+    there is no second CPU for it or the agent is not a CategoricalQAgent.
+
+    The helper and this thread get a CPU each meanwhile: left to the
+    scheduler, the helper is often woken on this thread's CPU, and the two
+    then take turns instead of overlapping.
+    """
+    if not (isinstance(agent, CategoricalQAgent) and _has_second_cpu()):
+        yield None
+        return
+    cpus = os.sched_getaffinity(0)
+    helper = _TargetHelper(agent, batch_size, cpu=max(cpus))
+    try:
+        os.sched_setaffinity(0, cpus - {max(cpus)} or cpus)
+        yield helper
+    finally:
+        os.sched_setaffinity(0, cpus)
+        helper.close()
+
+
+def _run_updates(agent: CategoricalQAgent, buffer: ReplayBuffer, count: int,
+                 batch_size: int, rng: np.random.Generator,
+                 helper: _TargetHelper | None) -> list:
+    """`count` minibatch updates through `agent.train_step`; their losses.
+
+    Without a helper each batch is drawn right before its update. With one,
+    a window's batches are all drawn before its first update, by the same
+    `rng` calls in the same order.
+    """
+    losses = []
+    while len(losses) < count:
+        window = count - len(losses)
+        if helper is not None:   # its targets use the window's first weights
+            window = min(window, agent.sync_every
+                         - agent.train_steps % agent.sync_every)
+        batches = (buffer.sample(batch_size, rng) for _ in range(window))
+        if helper is not None:
+            batches = helper.with_targets(agent, list(batches))
+        for batch in batches:
+            losses.append(agent.train_step(batch))
+    return losses
+
+
 def _holdout_agreement(agent: CategoricalQAgent,
                        holdout: TransitionBatch) -> float:
     return float(np.mean(agent.greedy_actions(holdout.obs) == holdout.action))
@@ -151,20 +334,19 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
 
     report = TrainReport(phase="bc", metric_name="holdout_agreement")
     started = time.perf_counter()
-    for iteration in range(config.iterations):
-        losses = []
-        for _ in range(batches):
-            batch = buffer.sample(config.batch_size, rng)
-            losses.append(agent.train_step(batch))
-        agreement = _holdout_agreement(agent, holdout_batch)
-        report.iterations.append(IterationStats(iteration=iteration,
-                                                loss=float(np.mean(losses)),
-                                                metric=agreement))
-        if agreement > report.best_metric:
-            report.best_metric = agreement
-            report.best_iteration = iteration
-            if checkpoint_path is not None:
-                agent.save(checkpoint_path)
+    with _target_helper(agent, config.batch_size) as helper:
+        for iteration in range(config.iterations):
+            losses = _run_updates(agent, buffer, batches, config.batch_size,
+                                  rng, helper)
+            agreement = _holdout_agreement(agent, holdout_batch)
+            report.iterations.append(IterationStats(
+                iteration=iteration, loss=float(np.mean(losses)),
+                metric=agreement))
+            if agreement > report.best_metric:
+                report.best_metric = agreement
+                report.best_iteration = iteration
+                if checkpoint_path is not None:
+                    agent.save(checkpoint_path)
     report.stop_reason = "max_iterations"
     report.wall_clock_s = time.perf_counter() - started
     if checkpoint_path is not None and report.best_iteration < 0:
@@ -191,30 +373,29 @@ def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
     agent.epsilon = config.exploration
     stale = 0
     started = time.perf_counter()
-    for iteration in range(config.iterations):
-        episode = run_episode(sim_config, agent, rng)
-        buffer.extend(t for traj in episode.trajectories.values()
-                      for t in traj.transitions)
-        batches = max(1, len(buffer) // config.batch_size)
-        losses = []
-        for _ in range(batches):
-            batch = buffer.sample(config.batch_size, rng)
-            losses.append(agent.train_step(batch))
-        metric = episode.total_reward
-        report.iterations.append(IterationStats(iteration=iteration,
-                                                loss=float(np.mean(losses)),
-                                                metric=metric))
-        if metric > report.best_metric:
-            report.best_metric = metric
-            report.best_iteration = iteration
-            stale = 0
-            if checkpoint_path is not None:
-                agent.save(checkpoint_path)
-        else:
-            stale += 1
-            if stale > config.patience:
-                report.stop_reason = "early_stop"
-                break
+    with _target_helper(agent, config.batch_size) as helper:
+        for iteration in range(config.iterations):
+            episode = run_episode(sim_config, agent, rng)
+            buffer.extend(t for traj in episode.trajectories.values()
+                          for t in traj.transitions)
+            batches = max(1, len(buffer) // config.batch_size)
+            losses = _run_updates(agent, buffer, batches, config.batch_size,
+                                  rng, helper)
+            metric = episode.total_reward
+            report.iterations.append(IterationStats(
+                iteration=iteration, loss=float(np.mean(losses)),
+                metric=metric))
+            if metric > report.best_metric:
+                report.best_metric = metric
+                report.best_iteration = iteration
+                stale = 0
+                if checkpoint_path is not None:
+                    agent.save(checkpoint_path)
+            else:
+                stale += 1
+                if stale > config.patience:
+                    report.stop_reason = "early_stop"
+                    break
     if not report.stop_reason:
         report.stop_reason = "max_iterations"
     report.wall_clock_s = time.perf_counter() - started

@@ -1,0 +1,112 @@
+"""Helpers used only by the tests: scalar forms of the learner kernels, the
+agent's single-observation views, a forward-only loss, central finite
+differences, and file writers for bare networks and fitted artifacts."""
+
+import numpy as np
+
+from ridesim.agent import (N_ACTIONS, CategoricalQAgent, expected_q,
+                           project_target_batch)
+from ridesim.distributions import (EmpiricalDistribution, TimeProfile,
+                                   distribution_lines, time_profile_lines)
+from ridesim.nn import (Mlp, _softmax, checkpoint_lines, forward,
+                        loss_and_grad_batch, parse_checkpoint)
+
+
+def tabular_q_update(q: float, alpha: float, reward: float, gamma: float,
+                     max_next_q: float) -> float:
+    """Classic one-step Q-learning update on a stored scalar value."""
+    return q + alpha * (reward + gamma * max_next_q - q)
+
+
+def project_target(probs: np.ndarray, reward: float, gamma: float,
+                   atoms: np.ndarray) -> np.ndarray:
+    """Single-distribution form of project_target_batch."""
+    return project_target_batch(probs[None, :], np.array([reward]),
+                                np.array([gamma]), atoms)[0]
+
+
+def normalize(agent: CategoricalQAgent, obs: np.ndarray) -> np.ndarray:
+    return np.asarray(obs, dtype=float) / agent.scales.as_array()
+
+
+def value_distribution(agent: CategoricalQAgent, obs: np.ndarray,
+                       net: Mlp | None = None) -> np.ndarray:
+    """Per-action atom probabilities for one raw observation."""
+    net = net or agent.online
+    logits = forward(net, normalize(agent, obs)).reshape(N_ACTIONS, -1)
+    return _softmax(logits)
+
+
+def q_values(agent: CategoricalQAgent, obs: np.ndarray,
+             net: Mlp | None = None) -> np.ndarray:
+    return expected_q(value_distribution(agent, obs, net), agent.atoms)
+
+
+def loss_and_grad(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
+                  n_actions: int):
+    """Single-sample form of loss_and_grad_batch."""
+    return loss_and_grad_batch(net, x[None, :], target[None, :],
+                               np.array([action]), n_actions)
+
+
+def loss_only(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
+              n_actions: int) -> float:
+    """Loss via the pure forward pass, used by the finite-difference check."""
+    out = forward(net, x)
+    atoms = out.size // n_actions
+    z = out.reshape(n_actions, atoms)[action]
+    zmax = z.max()
+    lse = zmax + np.log(np.exp(z - zmax).sum())
+    return float(lse - (target * z).sum())
+
+
+def finite_difference_grads(net: Mlp, x: np.ndarray, target: np.ndarray,
+                            action: int, n_actions: int, eps: float = 1e-6):
+    """Central-difference gradients of the single-sample loss, as
+    (weight_grads, bias_grads) views into one vector laid out like net.flat."""
+    grad = np.zeros_like(net.flat)
+    for j in range(net.flat.size):
+        orig = net.flat[j]
+        h = eps * max(1.0, abs(orig))
+        net.flat[j] = orig + h
+        up = loss_only(net, x, target, action, n_actions)
+        net.flat[j] = orig - h
+        down = loss_only(net, x, target, action, n_actions)
+        net.flat[j] = orig
+        grad[j] = (up - down) / (2.0 * h)
+    return net.views(grad)
+
+
+def gradient_check(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
+                   n_actions: int, eps: float = 1e-6) -> float:
+    """Max normwise relative error between analytic and numeric gradients."""
+    _, aw, ab = loss_and_grad(net, x, target, action, n_actions)
+    nw, nb = finite_difference_grads(net, x, target, action, n_actions, eps)
+    worst = 0.0
+    for analytic, numeric in list(zip(aw, nw)) + list(zip(ab, nb)):
+        denom = max(np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-12)
+        err = np.linalg.norm(analytic - numeric) / denom
+        worst = max(worst, float(err))
+    return worst
+
+
+def save_checkpoint(net: Mlp, path) -> None:
+    """Text checkpoint: version, dims, then every tensor row in full precision."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(checkpoint_lines(net)) + "\n")
+
+
+def load_checkpoint(path) -> Mlp:
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    return parse_checkpoint(lines, label=str(path))
+
+
+def write_distribution(dist: EmpiricalDistribution, path, name: str) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(distribution_lines(dist, name)) + "\n")
+
+
+def write_time_profile(profile: TimeProfile, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(time_profile_lines(profile)) + "\n")

@@ -16,9 +16,9 @@ import pytest
 import scipy.stats
 
 from ridesim import cli
-from nn_helpers import gradient_check
+from helpers import gradient_check, project_target, tabular_q_update
 from ridesim.agent import (CategoricalQAgent, FeatureScales, TransitionBatch,
-                           expected_q, project_target, tabular_q_update)
+                           expected_q)
 from ridesim.artifacts import comparable_lines, seed_stream
 from ridesim.distributions import (fit_empirical,
                                    fit_time_profile, inverse_sample,

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_distribution, write_time_profile
 from ridesim.distributions import (EmpiricalDistribution,
                                    TimeProfile, fit_empirical,
                                    fit_time_profile, inverse_sample,
                                    ks_statistic, probabilistic_round,
-                                   read_distribution, read_time_profile,
-                                   write_distribution, write_time_profile)
+                                   read_distribution, read_time_profile)
 
 
 @pytest.fixture

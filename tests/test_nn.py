@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from nn_helpers import (gradient_check, load_checkpoint, loss_only,
-                        save_checkpoint)
+from helpers import (gradient_check, load_checkpoint, loss_and_grad, loss_only,
+                     save_checkpoint)
 from ridesim.nn import (AdamState, Mlp, adam_step, checkpoint_lines, forward,
-                        loss_and_grad, loss_and_grad_batch, parse_checkpoint)
+                        loss_and_grad_batch, parse_checkpoint)
 
 
 def make_net(dims, seed=0):
@@ -103,6 +103,14 @@ class TestLoss:
             loss_and_grad(net, x, np.array([0.5, 0.6]), 0, 2)
         with pytest.raises(ValueError):
             loss_and_grad(net, x, np.array([-0.2, 1.2]), 0, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        net = make_net([3, 4])
+        targets = np.array([[bad, 1.0], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            loss_and_grad_batch(net, np.zeros((2, 3)), targets,
+                                np.array([0, 1]), 2)
 
     def test_output_width_must_divide(self):
         net = make_net([3, 5])
