@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import nn
-from .artifacts import write_lines_atomic
+from .artifacts import read_data_lines, write_lines_atomic
 from .ridegen import GridSpec
 from .sim import Action, OBS_DIM
 
@@ -145,15 +145,6 @@ class ReplayBuffer:
                                self.terminal[rows])
 
 
-def _check_distributions(probs: np.ndarray) -> None:
-    # "Every value passes" rather than "no value fails": NaN fails every
-    # comparison, and infinite mass makes its row sum inf or NaN.
-    if not np.all(probs >= -1e-12):
-        raise ValueError("distribution has negative or NaN mass")
-    if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-6):
-        raise ValueError("distribution must sum to 1")
-
-
 def project_target_batch(probs: np.ndarray, rewards: np.ndarray,
                          gammas: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     """Project r + gamma * Z onto the fixed atom grid, rowwise.
@@ -164,7 +155,7 @@ def project_target_batch(probs: np.ndarray, rewards: np.ndarray,
     adds every lower share, then every upper share, in row-major order.
     """
     probs = np.atleast_2d(np.asarray(probs, dtype=float))
-    _check_distributions(probs)
+    nn._check_distributions(probs)
     batch, k = probs.shape
     rewards = np.broadcast_to(np.asarray(rewards, dtype=float), (batch,))
     gammas = np.broadcast_to(np.asarray(gammas, dtype=float), (batch,))
@@ -355,9 +346,7 @@ class CategoricalQAgent:
 
     @classmethod
     def load(cls, path) -> "CategoricalQAgent":
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh
-                     if ln.strip() and not ln.startswith("#")]
+        lines = read_data_lines(path)
         if not lines or lines[0] != AGENT_MAGIC:
             raise ValueError(f"{path}: not an agent checkpoint")
         header = {}

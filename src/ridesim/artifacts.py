@@ -95,13 +95,17 @@ def read_data_lines(path) -> list:
 
 
 def read_csv_artifact(path) -> tuple:
-    """(columns, rows) from a headered CSV artifact."""
+    """(columns, rows) from a headered CSV artifact whose every row has as
+    many fields as the header."""
     lines = read_data_lines(path)
     if not lines:
         raise ValueError(f"{path} has no data")
-    reader = csv.reader(lines)
-    parsed = list(reader)
-    return parsed[0], parsed[1:]
+    columns, *rows = csv.reader(lines)
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(columns):
+            raise ValueError(f"{path} row {number}: field count "
+                             f"{len(row)}, header has {len(columns)}")
+    return columns, rows
 
 
 def comparable_lines(path) -> list:

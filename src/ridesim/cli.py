@@ -19,6 +19,7 @@ codes: 0 success, 1 bad usage, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,22 +29,21 @@ import numpy as np
 
 from . import __version__
 from .agent import CategoricalQAgent, FeatureScales
-from .artifacts import (read_csv_artifact, read_data_lines, seed_stream,
-                        write_artifact, write_csv_artifact)
+from .artifacts import (read_csv_artifact, seed_stream, write_artifact,
+                        write_csv_artifact)
 from .config import (Config, ConfigError, config_from_dict, config_hash,
                      config_to_dict, load_config)
-from .distributions import (MINUTES_PER_DAY, distribution_lines,
-                            fit_empirical, fit_time_profile,
-                            probabilistic_round, read_distribution,
+from .distributions import (distribution_lines, fit_empirical,
+                            fit_time_profile, read_distribution,
                             read_time_profile, time_profile_lines)
 from .ingest import (LOG_COLUMNS, clean, driver_weekly_averages,
-                     extract_demonstrations, parse_trip_log, read_trip_log,
-                     record_to_row, training_window, window_records)
+                     extract_demonstrations, read_trip_log, record_to_row,
+                     training_window, window_records)
 from .metrics import (ACCEPTANCE_COLUMNS, DAILY_COUNT_COLUMNS,
                       acceptance_by_distance, acceptance_by_hour, curve_pearson,
                       curve_rows, daily_counts, delta_percent, pearson)
-from .ridegen import RIDE_COLUMNS, generate_rides, ride_to_row
-from .sim import Action, OfferRecord, SimConfig, run_episode
+from .ridegen import RIDE_COLUMNS, ride_to_row
+from .sim import Action, SimConfig, ride_stream, run_episode
 from .synth import generate_synthetic_log
 from .training import build_agent_for_demonstrations, train_bc, train_rl
 
@@ -101,8 +101,19 @@ def _initial_trips(cfg: Config, out: Path):
     averages = out / "driver_averages.csv"
     if not averages.exists():
         return None
-    _, rows = read_csv_artifact(averages)
-    seq = [max(0, int(float(row[1]) + 0.5)) for row in rows]
+    columns, rows = read_csv_artifact(averages)
+    if columns != ["driver_id", "weekly_trips"]:
+        raise PipelineError(f"{averages}: unexpected columns {columns}")
+    seq = []
+    for number, (_, text) in enumerate(rows, start=1):
+        try:
+            trips = float(text)
+        except ValueError:
+            trips = math.nan
+        if not 0 <= trips < math.inf:  # NaN fails too
+            raise PipelineError(f"{averages} row {number}: weekly_trips "
+                                f"{text!r} is not a non-negative number")
+        seq.append(int(trips + 0.5))
     return seq or None
 
 
@@ -213,16 +224,9 @@ def cmd_fit(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg, out, digest = _load(args)
-    px, py, tkm, profile = _read_fitted(out)
-    rng = seed_stream(cfg.seed, "generate")
-    rides = []
-    for minute in range(cfg.sim.weeks * 7 * MINUTES_PER_DAY):
-        dow = (cfg.sim.start_dow + minute // MINUTES_PER_DAY) % 7
-        count = probabilistic_round(
-            float(profile.means[dow][minute % MINUTES_PER_DAY]), rng)
-        if count:
-            rides.extend(generate_rides(cfg.grid, px, py, tkm, count,
-                                        minute, rng))
+    stream = ride_stream(_build_sim_config(cfg, out),
+                         seed_stream(cfg.seed, "generate"))
+    rides = [ride for _, batch in stream for ride in batch]
     write_csv_artifact(out / "rides.csv", RIDE_COLUMNS,
                        [ride_to_row(r) for r in rides],
                        __version__, digest, cfg.seed)
@@ -296,20 +300,6 @@ def cmd_train_rl(args) -> int:
     return 0
 
 
-def _offers_from_records(records) -> list:
-    """Wrap log rows so the acceptance binning sees them like sim offers."""
-    offers = []
-    for rec in records:
-        minute_of_day = rec.created_time.hour * 60 + rec.created_time.minute
-        obs = np.array([rec.pickup_distance_km, rec.trip_distance_km,
-                        float(minute_of_day), 0.0, 0.0, 0.0])
-        action = Action.ACCEPT if rec.accepted() else Action.REJECT
-        offers.append(OfferRecord(minute=0, driver_id=rec.driver_id, obs=obs,
-                                  action=action, reward=0.0, goal_trips=0,
-                                  ride=None))
-    return offers
-
-
 def _holdout_actuals(cfg: Config, out: Path):
     """Daily counts and acceptance curves from the held-out log days."""
     cleaned = out / "cleaned_trips.csv"
@@ -330,8 +320,12 @@ def _holdout_actuals(cfg: Config, out: Path):
         day = (rec.created_time - start).days
         if 0 <= day < days:
             counts[day] += 1
+    decisions = [t for traj in extract_demonstrations(
+                     holdout, cfg.platform, cfg.grid, window=holdout_win,
+                     speed_kmh=cfg.sim.speed_kmh)
+                 for t in traj.transitions]
     return {"start_dow": start.weekday(), "days": days,
-            "daily": counts, "offers": _offers_from_records(holdout)}
+            "daily": counts, "decisions": decisions}
 
 
 def _replicate_and_write(sim_config: SimConfig, agent, cfg: Config, seed: int,
@@ -414,8 +408,8 @@ def cmd_evaluate(args) -> int:
         if total_actual > 0:
             lines.append(f"total_delta_percent "
                          f"{delta_percent(sum(predicted), total_actual):.3f}")
-        log_hour = acceptance_by_hour(actuals["offers"])
-        log_dist = acceptance_by_distance(actuals["offers"])
+        log_hour = acceptance_by_hour(actuals["decisions"])
+        log_dist = acceptance_by_distance(actuals["decisions"])
         lines.append(_correlation_line(
             "hourly_acceptance_pearson",
             lambda: curve_pearson(runs.hour_curve, log_hour)))

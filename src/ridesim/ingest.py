@@ -29,8 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ridegen import GridSpec
-from .sim import (Action, PlatformParams, Trajectory, Transition,
-                  reward_for_features, travel_minutes, weekly_goal)
+from .sim import (Action, PlatformParams, Trajectory, chain_transitions,
+                  reward_from_observation, travel_minutes, weekly_goal)
 
 LOG_COLUMNS = ["driver_id", "trip_id", "created_time", "assigned_time",
                "decision_time", "pickup_time", "pickup_lat", "pickup_lon",
@@ -298,6 +298,50 @@ def driver_weekly_averages(records: Sequence[TripRecord]) -> dict:
     return {driver: count / weeks for driver, count in sorted(counts.items())}
 
 
+class DriverLedger:
+    """One driver's bookkeeping while its log is replayed in offer order.
+
+    The weekly goal starts at the platform default and, at each whole week
+    from `reference`, becomes `weekly_goal` of the trips completed in the
+    week just ended. A trip counts toward the week of its offer, not of its
+    completion as in `sim.Fleet`. Idle minutes run from `reference`, then
+    from the latest completion.
+    """
+
+    def __init__(self, params: PlatformParams, grid: GridSpec,
+                 reference: datetime):
+        self.multiplier = params.weekly_target_multiplier
+        self.center = grid.center()
+        self.reference = reference
+        self.goal = weekly_goal(params.default_weekly_goal, self.multiplier)
+        self.completed = 0
+        self.week = 0
+        self.last_completion = reference
+
+    def observe(self, created: datetime, pickup_km: float, trip_km: float,
+                drop_x: float, drop_y: float) -> np.ndarray:
+        """The offer's observation (see the sim.F_* layout), after rolling
+        the goal over every week boundary since the previous offer."""
+        offer_week = (created - self.reference).days // 7
+        while self.week < offer_week:
+            self.week += 1
+            self.goal = weekly_goal(self.completed, self.multiplier)
+            self.completed = 0
+        idle = max(0, int((created - self.last_completion)
+                          .total_seconds() // 60))
+        cx, cy = self.center
+        return np.array([pickup_km, trip_km,
+                         float(created.hour * 60 + created.minute),
+                         float(max(0, self.goal - self.completed)),
+                         math.hypot(drop_x - cx, drop_y - cy),
+                         float(idle)], dtype=float)
+
+    def complete(self, t: datetime) -> None:
+        """Count a trip completed at `t`; the idle clock restarts there."""
+        self.last_completion = t
+        self.completed += 1
+
+
 def extract_demonstrations(records: Sequence[TripRecord],
                            params: PlatformParams,
                            grid: GridSpec,
@@ -305,13 +349,13 @@ def extract_demonstrations(records: Sequence[TripRecord],
                            speed_kmh: float = 30.0) -> list:
     """Rebuild per-driver decision trajectories from a cleaned log.
 
-    Offers are replayed per driver in time order. Observations come from
-    the logged distances, timestamps and drop coordinates plus running
-    weekly-goal and idle bookkeeping; rewards are recomputed from the same
-    economics the simulator uses. Completion times are estimated as pickup
-    time plus trip travel time at the constant speed, which is what feeds
-    the idle-gap feature of the following offer. Each trajectory ends in a
-    terminal transition.
+    Offers are replayed per driver in time order through a DriverLedger.
+    Observations come from the logged distances, timestamps and drop
+    coordinates plus the ledger's weekly-goal and idle bookkeeping; rewards
+    are recomputed from the same economics the simulator uses. Completion
+    times are estimated as pickup time plus trip travel time at the
+    constant speed, which is what feeds the idle-gap feature of the
+    following offer. Each trajectory ends in a terminal transition.
     """
     selected = window_records(records, window)
     if not selected:
@@ -325,59 +369,21 @@ def extract_demonstrations(records: Sequence[TripRecord],
     for rec in selected:
         by_driver.setdefault(rec.driver_id, []).append(rec)
 
-    cx, cy = grid.center()
     trajectories = []
     for driver_id in sorted(by_driver):
-        rows = sorted(by_driver[driver_id],
-                      key=lambda r: (r.created_time, r.trip_id))
-        goal = weekly_goal(params.default_weekly_goal,
-                           params.weekly_target_multiplier)
-        completed = 0
-        week = 0
-        last_completion = reference
-        chain = []  # (obs, action, reward)
-        for rec in rows:
-            offer_week = (rec.created_time - reference).days // 7
-            while week < offer_week:
-                week += 1
-                goal = weekly_goal(completed, params.weekly_target_multiplier)
-                completed = 0
-            drop_x, drop_y = grid.to_xy(rec.drop_lat, rec.drop_lon)
-            idle = max(0, int((rec.created_time - last_completion)
-                              .total_seconds() // 60))
-            trips_to_goal = max(0, goal - completed)
-            obs = np.array([rec.pickup_distance_km,
-                            rec.trip_distance_km,
-                            float(rec.created_time.hour * 60
-                                  + rec.created_time.minute),
-                            float(trips_to_goal),
-                            math.hypot(drop_x - cx, drop_y - cy),
-                            float(idle)], dtype=float)
+        ledger = DriverLedger(params, grid, reference)
+        steps = []  # (obs, action, reward)
+        for rec in sorted(by_driver[driver_id],
+                          key=lambda r: (r.created_time, r.trip_id)):
+            obs = ledger.observe(rec.created_time, rec.pickup_distance_km,
+                                 rec.trip_distance_km,
+                                 *grid.to_xy(rec.drop_lat, rec.drop_lon))
             action = Action.ACCEPT if rec.accepted() else Action.REJECT
-            reward = reward_for_features(
-                params,
-                pickup_km=rec.pickup_distance_km,
-                trip_km=rec.trip_distance_km,
-                minute_of_day=int(obs[2]),
-                trips_to_goal=trips_to_goal,
-                idle_minutes=float(idle),
-                goal_trips=goal,
-                action=action)
-            chain.append((obs, action, reward))
+            steps.append((obs, action, reward_from_observation(
+                params, obs, ledger.goal, action)))
             if rec.status == "completed" and rec.pickup_time is not None:
                 minutes = travel_minutes(rec.trip_distance_km, speed_kmh)
-                last_completion = rec.pickup_time + timedelta(minutes=minutes)
-                completed += 1
-        transitions = []
-        for i, (obs, action, reward) in enumerate(chain):
-            if i + 1 < len(chain):
-                transitions.append(Transition(obs=obs, action=action,
-                                              next_obs=chain[i + 1][0],
-                                              reward=reward))
-            else:
-                transitions.append(Transition(obs=obs, action=action,
-                                              next_obs=obs, reward=reward,
-                                              terminal=True))
+                ledger.complete(rec.pickup_time + timedelta(minutes=minutes))
         trajectories.append(Trajectory(driver_id=driver_id,
-                                       transitions=transitions))
+                                       transitions=chain_transitions(steps)))
     return trajectories

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import Action, F_MINUTE_OF_DAY, F_TRIP_KM, OfferRecord
+from .sim import Action, F_MINUTE_OF_DAY, F_TRIP_KM
 
 DOW_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
@@ -159,8 +159,9 @@ def _accumulate(labels, indices, actions) -> tuple[list, list]:
     return offers, accepted
 
 
-def acceptance_by_hour(offers: Sequence[OfferRecord]) -> AcceptanceCurve:
-    """24 hourly bins over the minute-of-day feature."""
+def acceptance_by_hour(offers: Sequence) -> AcceptanceCurve:
+    """24 hourly bins over the minute-of-day feature of each offer: a sim
+    OfferRecord or a log Transition, anything with `obs` and `action`."""
     labels = [f"{h:02d}" for h in range(24)]
     indices = [int(o.obs[F_MINUTE_OF_DAY]) // 60 for o in offers]
     counts, accepted = _accumulate(labels, indices, [o.action for o in offers])
@@ -168,7 +169,7 @@ def acceptance_by_hour(offers: Sequence[OfferRecord]) -> AcceptanceCurve:
                            accepted=accepted)
 
 
-def acceptance_by_distance(offers: Sequence[OfferRecord],
+def acceptance_by_distance(offers: Sequence,
                            bin_km: float = 1.0,
                            max_km: float = 20.0) -> AcceptanceCurve:
     """Distance bins of bin_km width up to max_km plus one overflow bin."""

@@ -96,13 +96,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_targets(targets: np.ndarray) -> None:
-    # Phrased so that NaN, which fails every comparison, is rejected too.
-    if not np.all(targets >= -1e-12):
-        raise ValueError("target distribution has negative or NaN mass")
-    sums = targets.sum(axis=-1)
-    if not np.all(np.abs(sums - 1.0) <= 1e-6):
-        raise ValueError("target distribution must sum to 1")
+def _check_distributions(probs: np.ndarray) -> None:
+    """Reject rows that are not probability distributions."""
+    # "Every value passes" rather than "no value fails": NaN fails every
+    # comparison, and infinite mass makes its row sum inf or NaN.
+    if not np.all(probs >= -1e-12):
+        raise ValueError("distribution has negative or NaN mass")
+    if not np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-6):
+        raise ValueError("distribution must sum to 1")
 
 
 def loss_and_grad_batch(net: Mlp, xs: np.ndarray, targets: np.ndarray,
@@ -119,7 +120,7 @@ def loss_and_grad_batch(net: Mlp, xs: np.ndarray, targets: np.ndarray,
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     actions = np.asarray(actions, dtype=int)
-    _check_targets(targets)
+    _check_distributions(targets)
     batch = xs.shape[0]
     out_dim = net.layer_dims[-1]
     if out_dim % n_actions != 0:

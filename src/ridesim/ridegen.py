@@ -73,11 +73,23 @@ class Ride:
     created_minute: int
 
 
-def drop_location(pickup_x: float, pickup_y: float, distance_km: float,
-                  angle_rad: float) -> tuple[float, float]:
-    """Point at the given distance from the pickup along the given bearing."""
-    return (pickup_x + distance_km * math.cos(angle_rad),
-            pickup_y + distance_km * math.sin(angle_rad))
+def drop_location(grid: GridSpec, x: float, y: float, km: float,
+                  rng: np.random.Generator) -> tuple[float, float, float]:
+    """(drop_x, drop_y, km): a point km from (x, y) in a uniform direction.
+
+    While the point falls outside the open grid box both the distance is
+    halved and the direction redrawn. More than 64 halvings aborts, since
+    that only happens when the caller feeds degenerate inputs.
+    """
+    for _ in range(MAX_HALVING_ITERATIONS + 1):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        dx = x + km * math.cos(angle)
+        dy = y + km * math.sin(angle)
+        if 0.0 < dx < grid.width_km and 0.0 < dy < grid.height_km:
+            return dx, dy, km
+        km /= 2.0
+    raise RuntimeError("drop placement failed to converge; "
+                       "check grid and distance inputs")
 
 
 def generate_rides(grid: GridSpec,
@@ -91,10 +103,7 @@ def generate_rides(grid: GridSpec,
 
     Per ride: each pickup axis is an inverse-CDF draw plus Uniform(-eps, eps)
     jitter, clamped into the closed grid box. The trip distance is an
-    inverse-CDF draw and the drop direction uniform on the circle; while the
-    drop falls outside the open grid box both the distance is halved and the
-    direction redrawn. More than 64 retries aborts, since that only happens
-    when the generator is fed degenerate inputs.
+    inverse-CDF draw, and `drop_location` places the drop at it.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -108,17 +117,7 @@ def generate_rides(grid: GridSpec,
         dist = inverse_sample(trip_distance_dist, rng.random())
         if dist < 0:
             raise ValueError("trip distance distribution produced a negative value")
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        dx, dy = drop_location(px, py, dist, angle)
-        attempts = 0
-        while not (0.0 < dx < grid.width_km and 0.0 < dy < grid.height_km):
-            attempts += 1
-            if attempts > MAX_HALVING_ITERATIONS:
-                raise RuntimeError("drop placement failed to converge; "
-                                   "check grid and distance inputs")
-            dist /= 2.0
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            dx, dy = drop_location(px, py, dist, angle)
+        dx, dy, dist = drop_location(grid, px, py, dist, rng)
         rides.append(Ride(pickup_x=px, pickup_y=py, drop_x=dx, drop_y=dy,
                           distance_km=dist, created_minute=minute))
     return rides

@@ -164,6 +164,18 @@ class Trajectory:
     transitions: list = field(default_factory=list)
 
 
+def chain_transitions(steps) -> list[Transition]:
+    """One driver's (obs, action, reward) steps, in decision order, as
+    transitions: each leads to the next step's observation, and the last is
+    terminal and leads back to its own."""
+    steps = list(steps)
+    last = len(steps) - 1
+    return [Transition(obs=obs, action=action, reward=reward,
+                       next_obs=steps[i + 1][0] if i < last else obs,
+                       terminal=i == last)
+            for i, (obs, action, reward) in enumerate(steps)]
+
+
 @dataclass(frozen=True)
 class OfferRecord:
     minute: int
@@ -173,19 +185,6 @@ class OfferRecord:
     reward: float
     goal_trips: int
     ride: Ride
-
-
-OFFER_COLUMNS = ["minute", "driver_id", "pickup_km", "trip_km", "minute_of_day",
-                 "trips_to_goal", "drop_center_km", "idle_minutes", "action",
-                 "reward"]
-
-
-def offer_to_row(o: OfferRecord) -> list[str]:
-    return [str(o.minute), str(o.driver_id),
-            f"{o.obs[F_PICKUP_KM]:.6f}", f"{o.obs[F_TRIP_KM]:.6f}",
-            str(int(o.obs[F_MINUTE_OF_DAY])), str(int(o.obs[F_TRIPS_TO_GOAL])),
-            f"{o.obs[F_DROP_CENTER_KM]:.6f}", str(int(o.obs[F_IDLE_MINUTES])),
-            o.action.name.lower(), f"{o.reward:.6f}"]
 
 
 @dataclass
@@ -211,12 +210,6 @@ class EpisodeLog:
     @property
     def lost_total(self) -> int:
         return sum(self.daily_lost)
-
-    def acceptance_rate(self) -> float:
-        if not self.offers:
-            return float("nan")
-        accepted = sum(1 for o in self.offers if o.action == Action.ACCEPT)
-        return accepted / len(self.offers)
 
 
 @dataclass
@@ -387,6 +380,27 @@ def dispatch(ride: Ride, fleet: Fleet, agent, config: SimConfig, clock: int,
     return records, None
 
 
+def ride_stream(config: SimConfig, rng: np.random.Generator):
+    """Yield (minute, rides) for every minute of config.weeks weeks.
+
+    A minute's ride count is its demand mean rounded probabilistically;
+    rides are generated only for a minute with at least one. The generator
+    draws a minute's rides when the consumer asks for them, so draws the
+    consumer makes in between (dispatch) keep their place in the stream.
+    """
+    for minute in range(config.weeks * MINUTES_PER_WEEK):
+        dow = (config.start_dow + minute // MINUTES_PER_DAY) % 7
+        mean = config.time_profile.means[dow][minute % MINUTES_PER_DAY]
+        count = probabilistic_round(float(mean), rng)
+        if count == 0:
+            yield minute, ()
+            continue
+        yield minute, generate_rides(config.grid, config.pickup_x_dist,
+                                     config.pickup_y_dist,
+                                     config.trip_distance_dist, count, minute,
+                                     rng)
+
+
 def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLog:
     """Simulate config.weeks weeks and return the full episode log.
 
@@ -396,49 +410,35 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
     re-enter the queue.
     """
     fleet = Fleet.place(config, rng)
-    total_minutes = config.weeks * MINUTES_PER_WEEK
     days = config.weeks * 7
     log = EpisodeLog(weeks=config.weeks, start_dow=config.start_dow,
                      daily_generated=[0] * days, daily_assigned=[0] * days,
                      daily_lost=[0] * days)
-    # Per-driver open transition awaiting the next observation.
-    pending: dict[int, tuple] = {}
-    chains = {i: Trajectory(i) for i in range(config.driver_count)}
 
-    for minute in range(total_minutes):
+    for minute, rides in ride_stream(config, rng):
         # A trip ending on a week's first minute counts toward the new week.
         if minute > 0 and minute % MINUTES_PER_WEEK == 0:
             fleet.start_week(config.params.weekly_target_multiplier)
         log.completed_trips += fleet.complete_trips(minute)
-        day = minute // MINUTES_PER_DAY
-        dow = (config.start_dow + day) % 7
-        mean = config.time_profile.means[dow][minute % MINUTES_PER_DAY]
-        count = probabilistic_round(float(mean), rng)
-        if count == 0:
+        if not rides:
             continue
-        rides = generate_rides(config.grid, config.pickup_x_dist,
-                               config.pickup_y_dist, config.trip_distance_dist,
-                               count, minute, rng)
-        log.daily_generated[day] += count
+        day = minute // MINUTES_PER_DAY
+        log.daily_generated[day] += len(rides)
         for ride in rides:
             records, assigned = dispatch(ride, fleet, agent, config, minute, rng)
             log.offers.extend(records)
             for rec in records:
                 log.total_reward += rec.reward
-                prev = pending.get(rec.driver_id)
-                if prev is not None:
-                    chains[rec.driver_id].transitions.append(
-                        Transition(obs=prev[0], action=prev[1],
-                                   next_obs=rec.obs, reward=prev[2]))
-                pending[rec.driver_id] = (rec.obs, rec.action, rec.reward)
             if assigned is None:
                 log.daily_lost[day] += 1
             else:
                 log.daily_assigned[day] += 1
 
-    for driver_id, prev in pending.items():
-        chains[driver_id].transitions.append(
-            Transition(obs=prev[0], action=prev[1], next_obs=prev[0],
-                       reward=prev[2], terminal=True))
-    log.trajectories = {k: v for k, v in chains.items() if v.transitions}
+    by_driver: dict = {}
+    for rec in log.offers:
+        by_driver.setdefault(rec.driver_id, []).append(rec)
+    log.trajectories = {
+        i: Trajectory(i, chain_transitions((o.obs, o.action, o.reward)
+                                           for o in by_driver[i]))
+        for i in sorted(by_driver)}
     return log

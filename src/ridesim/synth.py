@@ -5,8 +5,9 @@ double-peak hourly shape, pickups cluster around the grid center and trip
 distances follow a clipped lognormal. Every accept/reject decision is drawn
 from a logistic policy over exactly the six observation features the agent
 sees, so a model trained on the resulting log can be scored against ground
-truth. All bookkeeping (weekly goals, idle gaps, completion times) follows
-the same rules demonstration extraction applies when it reads the log back.
+truth. Weekly goals and idle gaps come from the same `DriverLedger` that
+demonstration extraction replays the log through, and drops from the
+ride generator's `drop_location`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .agent import FeatureScales
-from .ingest import TIME_FORMAT, TripRecord
-from .ridegen import GridSpec
-from .sim import PlatformParams, travel_minutes, weekly_goal
+from .ingest import TIME_FORMAT, DriverLedger, TripRecord
+from .ridegen import GridSpec, drop_location
+from .sim import PlatformParams, travel_minutes
 
 HOURLY_WEIGHTS = (0.20, 0.15, 0.10, 0.10, 0.15, 0.40,
                   1.20, 1.50, 1.30, 0.80, 0.70, 0.70,
@@ -97,20 +98,6 @@ def _sample_point(grid: GridSpec, spread: float,
     return x, y
 
 
-def _place_drop(grid: GridSpec, px: float, py: float, distance: float,
-                rng: np.random.Generator) -> tuple:
-    """Drop at the sampled distance, shrinking it until the grid holds it."""
-    w, h = grid.width_km, grid.height_km
-    for _ in range(64):
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        dx = px + distance * math.cos(angle)
-        dy = py + distance * math.sin(angle)
-        if 0.0 < dx < w and 0.0 < dy < h:
-            return dx, dy, distance
-        distance /= 2.0
-    raise RuntimeError("drop placement failed; pickup outside the grid?")
-
-
 def generate_synthetic_log(spec: SyntheticLogSpec, grid: GridSpec,
                            params: PlatformParams, speed_kmh: float,
                            seed: int) -> list:
@@ -129,12 +116,7 @@ def generate_synthetic_log(spec: SyntheticLogSpec, grid: GridSpec,
     for d in range(spec.driver_count):
         driver_id = f"d{d:03d}"
         x, y = _sample_point(grid, spread, rng)
-        goal = weekly_goal(params.default_weekly_goal,
-                           params.weekly_target_multiplier)
-        completed = 0
-        week = 0
-        last_completion = start
-        busy_until = start
+        ledger = DriverLedger(params, grid, start)
         trip_seq = 0
         for day in range(spec.days):
             date = start + timedelta(days=day)
@@ -143,69 +125,41 @@ def generate_synthetic_log(spec: SyntheticLogSpec, grid: GridSpec,
             minutes = np.sort(rng.choice(24, size=count, p=hourly) * 60
                               + rng.integers(0, 60, size=count))
             for minute in minutes:
-                created = date + timedelta(minutes=int(minute))
-                if created < busy_until:
-                    created = busy_until
+                # a driver still on a trip sees the offer when it completes
+                created = max(date + timedelta(minutes=int(minute)),
+                              ledger.last_completion)
                 if created >= start + timedelta(days=spec.days):
                     continue
-                offer_week = (created - start).days // 7
-                while week < offer_week:
-                    week += 1
-                    goal = weekly_goal(completed,
-                                       params.weekly_target_multiplier)
-                    completed = 0
                 pickup_x, pickup_y = _sample_point(grid, spread, rng)
                 pickup_km = math.hypot(x - pickup_x, y - pickup_y)
                 raw_km = float(np.clip(rng.lognormal(spec.trip_km_log_mean,
                                                      spec.trip_km_log_sigma),
                                        spec.trip_km_min, spec.trip_km_max))
-                drop_x, drop_y, trip_km = _place_drop(grid, pickup_x, pickup_y,
-                                                      raw_km, rng)
-                cx, cy = grid.center()
-                idle = max(0, int((created - last_completion)
-                                  .total_seconds() // 60))
-                trips_to_goal = max(0, goal - completed)
-                obs = np.array([pickup_km, trip_km,
-                                float(created.hour * 60 + created.minute),
-                                float(trips_to_goal),
-                                math.hypot(drop_x - cx, drop_y - cy),
-                                float(idle)], dtype=float)
-                p_accept = spec.accept_probability(obs, scales)
-                accept = rng.random() < p_accept
-                assigned = created
+                drop_x, drop_y, trip_km = drop_location(grid, pickup_x,
+                                                        pickup_y, raw_km, rng)
+                obs = ledger.observe(created, pickup_km, trip_km,
+                                     drop_x, drop_y)
+                accept = rng.random() < spec.accept_probability(obs, scales)
                 decision = created + timedelta(minutes=1)
                 trip_seq += 1
-                trip_id = f"t{d:03d}-{trip_seq:05d}"
                 pickup_lat, pickup_lon = grid.to_latlon(pickup_x, pickup_y)
                 drop_lat, drop_lon = grid.to_latlon(drop_x, drop_y)
                 payment = "cash" if rng.random() < 0.6 else "card"
+                pickup_time = None
                 if accept:
                     pickup_time = decision + timedelta(
                         minutes=travel_minutes(pickup_km, speed_kmh))
-                    completion = pickup_time + timedelta(
-                        minutes=travel_minutes(trip_km, speed_kmh))
-                    records.append(TripRecord(
-                        driver_id=driver_id, trip_id=trip_id,
-                        created_time=created, assigned_time=assigned,
-                        decision_time=decision, pickup_time=pickup_time,
-                        pickup_lat=pickup_lat, pickup_lon=pickup_lon,
-                        drop_lat=drop_lat, drop_lon=drop_lon,
-                        pickup_distance_km=pickup_km,
-                        trip_distance_km=trip_km,
-                        status="completed", payment_method=payment))
-                    busy_until = completion
-                    last_completion = completion
-                    completed += 1
+                    ledger.complete(pickup_time + timedelta(
+                        minutes=travel_minutes(trip_km, speed_kmh)))
                     x, y = drop_x, drop_y
-                else:
-                    records.append(TripRecord(
-                        driver_id=driver_id, trip_id=trip_id,
-                        created_time=created, assigned_time=assigned,
-                        decision_time=decision, pickup_time=None,
-                        pickup_lat=pickup_lat, pickup_lon=pickup_lon,
-                        drop_lat=drop_lat, drop_lon=drop_lon,
-                        pickup_distance_km=pickup_km,
-                        trip_distance_km=trip_km,
-                        status="rejected", payment_method=payment))
+                records.append(TripRecord(
+                    driver_id=driver_id, trip_id=f"t{d:03d}-{trip_seq:05d}",
+                    created_time=created, assigned_time=created,
+                    decision_time=decision, pickup_time=pickup_time,
+                    pickup_lat=pickup_lat, pickup_lon=pickup_lon,
+                    drop_lat=drop_lat, drop_lon=drop_lon,
+                    pickup_distance_km=pickup_km, trip_distance_km=trip_km,
+                    status="completed" if accept else "rejected",
+                    payment_method=payment))
     records.sort(key=lambda r: (r.created_time, r.trip_id))
     return records

@@ -30,7 +30,7 @@ import numpy as np
 
 from .agent import (CategoricalQAgent, FeatureScales, ReplayBuffer,
                     TransitionBatch)
-from .sim import OBS_DIM, Action, SimConfig, run_episode
+from .sim import OBS_DIM, SimConfig, run_episode
 
 
 @dataclass

@@ -428,6 +428,28 @@ class TestCliPipeline:
         assert code == 2
         assert "dist_pickup_x.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "train-rl"])
+    @pytest.mark.parametrize("body, reason", [
+        (["d000,3.0", "d001"], "row 2: field count 1, header has 2"),
+        (["d000,inf"], "row 1: weekly_trips 'inf'"),
+        (["d000,3.0", "d001,nan"], "row 2: weekly_trips 'nan'"),
+        (["d000,-2.5"], "row 1: weekly_trips '-2.5'"),
+        (["d000,lots"], "row 1: weekly_trips 'lots'")])
+    def test_malformed_driver_averages_exit_2(self, pipeline, tmp_path,
+                                              capsys, command, body, reason):
+        cfg_path, out = pipeline
+        for name in ("dist_pickup_x.txt", "dist_pickup_y.txt",
+                     "dist_trip_km.txt", "time_profile.txt", "agent_bc.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        (tmp_path / "driver_averages.csv").write_text(
+            "\n".join(["# seed 11", "driver_id,weekly_trips"] + body) + "\n")
+        code = cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"driver_averages.csv {reason}" in err
+        assert "Traceback" not in err
+
     def test_read_helpers_skip_headers(self, pipeline):
         _, out = pipeline
         lines = read_data_lines(out / "cleaning_report.txt")

@@ -41,11 +41,40 @@ class TestGridSpec:
         assert min_lon <= lon <= max_lon
 
 
+class _FixedAngles:
+    """An rng stand-in whose `uniform` returns the given angles in turn."""
+
+    def __init__(self, *angles):
+        self.angles = list(angles)
+        self.draws = 0
+
+    def uniform(self, low, high):
+        self.draws += 1
+        return self.angles.pop(0) if self.angles else 0.0
+
+
 class TestDropLocation:
-    def test_cardinal_directions(self):
-        assert drop_location(1.0, 1.0, 2.0, 0.0) == pytest.approx((3.0, 1.0))
-        x, y = drop_location(1.0, 1.0, 2.0, math.pi / 2)
-        assert (x, y) == pytest.approx((1.0, 3.0))
+    def test_cardinal_directions(self, grid):
+        rng = _FixedAngles(0.0)
+        assert drop_location(grid, 1.0, 1.0, 2.0, rng) == pytest.approx(
+            (3.0, 1.0, 2.0))
+        x, y, km = drop_location(grid, 1.0, 1.0, 2.0,
+                                 _FixedAngles(math.pi / 2))
+        assert (x, y, km) == pytest.approx((1.0, 3.0, 2.0))
+        assert rng.draws == 1
+
+    def test_distance_halves_until_the_drop_fits(self, grid):
+        # west leaves the grid at 8 and 4 km; east fits at 2 km
+        rng = _FixedAngles(math.pi, math.pi, 0.0)
+        x, y, km = drop_location(grid, 3.0, 5.0, 8.0, rng)
+        assert (x, y, km) == pytest.approx((5.0, 5.0, 2.0))
+        assert rng.draws == 3
+
+    def test_gives_up_after_65_draws(self, grid):
+        rng = _FixedAngles(*[math.pi] * 100)  # always out of the west edge
+        with pytest.raises(RuntimeError, match="drop placement"):
+            drop_location(grid, 0.0, 5.0, 1.0, rng)
+        assert rng.draws == 65
 
 
 class TestGenerateRides:
