@@ -91,10 +91,10 @@ class SyntheticLogSpec:
 def _sample_point(grid: GridSpec, spread: float,
                   rng: np.random.Generator) -> tuple:
     cx, cy = grid.center()
-    x = float(np.clip(rng.normal(cx, spread),
-                      0.02 * grid.width_km, 0.98 * grid.width_km))
-    y = float(np.clip(rng.normal(cy, spread),
-                      0.02 * grid.height_km, 0.98 * grid.height_km))
+    x = min(max(rng.normal(cx, spread), 0.02 * grid.width_km),
+            0.98 * grid.width_km)
+    y = min(max(rng.normal(cy, spread), 0.02 * grid.height_km),
+            0.98 * grid.height_km)
     return x, y
 
 
@@ -132,9 +132,9 @@ def generate_synthetic_log(spec: SyntheticLogSpec, grid: GridSpec,
                     continue
                 pickup_x, pickup_y = _sample_point(grid, spread, rng)
                 pickup_km = math.hypot(x - pickup_x, y - pickup_y)
-                raw_km = float(np.clip(rng.lognormal(spec.trip_km_log_mean,
-                                                     spec.trip_km_log_sigma),
-                                       spec.trip_km_min, spec.trip_km_max))
+                raw_km = min(max(rng.lognormal(spec.trip_km_log_mean,
+                                               spec.trip_km_log_sigma),
+                                 spec.trip_km_min), spec.trip_km_max)
                 drop_x, drop_y, trip_km = drop_location(grid, pickup_x,
                                                         pickup_y, raw_km, rng)
                 obs = ledger.observe(created, pickup_km, trip_km,

@@ -4,7 +4,8 @@ Phase one learns from logged driver decisions alone: demonstration
 transitions fill a replay buffer and the agent regresses their one-step
 value distributions without ever touching the simulator. Phase two runs
 whole simulated weeks with a small exploration rate, feeding fresh
-transitions into the buffer, and stops early once the episode reward stops
+transitions into the buffer. Both keep the weights of their best iteration
+and stop early once their metric (holdout agreement, episode reward) stops
 improving.
 
 The targets of a minibatch depend only on its rows and on the target
@@ -87,12 +88,6 @@ class TrainReport:
     stop_reason: str = ""
     wall_clock_s: float = 0.0
 
-    def loss_series(self) -> list:
-        return [row.loss for row in self.iterations]
-
-    def metric_series(self) -> list:
-        return [row.metric for row in self.iterations]
-
 
 def demonstration_rewards(trajectories) -> np.ndarray:
     rewards = [t.reward for traj in trajectories for t in traj.transitions]
@@ -124,6 +119,9 @@ def build_agent_for_demonstrations(trajectories, scales: FeatureScales,
     v_min, v_max = reward_support(trajectories)
     return CategoricalQAgent.create(scales, v_min, v_max, rng, **agent_kwargs)
 
+
+# Stale BC iterations in a row that a run tolerates; one more ends it.
+BC_PATIENCE = 12
 
 # Batches per request to the target helper, and requests kept in flight
 # beyond the one whose batches are being trained on.
@@ -300,6 +298,39 @@ def _holdout_agreement(agent: CategoricalQAgent,
     return float(np.mean(agent.greedy_actions(holdout.obs) == holdout.action))
 
 
+def _train(agent: CategoricalQAgent, report: TrainReport,
+           config: BcConfig | RlConfig, patience: int, run_iteration,
+           checkpoint_path) -> TrainReport:
+    """The loop both phases share. `run_iteration(helper)` trains for one
+    iteration and returns its (losses, metric). The checkpoint, when
+    requested, tracks the best metric; `patience + 1` iterations in a row
+    without an improvement on it end the run early."""
+    stale = 0
+    started = time.perf_counter()
+    with _target_helper(agent, config.batch_size) as helper:
+        for iteration in range(config.iterations):
+            losses, metric = run_iteration(helper)
+            report.iterations.append(IterationStats(
+                iteration=iteration, loss=float(np.mean(losses)),
+                metric=metric))
+            if metric > report.best_metric:
+                report.best_metric = metric
+                report.best_iteration = iteration
+                stale = 0
+                if checkpoint_path is not None:
+                    agent.save(checkpoint_path)
+            else:
+                stale += 1
+                if stale > patience:
+                    report.stop_reason = "early_stop"
+                    break
+    report.stop_reason = report.stop_reason or "max_iterations"
+    report.wall_clock_s = time.perf_counter() - started
+    if checkpoint_path is not None and report.best_iteration < 0:
+        agent.save(checkpoint_path)
+    return report
+
+
 def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
              rng: np.random.Generator,
              checkpoint_path=None) -> TrainReport:
@@ -308,8 +339,9 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
     A fraction of whole trajectories is held out; the rest fill the buffer
     (up to the configured trajectory budget). Each iteration samples one
     buffer's worth of minibatches and then scores action agreement on the
-    held-out transitions. The checkpoint, when requested, tracks the best
-    agreement seen. The simulator is never invoked here.
+    held-out transitions, the improvement metric; more than `BC_PATIENCE`
+    non-improving iterations in a row stop the run. The simulator is never
+    invoked here.
     """
     trajs = sorted(trajectories, key=lambda t: str(t.driver_id))
     if len(trajs) < 2:
@@ -332,26 +364,13 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
     holdout_batch = TransitionBatch.of(holdout_transitions)
     batches = max(1, len(buffer) // config.batch_size)
 
-    report = TrainReport(phase="bc", metric_name="holdout_agreement")
-    started = time.perf_counter()
-    with _target_helper(agent, config.batch_size) as helper:
-        for iteration in range(config.iterations):
-            losses = _run_updates(agent, buffer, batches, config.batch_size,
-                                  rng, helper)
-            agreement = _holdout_agreement(agent, holdout_batch)
-            report.iterations.append(IterationStats(
-                iteration=iteration, loss=float(np.mean(losses)),
-                metric=agreement))
-            if agreement > report.best_metric:
-                report.best_metric = agreement
-                report.best_iteration = iteration
-                if checkpoint_path is not None:
-                    agent.save(checkpoint_path)
-    report.stop_reason = "max_iterations"
-    report.wall_clock_s = time.perf_counter() - started
-    if checkpoint_path is not None and report.best_iteration < 0:
-        agent.save(checkpoint_path)
-    return report
+    def run_iteration(helper):
+        losses = _run_updates(agent, buffer, batches, config.batch_size, rng,
+                              helper)
+        return losses, _holdout_agreement(agent, holdout_batch)
+
+    return _train(agent, TrainReport("bc", "holdout_agreement"), config,
+                  BC_PATIENCE, run_iteration, checkpoint_path)
 
 
 def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
@@ -362,43 +381,23 @@ def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
     Each iteration collects one full episode at the configured exploration
     rate, appends its transitions to the replay buffer and runs one buffer
     pass of minibatch updates. The undiscounted episode reward is the
-    improvement metric; `patience` non-improving iterations in a row stop
-    the run. A cold agent is refused unless `allow_cold_start` is set.
+    improvement metric; more than `patience` non-improving iterations in a
+    row stop the run. A cold agent is refused unless `allow_cold_start` is set.
     """
     if agent.train_steps == 0 and not allow_cold_start:
         raise ValueError("agent has no prior training; "
                          "pass allow_cold_start=True to train from scratch")
     buffer = ReplayBuffer(capacity=config.buffer_transitions)
-    report = TrainReport(phase="rl", metric_name="episode_reward")
     agent.epsilon = config.exploration
-    stale = 0
-    started = time.perf_counter()
-    with _target_helper(agent, config.batch_size) as helper:
-        for iteration in range(config.iterations):
-            episode = run_episode(sim_config, agent, rng)
-            buffer.extend(t for traj in episode.trajectories.values()
-                          for t in traj.transitions)
-            batches = max(1, len(buffer) // config.batch_size)
-            losses = _run_updates(agent, buffer, batches, config.batch_size,
-                                  rng, helper)
-            metric = episode.total_reward
-            report.iterations.append(IterationStats(
-                iteration=iteration, loss=float(np.mean(losses)),
-                metric=metric))
-            if metric > report.best_metric:
-                report.best_metric = metric
-                report.best_iteration = iteration
-                stale = 0
-                if checkpoint_path is not None:
-                    agent.save(checkpoint_path)
-            else:
-                stale += 1
-                if stale > config.patience:
-                    report.stop_reason = "early_stop"
-                    break
-    if not report.stop_reason:
-        report.stop_reason = "max_iterations"
-    report.wall_clock_s = time.perf_counter() - started
-    if checkpoint_path is not None and report.best_iteration < 0:
-        agent.save(checkpoint_path)
-    return report
+
+    def run_iteration(helper):
+        episode = run_episode(sim_config, agent, rng)
+        buffer.extend(t for traj in episode.trajectories.values()
+                      for t in traj.transitions)
+        batches = max(1, len(buffer) // config.batch_size)
+        losses = _run_updates(agent, buffer, batches, config.batch_size, rng,
+                              helper)
+        return losses, episode.total_reward
+
+    return _train(agent, TrainReport("rl", "episode_reward"), config,
+                  config.patience, run_iteration, checkpoint_path)

@@ -1,6 +1,7 @@
 """Helpers used only by the tests: scalar forms of the learner kernels, the
 agent's single-observation views, a forward-only loss, central finite
-differences, and file writers for bare networks and fitted artifacts."""
+differences, per-iteration series of a training report, and file writers
+for bare networks and fitted artifacts."""
 
 import numpy as np
 
@@ -88,6 +89,16 @@ def gradient_check(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
         err = np.linalg.norm(analytic - numeric) / denom
         worst = max(worst, float(err))
     return worst
+
+
+def loss_series(report) -> list:
+    """Mean loss of each iteration of a `TrainReport`."""
+    return [row.loss for row in report.iterations]
+
+
+def metric_series(report) -> list:
+    """Improvement metric of each iteration of a `TrainReport`."""
+    return [row.metric for row in report.iterations]
 
 
 def save_checkpoint(net: Mlp, path) -> None:

@@ -19,6 +19,7 @@ from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.training import (BcConfig, RlConfig,
                               build_agent_for_demonstrations, train_bc,
                               train_rl)
+from helpers import loss_series, metric_series
 from test_training_golden import (BC_GOLDEN, RL_BUFFER, RL_GOLDEN, _digest,
                                   _demonstrations, _sim_config)
 
@@ -85,8 +86,8 @@ def test_paths_agree_for_any_sync_period(sync_every, monkeypatch):
         rl = train_rl(agent, _sim_config(),
                       RlConfig(iterations=2, patience=5, batch_size=8,
                                buffer_transitions=RL_BUFFER), rng)
-        runs[name] = (agent.to_lines(), bc.loss_series(), bc.metric_series(),
-                      rl.loss_series(), rl.metric_series())
+        runs[name] = (agent.to_lines(), loss_series(bc), metric_series(bc),
+                      loss_series(rl), metric_series(rl))
     assert runs["helper"] == runs["in_process"]
 
 

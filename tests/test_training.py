@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from ridesim.agent import FeatureScales
+from helpers import loss_series, metric_series
+from ridesim import training
+from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.distributions import TimeProfile, fit_empirical
 from ridesim.ridegen import GridSpec
 from ridesim.sim import (Action, PlatformParams, SimConfig, Trajectory,
                          Transition)
-from ridesim.training import (BcConfig, RlConfig, TrainReport,
+from ridesim.training import (BC_PATIENCE, BcConfig, RlConfig,
                               build_agent_for_demonstrations,
                               demonstration_rewards, reward_support, train_bc,
                               train_rl)
@@ -119,8 +121,8 @@ class TestTrainBc:
                                                    atom_count=11)
             return train_bc(agent, trajs, BcConfig(iterations=4), rng)
         a, b = run(), run()
-        assert a.loss_series() == b.loss_series()
-        assert a.metric_series() == b.metric_series()
+        assert loss_series(a) == loss_series(b)
+        assert metric_series(a) == metric_series(b)
 
     def test_checkpoint_tracks_best(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -131,11 +133,54 @@ class TestTrainBc:
         report = train_bc(agent, trajs, BcConfig(iterations=5), rng,
                           checkpoint_path=path)
         assert path.exists()
-        assert report.best_metric == max(report.metric_series())
-        assert report.best_iteration == int(np.argmax(report.metric_series()))
-        from ridesim.agent import CategoricalQAgent
+        assert report.best_metric == max(metric_series(report))
+        assert report.best_iteration == int(np.argmax(metric_series(report)))
         loaded = CategoricalQAgent.load(path)
         assert 0 < loaded.train_steps <= agent.train_steps
+
+    def _scripted_run(self, monkeypatch, tmp_path, metrics):
+        """A BC run whose holdout agreement follows `metrics`; the agent's
+        lines at each scoring are kept for comparison with the checkpoint."""
+        script, scored = iter(metrics), []
+
+        def agreement(agent, holdout):
+            scored.append(agent.to_lines())
+            return next(script)
+
+        monkeypatch.setattr(training, "_holdout_agreement", agreement)
+        rng = np.random.default_rng(12)
+        trajs = make_trajectories(6, 10, rng)
+        agent = build_agent_for_demonstrations(trajs, FeatureScales(), rng,
+                                               hidden=(8,), atom_count=11)
+        path = tmp_path / "bc.txt"
+        report = train_bc(agent, trajs,
+                          BcConfig(iterations=40, batch_size=16), rng,
+                          checkpoint_path=path)
+        return report, scored, CategoricalQAgent.load(path).to_lines()
+
+    def test_stale_agreement_stops_early(self, monkeypatch, tmp_path):
+        # improves for three iterations, then never again
+        metrics = [0.5, 0.6, 0.7] + [0.7, 0.65] * 40
+        report, scored, saved = self._scripted_run(monkeypatch, tmp_path,
+                                                   metrics)
+        assert report.stop_reason == "early_stop"
+        assert report.best_iteration == 2
+        assert report.best_metric == 0.7
+        assert len(report.iterations) == report.best_iteration + BC_PATIENCE + 2
+        assert saved == scored[report.best_iteration]
+        assert saved != scored[-1]
+
+    def test_improvement_after_patience_keeps_running(self, monkeypatch,
+                                                      tmp_path):
+        # BC_PATIENCE stale iterations are tolerated: the next one improves
+        metrics = [0.5] + [0.4] * BC_PATIENCE + [0.6] + [0.3] * 40
+        report, scored, saved = self._scripted_run(monkeypatch, tmp_path,
+                                                   metrics)
+        assert report.best_iteration == BC_PATIENCE + 1
+        assert report.best_metric == 0.6
+        assert report.stop_reason == "early_stop"
+        assert len(report.iterations) == 2 * BC_PATIENCE + 3
+        assert saved == scored[report.best_iteration]
 
     def test_needs_two_trajectories(self):
         rng = np.random.default_rng(7)
@@ -231,5 +276,5 @@ class TestTrainRl:
                           RlConfig(iterations=3, patience=10),
                           np.random.default_rng(11))
         assert report.stop_reason in ("max_iterations", "early_stop")
-        assert report.metric_series()
-        assert report.best_metric == max(report.metric_series())
+        assert metric_series(report)
+        assert report.best_metric == max(metric_series(report))
