@@ -11,7 +11,7 @@ target copy for the bootstrap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .artifacts import read_data_lines, write_lines_atomic
 from .ridegen import GridSpec
-from .sim import Action, OBS_DIM
+from .sim import Action, OBS_DIM, _is_int
 
 AGENT_MAGIC = "ridesim-agent v1"
 # Header lines an agent file must carry; learning_rate defaults when absent.
@@ -27,7 +27,33 @@ AGENT_HEADER_KEYS = ("atoms", "v_min", "v_max", "gamma", "epsilon",
                      "sync_every", "train_steps", "scales")
 
 N_ACTIONS = 2
-DEFAULT_ATOMS = 51
+
+
+@dataclass
+class AgentSpec:
+    """Hidden layer widths and learning hyperparameters of an agent."""
+
+    hidden: list = field(default_factory=lambda: [64, 64])
+    atom_count: int = 51
+    gamma: float = 0.6
+    epsilon: float = 0.05
+    learning_rate: float = 1e-3
+    sync_every: int = 100
+
+    def __post_init__(self):
+        if not all(_is_int(h) and h >= 1 for h in self.hidden):
+            raise ValueError("hidden must be a list of positive integers")
+        if self.atom_count < 2:
+            raise ValueError("atom_count must be at least 2")
+        if not (0.0 <= self.gamma < 1.0):
+            raise ValueError("gamma must be in [0, 1)")
+        if not (0.0 <= self.epsilon <= 1.0):
+            raise ValueError("epsilon must be in [0, 1]")
+        if not (0.0 < self.learning_rate < math.inf):
+            raise ValueError("learning_rate must be a positive, finite "
+                             "learning rate")
+        if self.sync_every < 1:
+            raise ValueError("sync_every must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -189,23 +215,21 @@ class CategoricalQAgent:
     """Shared accept/reject policy over categorical value distributions."""
 
     def __init__(self, online: nn.Mlp, target: nn.Mlp, atoms: np.ndarray,
-                 scales: FeatureScales, gamma: float, epsilon: float,
-                 learning_rate: float = 1e-3, sync_every: int = 100,
-                 train_steps: int = 0):
-        if atoms.size < 2:
-            raise ValueError("need at least 2 atoms")
+                 scales: FeatureScales, *, gamma: float, epsilon: float,
+                 learning_rate: float, sync_every: int, train_steps: int = 0):
+        AgentSpec(hidden=online.layer_dims[1:-1], atom_count=atoms.size,
+                  gamma=gamma, epsilon=epsilon, learning_rate=learning_rate,
+                  sync_every=sync_every)
         if not np.all(np.diff(atoms) > 0):
             raise ValueError("atom support must be strictly increasing")
-        if not (0.0 <= gamma < 1.0):
-            raise ValueError("gamma must lie in [0, 1)")
-        if not (0.0 <= epsilon <= 1.0):
-            raise ValueError("epsilon must lie in [0, 1]")
-        if sync_every < 1:
-            raise ValueError("sync_every must be at least 1")
         if online.layer_dims[0] != OBS_DIM:
             raise ValueError(f"network input width must be {OBS_DIM}")
         if online.layer_dims[-1] != N_ACTIONS * atoms.size:
             raise ValueError("network output width must be actions * atoms")
+        if target.layer_dims != online.layer_dims:
+            raise ValueError("target network dims differ from the online ones")
+        if train_steps < 0:
+            raise ValueError("train_steps must be non-negative")
         self.online = online
         self.target = target
         self.atoms = np.asarray(atoms, dtype=float)
@@ -220,19 +244,18 @@ class CategoricalQAgent:
 
     @classmethod
     def create(cls, scales: FeatureScales, v_min: float, v_max: float,
-               rng: np.random.Generator, hidden=(64, 64),
-               atom_count: int = DEFAULT_ATOMS, gamma: float = 0.6,
-               epsilon: float = 0.05, learning_rate: float = 1e-3,
-               sync_every: int = 100) -> "CategoricalQAgent":
+               rng: np.random.Generator, **spec) -> "CategoricalQAgent":
+        """A fresh agent; `spec` sets `AgentSpec` fields by keyword."""
+        spec = AgentSpec(**spec)
         if not (v_min < v_max):
             raise ValueError("v_min must be below v_max")
-        atoms = np.linspace(v_min, v_max, atom_count)
-        dims = [OBS_DIM, *hidden, N_ACTIONS * atom_count]
+        atoms = np.linspace(v_min, v_max, spec.atom_count)
+        dims = [OBS_DIM, *spec.hidden, N_ACTIONS * spec.atom_count]
         online = nn.Mlp.create(dims, rng)
-        target = online.copy()
-        return cls(online=online, target=target, atoms=atoms, scales=scales,
-                   gamma=gamma, epsilon=epsilon, learning_rate=learning_rate,
-                   sync_every=sync_every)
+        return cls(online=online, target=online.copy(), atoms=atoms,
+                   scales=scales, gamma=spec.gamma, epsilon=spec.epsilon,
+                   learning_rate=spec.learning_rate,
+                   sync_every=spec.sync_every)
 
     @property
     def v_min(self) -> float:
@@ -358,24 +381,28 @@ class CategoricalQAgent:
         for key in AGENT_HEADER_KEYS:
             if key not in header:
                 raise ValueError(f"{path}: agent header has no {key!r} line")
-        online_start = idx + 1
-        target_marker = lines.index("target", online_start)
-        online = nn.parse_checkpoint(lines[online_start:target_marker],
+        if "target" not in lines[idx:]:
+            raise ValueError(f"{path}: agent checkpoint ends before its "
+                             "'target' network")
+        target_marker = lines.index("target", idx)
+        online = nn.parse_checkpoint(lines[idx + 1:target_marker],
                                      label=f"{path}:online")
         target = nn.parse_checkpoint(lines[target_marker + 1:],
                                      label=f"{path}:target")
-        atom_count = int(header["atoms"])
-        atoms = np.linspace(float(header["v_min"]), float(header["v_max"]),
-                            atom_count)
-        scale_vals = [float(v) for v in header["scales"].split()]
+        scale_vals = header["scales"].split()
         if len(scale_vals) != OBS_DIM:
             raise ValueError(f"{path}: expected {OBS_DIM} feature scales, "
                              f"found {len(scale_vals)}")
-        scales = FeatureScales(*scale_vals)
-        agent = cls(online=online, target=target, atoms=atoms, scales=scales,
-                    gamma=float(header["gamma"]),
-                    epsilon=float(header["epsilon"]),
-                    learning_rate=float(header.get("learning_rate", "0.001")),
-                    sync_every=int(header["sync_every"]),
-                    train_steps=int(header["train_steps"]))
-        return agent
+        try:
+            atoms = np.linspace(float(header["v_min"]), float(header["v_max"]),
+                                int(header["atoms"]))
+            lr = header.get("learning_rate", repr(AgentSpec.learning_rate))
+            return cls(online=online, target=target, atoms=atoms,
+                       scales=FeatureScales(*map(float, scale_vals)),
+                       gamma=float(header["gamma"]),
+                       epsilon=float(header["epsilon"]),
+                       learning_rate=float(lr),
+                       sync_every=int(header["sync_every"]),
+                       train_steps=int(header["train_steps"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -119,14 +119,11 @@ def _initial_trips(cfg: Config, out: Path):
 
 def _build_sim_config(cfg: Config, out: Path) -> SimConfig:
     px, py, tkm, profile = _read_fitted(out)
+    settings = vars(cfg.sim) | {"initial_weekly_trips":
+                                _initial_trips(cfg, out)}
     return SimConfig(grid=cfg.grid, params=cfg.platform,
                      pickup_x_dist=px, pickup_y_dist=py,
-                     trip_distance_dist=tkm, time_profile=profile,
-                     driver_count=cfg.sim.driver_count, weeks=cfg.sim.weeks,
-                     max_offers=cfg.sim.max_offers,
-                     speed_kmh=cfg.sim.speed_kmh,
-                     start_dow=cfg.sim.start_dow,
-                     initial_weekly_trips=_initial_trips(cfg, out))
+                     trip_distance_dist=tkm, time_profile=profile, **settings)
 
 
 def _stamp_agent(path: Path, digest: str, seed: int):
@@ -243,14 +240,6 @@ def _demonstrations(cfg: Config, out: Path) -> list:
                                   speed_kmh=cfg.sim.speed_kmh)
 
 
-def _agent_kwargs(cfg: Config) -> dict:
-    return dict(hidden=tuple(cfg.agent.hidden),
-                atom_count=cfg.agent.atom_count, gamma=cfg.agent.gamma,
-                epsilon=cfg.agent.epsilon,
-                learning_rate=cfg.agent.learning_rate,
-                sync_every=cfg.agent.sync_every)
-
-
 def _write_train_report(path: Path, report, metric_column: str,
                         digest: str, seed: int):
     rows = [[str(s.iteration), f"{s.loss:.6f}", f"{s.metric:.6f}"]
@@ -265,7 +254,7 @@ def cmd_train_bc(args) -> int:
     scales = FeatureScales.for_grid(cfg.grid)
     agent = build_agent_for_demonstrations(trajectories, scales,
                                            seed_stream(cfg.seed, "bc-init"),
-                                           **_agent_kwargs(cfg))
+                                           **vars(cfg.agent))
     agent_path = out / "agent_bc.txt"
     agent_path.parent.mkdir(parents=True, exist_ok=True)
     report = train_bc(agent, trajectories, cfg.bc,
@@ -542,7 +531,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, PipelineError, ValueError, OSError) as exc:
+    except (ConfigError, PipelineError, ValueError, OSError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,15 @@
 """Run configuration: a YAML file mapped onto a tree of dataclasses.
 
-The `grid`, `platform`, `bc`, `rl` and `synth` sections are the domain types
-themselves (`GridSpec`, `PlatformParams`, `BcConfig`, `RlConfig`,
-`SyntheticLogSpec`): each knob is declared once, on its type, and checked
-once, when the section is built. Unknown keys are fatal and reported by
-their dotted path, so a typo in a nested section fails loudly instead of
-silently running defaults. Command line overrides (`section.key=value`) are
-applied to the raw mapping before validation and therefore obey the same
-rules. A canonical hash of the fully resolved configuration is stamped into
-every artifact header.
+The `grid`, `platform`, `sim`, `agent`, `bc`, `rl` and `synth` sections are
+the domain types themselves (`GridSpec`, `PlatformParams`, `SimSettings`,
+`AgentSpec`, `BcConfig`, `RlConfig`, `SyntheticLogSpec`): each knob is
+declared once, on its type, and checked once, when the section is built.
+The `demand` and `evaluate` sections check themselves the same way. Unknown
+keys are fatal and reported by their dotted path, so a typo in a nested
+section fails loudly instead of silently running defaults. Command line
+overrides (`section.key=value`) are applied to the raw mapping before
+validation and therefore obey the same rules. A canonical hash of the fully
+resolved configuration is stamped into every artifact header.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from pathlib import Path
 
 import yaml
 
+from .agent import AgentSpec
 from .ridegen import GridSpec
-from .sim import PlatformParams
+from .sim import PlatformParams, SimSettings, _is_int
 from .synth import SyntheticLogSpec
 from .training import BcConfig, RlConfig
 
@@ -43,31 +45,20 @@ class DemandSection:
     scale_factor: float = 35.0
     holdout_days: int = 7
 
-
-@dataclass
-class SimSection:
-    driver_count: int = 50
-    weeks: int = 1
-    max_offers: int = 5
-    speed_kmh: float = 30.0
-    start_dow: int = 0
-    # None: drivers start the run at the platform default goal baseline.
-    initial_weekly_trips: object = None
-
-
-@dataclass
-class AgentSection:
-    hidden: list = field(default_factory=lambda: [64, 64])
-    atom_count: int = 51
-    gamma: float = 0.6
-    epsilon: float = 0.05
-    learning_rate: float = 1e-3
-    sync_every: int = 100
+    def __post_init__(self):
+        if not (0 < self.scale_factor < math.inf):
+            raise ValueError("scale_factor must be positive and finite")
+        if self.holdout_days < 0:
+            raise ValueError("holdout_days must be non-negative")
 
 
 @dataclass
 class EvaluateSection:
     replications: int = 20
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
 
 
 @dataclass
@@ -83,8 +74,8 @@ class Config:
     grid: GridSpec = field(default_factory=GridSpec)
     demand: DemandSection = field(default_factory=DemandSection)
     platform: PlatformParams = field(default_factory=PlatformParams)
-    sim: SimSection = field(default_factory=SimSection)
-    agent: AgentSection = field(default_factory=AgentSection)
+    sim: SimSettings = field(default_factory=SimSettings)
+    agent: AgentSpec = field(default_factory=AgentSpec)
     bc: BcConfig = field(default_factory=BcConfig)
     rl: RlConfig = field(default_factory=RlConfig)
     evaluate: EvaluateSection = field(default_factory=EvaluateSection)
@@ -96,15 +87,11 @@ _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(Config)
              if f.name != "seed"}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _checked(default, value, key: str):
     """`value` coerced to the type of the field's default, or ConfigError.
 
-    Null is accepted only where the default is null; such fields are checked
-    in `validate_config`. A tuple default holds [start, end] hour pairs.
+    Null is accepted only where the default is null; the section's type
+    checks such fields. A tuple default holds [start, end] hour pairs.
     """
     if default is None:
         return value
@@ -164,7 +151,6 @@ def config_from_dict(data: dict) -> Config:
                 setattr(cfg, key, _section(_SECTIONS[key], value, key))
         else:
             raise ConfigError(f"unknown key: {key}")
-    validate_config(cfg)
     return cfg
 
 
@@ -204,42 +190,6 @@ def load_config(path=None, overrides=()) -> Config:
     for item in overrides:
         apply_override(data, item)
     return config_from_dict(data)
-
-
-def validate_config(cfg: Config):
-    """Checks of the sections that have no domain type of their own."""
-    if cfg.demand.scale_factor <= 0:
-        raise ConfigError("demand.scale_factor must be positive")
-    if cfg.demand.holdout_days < 0:
-        raise ConfigError("demand.holdout_days must be non-negative")
-    if cfg.sim.driver_count < 1:
-        raise ConfigError("sim.driver_count must be at least 1")
-    if cfg.sim.weeks < 1:
-        raise ConfigError("sim.weeks must be at least 1")
-    if not 0 <= cfg.sim.start_dow <= 6:
-        raise ConfigError("sim.start_dow must be in 0..6")
-    if cfg.sim.max_offers < 1:
-        raise ConfigError("sim.max_offers must be at least 1")
-    if not all(_is_int(h) and h >= 1 for h in cfg.agent.hidden):
-        raise ConfigError("agent.hidden must be a list of positive integers")
-    if not (math.isfinite(cfg.agent.learning_rate)
-            and cfg.agent.learning_rate > 0):
-        raise ConfigError("agent.learning_rate must be positive and finite")
-    if cfg.agent.atom_count < 2:
-        raise ConfigError("agent.atom_count must be at least 2")
-    if not 0.0 <= cfg.agent.gamma < 1.0:
-        raise ConfigError("agent.gamma must be in [0, 1)")
-    if not 0.0 <= cfg.agent.epsilon <= 1.0:
-        raise ConfigError("agent.epsilon must be in [0, 1]")
-    if cfg.evaluate.replications < 1:
-        raise ConfigError("evaluate.replications must be at least 1")
-    init = cfg.sim.initial_weekly_trips
-    if init is not None:
-        ok_list = (isinstance(init, list) and init
-                   and all(_is_int(v) for v in init))
-        if not (_is_int(init) or ok_list):
-            raise ConfigError(
-                "sim.initial_weekly_trips must be an integer or integer list")
 
 
 def config_to_dict(cfg: Config) -> dict:

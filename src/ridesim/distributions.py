@@ -102,10 +102,6 @@ class TimeProfile:
         if not np.all(np.isfinite(self.means)) or np.any(self.means < 0):
             raise ValueError("profile entries must be finite and non-negative")
 
-    def expected_daily(self, dow: int) -> float:
-        """Expected generated rides on the given day of week (0 = Monday)."""
-        return float(self.means[dow].sum())
-
     def expected_weekly(self) -> float:
         return float(self.means.sum())
 
@@ -154,25 +150,6 @@ def probabilistic_round(x: float, rng: np.random.Generator) -> int:
     if frac > 0.0 and rng.random() < frac:
         return base + 1
     return base
-
-
-def ks_statistic(dist: EmpiricalDistribution, observed: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov distance between dist and observed.
-
-    Maximum absolute gap between the two empirical CDFs, evaluated at every
-    sample point of either side.
-    """
-    obs = np.asarray(observed, dtype=float)
-    if obs.size == 0:
-        raise ValueError("observed sample is empty")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observed samples must be finite")
-    xs = dist.samples  # already sorted
-    ys = np.sort(obs)
-    grid = np.concatenate([xs, ys])
-    cdf_x = np.searchsorted(xs, grid, side="right") / xs.size
-    cdf_y = np.searchsorted(ys, grid, side="right") / ys.size
-    return float(np.max(np.abs(cdf_x - cdf_y)))
 
 
 def distribution_lines(dist: EmpiricalDistribution, name: str) -> list:

@@ -29,8 +29,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ridegen import GridSpec
-from .sim import (Action, PlatformParams, Trajectory, chain_transitions,
-                  reward_from_observation, travel_minutes, weekly_goal)
+from .sim import (Action, PlatformParams, SimSettings, Trajectory,
+                  chain_transitions, reward_from_observation, travel_minutes,
+                  weekly_goal)
 
 LOG_COLUMNS = ["driver_id", "trip_id", "created_time", "assigned_time",
                "decision_time", "pickup_time", "pickup_lat", "pickup_lon",
@@ -114,10 +115,6 @@ class CleaningReport:
     missing_field_count: int = 0
     out_of_region_count: int = 0
     retained_count: int = 0
-
-    def reconciles(self) -> bool:
-        return (self.retained_count == self.input_count - self.duplicate_count
-                - self.missing_field_count - self.out_of_region_count)
 
     def to_lines(self) -> list:
         return [f"input {self.input_count}",
@@ -346,7 +343,7 @@ def extract_demonstrations(records: Sequence[TripRecord],
                            params: PlatformParams,
                            grid: GridSpec,
                            window=None,
-                           speed_kmh: float = 30.0) -> list:
+                           speed_kmh: float = SimSettings.speed_kmh) -> list:
     """Rebuild per-driver decision trajectories from a cleaned log.
 
     Offers are replayed per driver in time order through a DriverLedger.

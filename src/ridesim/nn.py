@@ -66,9 +66,6 @@ class Mlp:
     def copy_from(self, other: "Mlp") -> None:
         self.flat[...] = other.flat
 
-    def parameter_count(self) -> int:
-        return self.flat.size
-
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     """Pure forward pass. Accepts (d_in,) or (batch, d_in)."""

@@ -14,7 +14,7 @@ own normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -63,27 +63,22 @@ class PlatformParams:
     default_weekly_goal: int = 40
 
     def __post_init__(self):
-        if not math.isfinite(self.fare_per_km) or self.fare_per_km < 0:
-            raise ValueError("fare_per_km must be non-negative")
-        if not math.isfinite(self.cost_per_km) or self.cost_per_km < 0:
-            raise ValueError("cost_per_km must be non-negative")
-        if self.peak_fare_multiplier < 0:
-            raise ValueError("peak_fare_multiplier must be non-negative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("fare_per_km", "cost_per_km", "peak_fare_multiplier",
+                     "weekly_reward_amount", "idle_cost_per_minute"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.weekly_target_multiplier <= 0:
             raise ValueError("weekly_target_multiplier must be positive")
-        if self.weekly_reward_amount < 0:
-            raise ValueError("weekly_reward_amount must be non-negative")
-        if self.idle_cost_per_minute < 0:
-            raise ValueError("idle_cost_per_minute must be non-negative")
         if self.default_weekly_goal < 1:
             raise ValueError("default_weekly_goal must be at least 1")
         for rng_pair in self.peak_hours:
             s, e = rng_pair
             if not (0 <= s < e <= 24):
                 raise ValueError(f"bad peak hour range {rng_pair!r}")
-        for name in ("fare_weight", "cost_weight", "idle_cost_weight", "bonus_weight"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
     def is_peak(self, minute_of_day: int) -> bool:
         hour = (minute_of_day // 60) % 24
@@ -212,20 +207,21 @@ class EpisodeLog:
         return sum(self.daily_lost)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
-class SimConfig:
-    grid: GridSpec
-    params: PlatformParams
-    pickup_x_dist: EmpiricalDistribution
-    pickup_y_dist: EmpiricalDistribution
-    trip_distance_dist: EmpiricalDistribution
-    time_profile: TimeProfile
+class SimSettings:
+    """The run's own knobs: fleet size, horizon, offer budget and travel."""
+
     driver_count: int = 50
     weeks: int = 1
     max_offers: int = 5
     speed_kmh: float = 30.0
     start_dow: int = 0  # 0 = Monday
-    initial_weekly_trips: object = None  # int or per-driver sequence; None uses the params default
+    # An int or a per-driver list; None starts drivers at the params default.
+    initial_weekly_trips: object = None
 
     def __post_init__(self):
         if self.driver_count < 1:
@@ -234,19 +230,33 @@ class SimConfig:
             raise ValueError("weeks must be at least 1")
         if self.max_offers < 1:
             raise ValueError("max_offers must be at least 1")
-        if self.speed_kmh <= 0:
-            raise ValueError("speed_kmh must be positive")
+        if not (0 < self.speed_kmh < math.inf):
+            raise ValueError("speed_kmh must be positive and finite")
         if not (0 <= self.start_dow < 7):
             raise ValueError("start_dow must be in 0..6")
+        init = self.initial_weekly_trips
+        if not (init is None or _is_int(init) or (
+                isinstance(init, list) and init and all(map(_is_int, init)))):
+            raise ValueError(
+                "initial_weekly_trips must be an integer or integer list")
+
+
+@dataclass(kw_only=True)
+class SimConfig(SimSettings):
+    grid: GridSpec
+    params: PlatformParams
+    pickup_x_dist: EmpiricalDistribution
+    pickup_y_dist: EmpiricalDistribution
+    trip_distance_dist: EmpiricalDistribution
+    time_profile: TimeProfile
 
     def initial_trips_for(self, index: int) -> int:
         base = self.initial_weekly_trips
         if base is None:
-            base = self.params.default_weekly_goal
-        if isinstance(base, (int, float)):
-            return int(base)
-        seq = list(base)
-        return int(seq[index % len(seq)])
+            return self.params.default_weekly_goal
+        if isinstance(base, list):
+            return base[index % len(base)]
+        return base
 
 
 class Fleet:

@@ -1,7 +1,8 @@
 """Helpers used only by the tests: scalar forms of the learner kernels, the
 agent's single-observation views, a forward-only loss, central finite
-differences, per-iteration series of a training report, and file writers
-for bare networks and fitted artifacts."""
+differences, per-iteration series of a training report, summaries of fitted
+models and cleaning reports, and file writers for bare networks and fitted
+artifacts."""
 
 import numpy as np
 
@@ -99,6 +100,41 @@ def loss_series(report) -> list:
 def metric_series(report) -> list:
     """Improvement metric of each iteration of a `TrainReport`."""
     return [row.metric for row in report.iterations]
+
+
+def parameter_count(net: Mlp) -> int:
+    return net.flat.size
+
+
+def expected_daily(profile: TimeProfile, dow: int) -> float:
+    """Expected generated rides on the given day of week (0 = Monday)."""
+    return float(profile.means[dow].sum())
+
+
+def ks_statistic(dist: EmpiricalDistribution, observed) -> float:
+    """Two-sample Kolmogorov-Smirnov distance between dist and observed.
+
+    Maximum absolute gap between the two empirical CDFs, evaluated at every
+    sample point of either side.
+    """
+    obs = np.asarray(observed, dtype=float)
+    if obs.size == 0:
+        raise ValueError("observed sample is empty")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observed samples must be finite")
+    xs = dist.samples  # already sorted
+    ys = np.sort(obs)
+    grid = np.concatenate([xs, ys])
+    cdf_x = np.searchsorted(xs, grid, side="right") / xs.size
+    cdf_y = np.searchsorted(ys, grid, side="right") / ys.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+def reconciles(report) -> bool:
+    """Whether a `CleaningReport`'s counts add up to its retained count."""
+    return (report.retained_count == report.input_count
+            - report.duplicate_count - report.missing_field_count
+            - report.out_of_region_count)
 
 
 def save_checkpoint(net: Mlp, path) -> None:

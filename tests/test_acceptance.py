@@ -16,13 +16,14 @@ import pytest
 import scipy.stats
 
 from ridesim import cli
-from helpers import gradient_check, project_target, tabular_q_update
+from helpers import (expected_daily, gradient_check, ks_statistic,
+                     project_target, tabular_q_update)
 from ridesim.agent import (CategoricalQAgent, FeatureScales, TransitionBatch,
                            expected_q)
 from ridesim.artifacts import comparable_lines, seed_stream
 from ridesim.distributions import (fit_empirical,
                                    fit_time_profile, inverse_sample,
-                                   ks_statistic, probabilistic_round)
+                                   probabilistic_round)
 from ridesim.ingest import extract_demonstrations, training_window
 from ridesim.metrics import (acceptance_by_distance, bootstrap_mean_diff,
                              curve_pearson, delta_percent)
@@ -236,7 +237,7 @@ def test_simulated_demand_matches_fitted_profile(capsys):
 
         for day in range(7):
             dow = (config.start_dow + day) % 7
-            expected = profile.expected_daily(dow)
+            expected = expected_daily(profile, dow)
             delta = delta_percent(float(mean_daily[day]), expected)
             assert abs(delta) < 10.0, f"day {day}: {delta:+.2f}% off expectation"
 

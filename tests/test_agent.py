@@ -10,7 +10,7 @@ from helpers import (project_target, q_values, tabular_q_update,
 from ridesim.agent import (AGENT_HEADER_KEYS, CategoricalQAgent,
                            FeatureScales, ReplayBuffer, TransitionBatch,
                            expected_q, project_target_batch)
-from ridesim.nn import loss_and_grad_batch
+from ridesim.nn import checkpoint_lines, loss_and_grad_batch
 from ridesim.ridegen import GridSpec
 from ridesim.sim import Action, Transition
 
@@ -472,6 +472,35 @@ class TestAgentPersistence:
         path.write_text("\n".join(ln for ln in lines
                                   if not ln.startswith(key + " ")) + "\n")
         with pytest.raises(ValueError, match=repr(key)):
+            CategoricalQAgent.load(path)
+
+    def test_load_rejects_target_dims_unlike_online(self, scales, tmp_path):
+        lines = make_agent(scales).to_lines()
+        other = CategoricalQAgent.create(scales, v_min=-5.0, v_max=5.0,
+                                         rng=np.random.default_rng(1),
+                                         hidden=(4, 8), atom_count=11)
+        path = tmp_path / "agent.txt"
+        path.write_text("\n".join(lines[:lines.index("target") + 1]
+                                  + checkpoint_lines(other.target)) + "\n")
+        with pytest.raises(ValueError,
+                           match="agent.txt: target network dims differ"):
+            CategoricalQAgent.load(path)
+
+    def test_load_names_a_file_cut_before_target(self, scales, tmp_path):
+        lines = make_agent(scales).to_lines()
+        path = tmp_path / "agent.txt"
+        path.write_text("\n".join(lines[:lines.index("target")]) + "\n")
+        with pytest.raises(ValueError,
+                           match="agent.txt: .* ends before its 'target'"):
+            CategoricalQAgent.load(path)
+
+    def test_load_rejects_negative_train_steps(self, scales, tmp_path):
+        path = tmp_path / "agent.txt"
+        make_agent(scales).save(path)
+        text = path.read_text().replace("train_steps 0\n", "train_steps -5\n")
+        path.write_text(text)
+        with pytest.raises(ValueError,
+                           match="agent.txt: train_steps must be non-negative"):
             CategoricalQAgent.load(path)
 
     def test_load_rejects_a_short_scales_line(self, scales, tmp_path):

@@ -193,7 +193,7 @@ class TestValuesCheckedAtLoad:
             config_from_dict({"bc": {"batch_size": None}})
 
     def test_gamma_of_one_rejected(self):
-        with pytest.raises(ConfigError, match=r"agent.gamma must be in \[0, 1\)"):
+        with pytest.raises(ConfigError, match=r"agent: gamma must be in \[0, 1\)"):
             config_from_dict({"agent": {"gamma": 1.0}})
         config_from_dict({"agent": {"gamma": 0.0}})
 
@@ -215,18 +215,44 @@ class TestValuesCheckedAtLoad:
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, float("inf"), float("nan")])
     def test_learning_rate_must_be_positive_and_finite(self, value):
-        with pytest.raises(ConfigError, match="agent.learning_rate must be"):
+        with pytest.raises(ConfigError, match="agent: learning_rate must be"):
             config_from_dict({"agent": {"learning_rate": value}})
 
     @pytest.mark.parametrize("hidden", [[1.5], [64, 0], [-8], [True], ["64"]])
     def test_hidden_must_hold_positive_ints(self, hidden):
-        with pytest.raises(ConfigError, match="agent.hidden must be"):
+        with pytest.raises(ConfigError, match="agent: hidden must be"):
             config_from_dict({"agent": {"hidden": hidden}})
 
     def test_max_offers_at_least_one(self):
-        with pytest.raises(ConfigError, match="sim.max_offers must be"):
+        with pytest.raises(ConfigError, match="sim: max_offers must be"):
             config_from_dict({"sim": {"max_offers": 0}})
         assert config_from_dict({"sim": {"max_offers": 1}}).sim.max_offers == 1
+
+    @pytest.mark.parametrize("key", ["peak_fare_multiplier",
+                                     "weekly_target_multiplier",
+                                     "weekly_reward_amount",
+                                     "idle_cost_per_minute"])
+    def test_platform_values_must_be_finite(self, key):
+        with pytest.raises(ConfigError, match=f"platform: {key} must be finite"):
+            config_from_dict({"platform": {key: float("nan")}})
+
+    @pytest.mark.parametrize("override, message", [
+        ("sim.speed_kmh=0.0", "sim: speed_kmh must be positive and finite"),
+        ("sim.speed_kmh=.nan", "sim: speed_kmh must be positive and finite"),
+        ("agent.sync_every=0", "agent: sync_every must be at least 1"),
+        ("demand.scale_factor=.inf",
+         "demand: scale_factor must be positive and finite"),
+        ("platform.peak_fare_multiplier=.nan",
+         "platform: peak_fare_multiplier must be finite"),
+        ("demand.holdout_days=-1", "demand: holdout_days must be non-negative"),
+        ("evaluate.replications=0",
+         "evaluate: replications must be at least 1")])
+    def test_generate_names_the_key_of_a_bad_value(self, tmp_path, capsys,
+                                                    override, message):
+        code = cli.main(["generate", "--out", str(tmp_path),
+                         "--set", override])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_values_exit_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
@@ -234,11 +260,11 @@ class TestValuesCheckedAtLoad:
         for argv, key in ((["--set", "platform.fare_per_km=null"],
                            "platform.fare_per_km"),
                           (["--config", str(path)], "platform.fare_per_km"),
-                          (["--set", "agent.gamma=1.0"], "agent.gamma"),
+                          (["--set", "agent.gamma=1.0"], "agent: gamma"),
                           (["--set", "agent.learning_rate=-1.0"],
-                           "agent.learning_rate"),
-                          (["--set", "agent.hidden=[1.5]"], "agent.hidden"),
-                          (["--set", "sim.max_offers=0"], "sim.max_offers")):
+                           "agent: learning_rate"),
+                          (["--set", "agent.hidden=[1.5]"], "agent: hidden"),
+                          (["--set", "sim.max_offers=0"], "sim: max_offers")):
             code = cli.main(["generate", "--out", str(tmp_path)] + argv)
             err = capsys.readouterr().err
             assert code == 2, argv
@@ -413,6 +439,18 @@ class TestCliPipeline:
                          "--agent", str(bad)])
         assert code == 2
         assert "agent_no_w1.txt:online: no 'W 1" in capsys.readouterr().err
+
+    def test_non_finite_training_loss_exits_2(self, pipeline, tmp_path,
+                                              capsys):
+        cfg_path, out = pipeline
+        shutil.copy(out / "cleaned_trips.csv", tmp_path / "cleaned_trips.csv")
+        code = cli.main(["train-bc", "--config", str(cfg_path),
+                         "--out", str(tmp_path),
+                         "--set", "agent.learning_rate=1.0e+300"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: non-finite training loss")
+        assert "Traceback" not in err
 
     def test_truncated_distribution_exits_2(self, pipeline, tmp_path, capsys):
         cfg_path, out = pipeline

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import write_distribution, write_time_profile
+from helpers import (expected_daily, ks_statistic, write_distribution,
+                     write_time_profile)
 from ridesim.distributions import (EmpiricalDistribution,
                                    TimeProfile, fit_empirical,
                                    fit_time_profile, inverse_sample,
-                                   ks_statistic, probabilistic_round,
+                                   probabilistic_round,
                                    read_distribution, read_time_profile)
 
 
@@ -127,7 +128,7 @@ class TestTimeProfile:
     def test_expected_totals(self):
         means = np.full((7, 1440), 0.01)
         profile = TimeProfile(means=means, scale_factor=1.0)
-        assert profile.expected_daily(0) == pytest.approx(14.4)
+        assert expected_daily(profile, 0) == pytest.approx(14.4)
         assert profile.expected_weekly() == pytest.approx(100.8)
 
     def test_fit_counts_per_weekday_occurrence(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (gradient_check, load_checkpoint, loss_and_grad, loss_only,
-                     save_checkpoint)
+                     parameter_count, save_checkpoint)
 from ridesim.nn import (AdamState, Mlp, adam_step, checkpoint_lines, forward,
                         loss_and_grad_batch, parse_checkpoint)
 
@@ -63,7 +63,7 @@ class TestCreate:
 
     def test_parameter_count(self):
         net = make_net([4, 8, 6])
-        assert net.parameter_count() == 4 * 8 + 8 + 8 * 6 + 6
+        assert parameter_count(net) == 4 * 8 + 8 + 8 * 6 + 6
 
 
 class TestLoss:
