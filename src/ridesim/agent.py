@@ -22,7 +22,7 @@ from .ridegen import GridSpec
 from .sim import Action, OBS_DIM, _is_int
 
 AGENT_MAGIC = "ridesim-agent v1"
-# Header lines an agent file must carry; learning_rate defaults when absent.
+# Header lines an agent file must carry; learning_rate is optional.
 AGENT_HEADER_KEYS = ("atoms", "v_min", "v_max", "gamma", "epsilon",
                      "sync_every", "train_steps", "scales")
 
@@ -334,10 +334,10 @@ class CategoricalQAgent:
         if targets is None:
             targets = self.bootstrap_targets(batch.next_obs, batch.reward,
                                              batch.terminal)
-        loss, _, _ = nn.loss_and_grad_batch(self.online,
-                                            batch.obs / self._scale_array,
-                                            targets, batch.action, N_ACTIONS,
-                                            grad=self._grad)
+        with np.errstate(all="ignore"):  # a non-finite loss raises below
+            loss, _, _ = nn.loss_and_grad_batch(
+                self.online, batch.obs / self._scale_array, targets,
+                batch.action, N_ACTIONS, grad=self._grad)
         if not math.isfinite(loss):
             raise FloatingPointError("non-finite training loss; no update applied")
         nn.adam_step(self.online, self._grad, self.adam)
@@ -373,11 +373,14 @@ class CategoricalQAgent:
         if not lines or lines[0] != AGENT_MAGIC:
             raise ValueError(f"{path}: not an agent checkpoint")
         header = {}
-        idx = 1
-        while idx < len(lines) and lines[idx] != "online":
-            key, _, value = lines[idx].partition(" ")
+        idx = lines.index("online") if "online" in lines else len(lines)
+        for line in lines[1:idx]:
+            key, _, value = line.partition(" ")
+            if key not in AGENT_HEADER_KEYS and key != "learning_rate":
+                raise ValueError(f"{path}: unknown agent header key {key!r}")
+            if key in header:
+                raise ValueError(f"{path}: agent header repeats {key!r}")
             header[key] = value
-            idx += 1
         for key in AGENT_HEADER_KEYS:
             if key not in header:
                 raise ValueError(f"{path}: agent header has no {key!r} line")

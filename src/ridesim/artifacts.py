@@ -51,7 +51,7 @@ def write_lines_atomic(path, lines) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(line + "\n")
         os.replace(tmp, path)
@@ -83,10 +83,18 @@ def write_csv_artifact(path, columns, rows, version: str, config_digest: str,
                    seed)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of `path`; a ValueError naming it if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_data_lines(path) -> list:
     """File lines with comment and blank lines dropped."""
     out = []
-    for line in Path(path).read_text().splitlines():
+    for line in read_text(path).splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -110,5 +118,5 @@ def read_csv_artifact(path) -> tuple:
 
 def comparable_lines(path) -> list:
     """All lines except the wall-clock one, for byte-level comparison."""
-    return [ln for ln in Path(path).read_text().splitlines()
+    return [ln for ln in read_text(path).splitlines()
             if not ln.startswith("# written ")]

@@ -9,7 +9,8 @@ Subcommands, in pipeline order:
   train-bc   imitate the logged driver decisions
   train-rl   refine the imitation agent inside the simulator
   evaluate   replicate simulations and compare them against the log
-  sweep      retrain and re-evaluate across values of one platform knob
+  sweep      train-rl, then evaluate of the saved agent, for each value of
+             one configuration key, in sweep/<key>=<value>/
 
 Each step reads the previous step's artifacts from the output directory and
 fails with the name of the producing subcommand when one is missing. Exit
@@ -29,10 +30,10 @@ import numpy as np
 
 from . import __version__
 from .agent import CategoricalQAgent, FeatureScales
-from .artifacts import (read_csv_artifact, seed_stream, write_artifact,
-                        write_csv_artifact)
+from .artifacts import (csv_lines, read_csv_artifact, seed_stream,
+                        write_artifact)
 from .config import (Config, ConfigError, config_from_dict, config_hash,
-                     config_to_dict, load_config)
+                     config_to_dict, load_config, set_key)
 from .distributions import (distribution_lines, fit_empirical,
                             fit_time_profile, read_distribution,
                             read_time_profile, time_profile_lines)
@@ -61,20 +62,47 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise PipelineError(f"missing {path}; run `ridesim {producer}` first")
-    return path
+# The subcommand that writes each artifact a later one cannot run without.
+_PRODUCERS = {"cleaned_trips.csv": "ingest", "dist_pickup_x.txt": "fit",
+              "dist_pickup_y.txt": "fit", "dist_trip_km.txt": "fit",
+              "time_profile.txt": "fit", "agent_bc.txt": "train-bc"}
 
 
-def _load(args) -> tuple[Config, Path, str]:
+class _Run:
+    """One command's resolved configuration and its artifact directories.
+
+    Artifacts are read from `inputs`, which is `out` unless a sweep variant
+    reads its base run's. Every artifact written carries the provenance
+    header of `cfg`: package version, configuration digest and seed.
+    """
+
+    def __init__(self, cfg: Config, out: Path, inputs: Path | None = None):
+        self.cfg, self.out, self.inputs = cfg, out, inputs or out
+        self.digest = config_hash(cfg)
+
+    def write(self, name: str, lines) -> None:
+        write_artifact(self.out / name, lines, __version__, self.digest,
+                       self.cfg.seed)
+
+    def write_csv(self, name: str, columns, rows) -> None:
+        self.write(name, csv_lines(columns, rows))
+
+    def need(self, name: str) -> Path:
+        path = self.inputs / name
+        if not path.exists():
+            raise PipelineError(f"missing {path}; "
+                                f"run `ridesim {_PRODUCERS[name]}` first")
+        return path
+
+
+def _load(args) -> _Run:
     overrides = list(args.overrides or [])
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if args.out is not None:
         overrides.append(f"paths.out_dir={args.out}")
     cfg = load_config(args.config, overrides)
-    return cfg, Path(cfg.paths.out_dir), config_hash(cfg)
+    return _Run(cfg, Path(cfg.paths.out_dir))
 
 
 def _read_cleaned(path) -> list:
@@ -87,18 +115,10 @@ def _read_cleaned(path) -> list:
     return records
 
 
-def _read_fitted(out: Path):
-    _, px = read_distribution(_require(out / "dist_pickup_x.txt", "fit"))
-    _, py = read_distribution(_require(out / "dist_pickup_y.txt", "fit"))
-    _, tkm = read_distribution(_require(out / "dist_trip_km.txt", "fit"))
-    profile = read_time_profile(_require(out / "time_profile.txt", "fit"))
-    return px, py, tkm, profile
-
-
-def _initial_trips(cfg: Config, out: Path):
-    if cfg.sim.initial_weekly_trips is not None:
-        return cfg.sim.initial_weekly_trips
-    averages = out / "driver_averages.csv"
+def _initial_trips(run: _Run):
+    if run.cfg.sim.initial_weekly_trips is not None:
+        return run.cfg.sim.initial_weekly_trips
+    averages = run.inputs / "driver_averages.csv"
     if not averages.exists():
         return None
     columns, rows = read_csv_artifact(averages)
@@ -117,20 +137,15 @@ def _initial_trips(cfg: Config, out: Path):
     return seq or None
 
 
-def _build_sim_config(cfg: Config, out: Path) -> SimConfig:
-    px, py, tkm, profile = _read_fitted(out)
-    settings = vars(cfg.sim) | {"initial_weekly_trips":
-                                _initial_trips(cfg, out)}
-    return SimConfig(grid=cfg.grid, params=cfg.platform,
+def _build_sim_config(run: _Run) -> SimConfig:
+    px, py, tkm = (read_distribution(run.need(f"dist_{name}.txt"))[1]
+                   for name in ("pickup_x", "pickup_y", "trip_km"))
+    profile = read_time_profile(run.need("time_profile.txt"))
+    settings = vars(run.cfg.sim) | {"initial_weekly_trips":
+                                    _initial_trips(run)}
+    return SimConfig(grid=run.cfg.grid, params=run.cfg.platform,
                      pickup_x_dist=px, pickup_y_dist=py,
                      trip_distance_dist=tkm, time_profile=profile, **settings)
-
-
-def _stamp_agent(path: Path, digest: str, seed: int):
-    # prepend provenance comments to a checkpoint written during training
-    lines = [ln for ln in path.read_text().splitlines()
-             if not ln.startswith("#")]
-    write_artifact(path, lines, __version__, digest, seed)
 
 
 def _find_agent(out: Path, explicit) -> Path:
@@ -147,70 +162,59 @@ def _find_agent(out: Path, explicit) -> Path:
 
 
 def cmd_synth(args) -> int:
-    cfg, out, digest = _load(args)
+    run = _load(args)
+    cfg = run.cfg
     records = generate_synthetic_log(cfg.synth, cfg.grid, cfg.platform,
                                      cfg.sim.speed_kmh, cfg.seed)
-    rows = [record_to_row(r) for r in records]
-    path = out / "synthetic_trips.csv"
-    write_csv_artifact(path, LOG_COLUMNS, rows, __version__, digest, cfg.seed)
+    run.write_csv("synthetic_trips.csv", LOG_COLUMNS,
+                  [record_to_row(r) for r in records])
     accepted = sum(1 for r in records if r.status == "completed")
-    print(f"wrote {len(rows)} offers ({accepted} completed) to {path}")
+    print(f"wrote {len(records)} offers ({accepted} completed) to "
+          f"{run.out / 'synthetic_trips.csv'}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    cfg, out, digest = _load(args)
-    log_path = args.trip_log or cfg.paths.trip_log
+    run = _load(args)
+    log_path = args.trip_log or run.cfg.paths.trip_log
     if not log_path:
         raise PipelineError("no trip log given: set paths.trip_log "
                             "or pass --trip-log")
     records, rejects = read_trip_log(log_path)
     if not records and not rejects:
         raise PipelineError(f"{log_path} contains no data rows")
-    kept, report = clean(records, cfg.grid.latlon_bounds())
-    write_csv_artifact(out / "cleaned_trips.csv", LOG_COLUMNS,
-                       [record_to_row(r) for r in kept],
-                       __version__, digest, cfg.seed)
-    write_csv_artifact(out / "rejects.csv", ["row", "reason"],
-                       [[str(r.row_number), r.reason] for r in rejects],
-                       __version__, digest, cfg.seed)
-    report_lines = [f"parse_rejected {len(rejects)}"] + report.to_lines()
-    write_artifact(out / "cleaning_report.txt", report_lines,
-                   __version__, digest, cfg.seed)
+    kept, report = clean(records, run.cfg.grid.latlon_bounds())
+    run.write_csv("cleaned_trips.csv", LOG_COLUMNS,
+                  [record_to_row(r) for r in kept])
+    run.write_csv("rejects.csv", ["row", "reason"],
+                  [[str(r.row_number), r.reason] for r in rejects])
+    run.write("cleaning_report.txt",
+              [f"parse_rejected {len(rejects)}"] + report.to_lines())
     print(f"parsed {len(records)} trips ({len(rejects)} rejected rows), "
           f"kept {report.retained_count} after cleaning")
-    print(f"artifacts in {out}")
+    print(f"artifacts in {run.out}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    cfg, out, digest = _load(args)
-    records = _read_cleaned(_require(out / "cleaned_trips.csv", "ingest"))
+    run = _load(args)
+    cfg = run.cfg
+    records = _read_cleaned(run.need("cleaned_trips.csv"))
     train_win, _ = training_window(records, cfg.demand.holdout_days)
     train = window_records(records, train_win)
     if len(train) < 2:
         raise PipelineError("training window holds fewer than 2 trips")
-    xs, ys = [], []
-    for rec in train:
-        x, y = cfg.grid.to_xy(rec.pickup_lat, rec.pickup_lon)
-        xs.append(x)
-        ys.append(y)
-    fits = [("pickup_x", fit_empirical(xs), "dist_pickup_x.txt"),
-            ("pickup_y", fit_empirical(ys), "dist_pickup_y.txt"),
-            ("trip_km", fit_empirical([r.trip_distance_km for r in train]),
-             "dist_trip_km.txt")]
-    for name, dist, filename in fits:
-        write_artifact(out / filename, distribution_lines(dist, name),
-                       __version__, digest, cfg.seed)
+    xs, ys = zip(*(cfg.grid.to_xy(r.pickup_lat, r.pickup_lon) for r in train))
+    for name, values in (("pickup_x", xs), ("pickup_y", ys),
+                         ("trip_km", [r.trip_distance_km for r in train])):
+        run.write(f"dist_{name}.txt",
+                  distribution_lines(fit_empirical(values), name))
     profile = fit_time_profile([r.created_time for r in train],
                                cfg.demand.scale_factor)
-    write_artifact(out / "time_profile.txt", time_profile_lines(profile),
-                   __version__, digest, cfg.seed)
-    averages = driver_weekly_averages(train)
-    write_csv_artifact(out / "driver_averages.csv",
-                       ["driver_id", "weekly_trips"],
-                       [[d, f"{v:.6f}"] for d, v in averages.items()],
-                       __version__, digest, cfg.seed)
+    run.write("time_profile.txt", time_profile_lines(profile))
+    run.write_csv("driver_averages.csv", ["driver_id", "weekly_trips"],
+                  [[d, f"{v:.6f}"] for d, v in
+                   driver_weekly_averages(train).items()])
     weekly = profile.expected_weekly() * cfg.demand.scale_factor
     print(f"fitted {len(train)} trips from {train_win[0]:%Y-%m-%d} "
           f"to {train_win[1]:%Y-%m-%d}")
@@ -220,78 +224,71 @@ def cmd_fit(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg, out, digest = _load(args)
-    stream = ride_stream(_build_sim_config(cfg, out),
-                         seed_stream(cfg.seed, "generate"))
+    run = _load(args)
+    stream = ride_stream(_build_sim_config(run),
+                         seed_stream(run.cfg.seed, "generate"))
     rides = [ride for _, batch in stream for ride in batch]
-    write_csv_artifact(out / "rides.csv", RIDE_COLUMNS,
-                       [ride_to_row(r) for r in rides],
-                       __version__, digest, cfg.seed)
+    run.write_csv("rides.csv", RIDE_COLUMNS, [ride_to_row(r) for r in rides])
     print(f"generated {len(rides)} ride requests over "
-          f"{cfg.sim.weeks} week(s) to {out / 'rides.csv'}")
+          f"{run.cfg.sim.weeks} week(s) to {run.out / 'rides.csv'}")
     return 0
 
 
-def _demonstrations(cfg: Config, out: Path) -> list:
-    records = _read_cleaned(_require(out / "cleaned_trips.csv", "ingest"))
-    train_win, _ = training_window(records, cfg.demand.holdout_days)
-    return extract_demonstrations(records, cfg.platform, cfg.grid,
-                                  window=train_win,
-                                  speed_kmh=cfg.sim.speed_kmh)
-
-
-def _write_train_report(path: Path, report, metric_column: str,
-                        digest: str, seed: int):
-    rows = [[str(s.iteration), f"{s.loss:.6f}", f"{s.metric:.6f}"]
-            for s in report.iterations]
-    write_csv_artifact(path, ["iteration", "loss", metric_column], rows,
-                       __version__, digest, seed)
+def _train(run: _Run, phase: str, train, *args):
+    """`train(*args, save=...)`, its best agent kept in agent_<phase>.txt
+    as training goes and its iterations written to <phase>_report.csv."""
+    report = train(*args, save=lambda agent: run.write(f"agent_{phase}.txt",
+                                                       agent.to_lines()))
+    run.write_csv(f"{phase}_report.csv",
+                  ["iteration", "loss", report.metric_name],
+                  [[str(s.iteration), f"{s.loss:.6f}", f"{s.metric:.6f}"]
+                   for s in report.iterations])
+    return report
 
 
 def cmd_train_bc(args) -> int:
-    cfg, out, digest = _load(args)
-    trajectories = _demonstrations(cfg, out)
-    scales = FeatureScales.for_grid(cfg.grid)
-    agent = build_agent_for_demonstrations(trajectories, scales,
+    run = _load(args)
+    cfg = run.cfg
+    records = _read_cleaned(run.need("cleaned_trips.csv"))
+    train_win, _ = training_window(records, cfg.demand.holdout_days)
+    trajectories = extract_demonstrations(records, cfg.platform, cfg.grid,
+                                          window=train_win,
+                                          speed_kmh=cfg.sim.speed_kmh)
+    agent = build_agent_for_demonstrations(trajectories,
+                                           FeatureScales.for_grid(cfg.grid),
                                            seed_stream(cfg.seed, "bc-init"),
                                            **vars(cfg.agent))
-    agent_path = out / "agent_bc.txt"
-    agent_path.parent.mkdir(parents=True, exist_ok=True)
-    report = train_bc(agent, trajectories, cfg.bc,
-                      seed_stream(cfg.seed, "bc-train"),
-                      checkpoint_path=agent_path)
-    _stamp_agent(agent_path, digest, cfg.seed)
-    _write_train_report(out / "bc_report.csv", report, "holdout_agreement",
-                        digest, cfg.seed)
-    n_transitions = sum(len(t.transitions) for t in trajectories)
+    report = _train(run, "bc", train_bc, agent, trajectories, cfg.bc,
+                    seed_stream(cfg.seed, "bc-train"))
     print(f"imitation training on {len(trajectories)} drivers, "
-          f"{n_transitions} decisions")
+          f"{sum(len(t.transitions) for t in trajectories)} decisions")
     print(f"best holdout agreement {report.best_metric:.4f} "
           f"at iteration {report.best_iteration} ({report.stop_reason}, "
           f"{report.wall_clock_s:.1f}s)")
     return 0
 
 
+def _refine(run: _Run, stream: str):
+    """train-rl: agent_bc.txt refined into agent_rl.txt; (report, sim)."""
+    agent = CategoricalQAgent.load(run.need("agent_bc.txt"))
+    sim_config = _build_sim_config(run)
+    report = _train(run, "rl", train_rl, agent, sim_config, run.cfg.rl,
+                    seed_stream(run.cfg.seed, stream))
+    return report, sim_config
+
+
 def cmd_train_rl(args) -> int:
-    cfg, out, digest = _load(args)
-    agent = CategoricalQAgent.load(_require(out / "agent_bc.txt", "train-bc"))
-    sim_config = _build_sim_config(cfg, out)
-    agent_path = out / "agent_rl.txt"
-    report = train_rl(agent, sim_config, cfg.rl,
-                      seed_stream(cfg.seed, "rl-train"),
-                      checkpoint_path=agent_path)
-    _stamp_agent(agent_path, digest, cfg.seed)
-    _write_train_report(out / "rl_report.csv", report, "episode_reward",
-                        digest, cfg.seed)
+    report, _ = _refine(_load(args), "rl-train")
     print(f"refined over {len(report.iterations)} episodes, best reward "
           f"{report.best_metric:.2f} at iteration {report.best_iteration} "
           f"({report.stop_reason}, {report.wall_clock_s:.1f}s)")
     return 0
 
 
-def _holdout_actuals(cfg: Config, out: Path):
-    """Daily counts and acceptance curves from the held-out log days."""
-    cleaned = out / "cleaned_trips.csv"
+def _holdout_log(run: _Run):
+    """Daily counts and acceptance curves of the held-out log days."""
+    cfg = run.cfg
+    cleaned = run.inputs / "cleaned_trips.csv"
     if not cleaned.exists() or cfg.demand.holdout_days < 1:
         return None
     records = _read_cleaned(cleaned)
@@ -299,37 +296,34 @@ def _holdout_actuals(cfg: Config, out: Path):
         _, holdout_win = training_window(records, cfg.demand.holdout_days)
     except ValueError:
         return None
-    holdout = window_records(records, holdout_win)
-    if not holdout:
-        return None
+    holdout = window_records(records, holdout_win)  # holds the last trip
     start, _ = holdout_win
-    days = cfg.demand.holdout_days
-    counts = [0] * days
+    counts = [0] * cfg.demand.holdout_days
     for rec in holdout:
-        day = (rec.created_time - start).days
-        if 0 <= day < days:
-            counts[day] += 1
+        counts[(rec.created_time - start).days] += 1
     decisions = [t for traj in extract_demonstrations(
                      holdout, cfg.platform, cfg.grid, window=holdout_win,
                      speed_kmh=cfg.sim.speed_kmh)
                  for t in traj.transitions]
-    return {"start_dow": start.weekday(), "days": days,
-            "daily": counts, "decisions": decisions}
+    return SimpleNamespace(start_dow=start.weekday(), daily=counts,
+                           hour_curve=acceptance_by_hour(decisions),
+                           dist_curve=acceptance_by_distance(decisions))
 
 
-def _replicate_and_write(sim_config: SimConfig, agent, cfg: Config, seed: int,
-                         stream_prefix: str, out: Path, digest: str,
-                         actual_daily=None) -> SimpleNamespace:
-    """Replicate episodes; write daily counts and both acceptance curves.
+def _replicate(run: _Run, agent_path: Path, sim_config: SimConfig,
+               stream: str, actual_daily=None) -> SimpleNamespace:
+    """evaluate: replicate episodes of the greedy policy saved at
+    `agent_path`, write daily counts and both acceptance curves, and
+    summarise the runs.
 
-    `cfg` gives the replication count and the demand scale; `seed` names the
-    random streams and stamps the headers, so a sweep variant keeps the base
-    run's seed. With `actual_daily`, every run is cut to that many days and
-    the report compares against it.
+    With `actual_daily`, every run is cut to that many days and the report
+    compares against it.
     """
+    agent = CategoricalQAgent.load(agent_path)
+    agent.epsilon = 0.0  # evaluate the learned policy, not exploration
     daily, offers, rewards, completed = [], [], [], []
-    for i in range(cfg.evaluate.replications):
-        rng = seed_stream(seed, f"{stream_prefix}-rep-{i}")
+    for i in range(run.cfg.evaluate.replications):
+        rng = seed_stream(run.cfg.seed, f"{stream}-rep-{i}")
         episode = run_episode(sim_config, agent, rng)
         daily.append(episode.daily_generated)
         offers.extend(episode.offers)
@@ -339,134 +333,102 @@ def _replicate_and_write(sim_config: SimConfig, agent, cfg: Config, seed: int,
         daily = [d[:len(actual_daily)] for d in daily]
     report = daily_counts(daily, actual_daily,
                           start_dow=sim_config.start_dow,
-                          scale=cfg.demand.scale_factor)
+                          scale=run.cfg.demand.scale_factor)
     hour_curve = acceptance_by_hour(offers)
     dist_curve = acceptance_by_distance(offers)
-    for name, columns, rows in (
-            ("daily_counts.csv", DAILY_COUNT_COLUMNS, report.to_rows()),
-            ("acceptance_by_hour.csv", ACCEPTANCE_COLUMNS,
-             curve_rows(hour_curve)),
-            ("acceptance_by_distance.csv", ACCEPTANCE_COLUMNS,
-             curve_rows(dist_curve))):
-        write_csv_artifact(out / name, columns, rows, __version__, digest,
-                           seed)
-    return SimpleNamespace(report=report, offers=offers, rewards=rewards,
-                           completed=completed, hour_curve=hour_curve,
-                           dist_curve=dist_curve)
+    run.write_csv("daily_counts.csv", DAILY_COUNT_COLUMNS, report.to_rows())
+    run.write_csv("acceptance_by_hour.csv", ACCEPTANCE_COLUMNS,
+                  curve_rows(hour_curve))
+    run.write_csv("acceptance_by_distance.csv", ACCEPTANCE_COLUMNS,
+                  curve_rows(dist_curve))
+    accepted = sum(1 for o in offers if o.action == Action.ACCEPT)
+    return SimpleNamespace(
+        report=report, hour_curve=hour_curve, dist_curve=dist_curve,
+        offers=len(offers), accepted=accepted,
+        rate=accepted / len(offers) if offers else math.nan,
+        reward=float(np.mean(rewards)), completed=float(np.mean(completed)))
 
 
-def _correlation_line(name: str, fn) -> str:
+def _correlation_line(name: str, fn, *args) -> str:
     try:
-        return f"{name} {fn():.6f}"
+        return f"{name} {fn(*args):.6f}"
     except ValueError:
         return f"{name} unavailable"
 
 
 def cmd_evaluate(args) -> int:
-    cfg, out, digest = _load(args)
-    agent_path = _find_agent(out, args.agent)
-    agent = CategoricalQAgent.load(agent_path)
-    agent.epsilon = 0.0  # evaluate the learned policy, not exploration
-    sim_config = _build_sim_config(cfg, out)
+    run = _load(args)
+    agent_path = _find_agent(run.out, args.agent)
+    sim_config = _build_sim_config(run)
+    log = _holdout_log(run)
+    if log is not None:
+        sim_config = replace(sim_config, weeks=-(-len(log.daily) // 7),
+                             start_dow=log.start_dow)
+    runs = _replicate(run, agent_path, sim_config, "evaluate",
+                      None if log is None else log.daily)
 
-    actuals = _holdout_actuals(cfg, out)
-    if actuals is not None:
-        weeks = max(1, -(-actuals["days"] // 7))
-        sim_config = replace(sim_config, weeks=weeks,
-                             start_dow=actuals["start_dow"])
-    actual_series = None if actuals is None else actuals["daily"]
-    runs = _replicate_and_write(sim_config, agent, cfg, cfg.seed, "evaluate",
-                                out, digest, actual_series)
-
-    offers = runs.offers
-    accepted = sum(1 for o in offers if o.action == Action.ACCEPT)
     lines = [f"agent {agent_path.name}",
-             f"replications {cfg.evaluate.replications}",
+             f"replications {run.cfg.evaluate.replications}",
              f"simulated_days {len(runs.report.rows)}",
-             f"offers_total {len(offers)}",
-             f"acceptance_rate {accepted / len(offers):.6f}" if offers
+             f"offers_total {runs.offers}",
+             f"acceptance_rate {runs.rate:.6f}" if runs.offers
              else "acceptance_rate unavailable",
-             f"mean_episode_reward {float(np.mean(runs.rewards)):.6f}",
-             f"mean_completed_trips {float(np.mean(runs.completed)):.6f}"]
-    if actual_series is not None:
+             f"mean_episode_reward {runs.reward:.6f}",
+             f"mean_completed_trips {runs.completed:.6f}"]
+    if log is not None:
         predicted = [row.predicted_mean for row in runs.report.rows]
-        lines.append(_correlation_line(
-            "daily_count_pearson",
-            lambda: pearson(predicted, actual_series)))
-        total_actual = float(sum(actual_series))
+        lines.append(_correlation_line("daily_count_pearson", pearson,
+                                       predicted, log.daily))
+        total_actual = float(sum(log.daily))
         if total_actual > 0:
             lines.append(f"total_delta_percent "
                          f"{delta_percent(sum(predicted), total_actual):.3f}")
-        log_hour = acceptance_by_hour(actuals["decisions"])
-        log_dist = acceptance_by_distance(actuals["decisions"])
-        lines.append(_correlation_line(
-            "hourly_acceptance_pearson",
-            lambda: curve_pearson(runs.hour_curve, log_hour)))
-        lines.append(_correlation_line(
-            "distance_acceptance_pearson",
-            lambda: curve_pearson(runs.dist_curve, log_dist)))
-    write_artifact(out / "correlations.txt", lines, __version__, digest,
-                   cfg.seed)
+        lines.append(_correlation_line("hourly_acceptance_pearson",
+                                       curve_pearson, runs.hour_curve,
+                                       log.hour_curve))
+        lines.append(_correlation_line("distance_acceptance_pearson",
+                                       curve_pearson, runs.dist_curve,
+                                       log.dist_curve))
+    run.write("correlations.txt", lines)
     print("\n".join(lines))
-    print(f"artifacts in {out}")
+    print(f"artifacts in {run.out}")
     return 0
 
 
+def _variant(cfg: Config, value) -> Config:
+    """`cfg` with its `sweep.param` key set to `value`."""
+    data = config_to_dict(cfg)
+    try:
+        set_key(data, cfg.sweep.param, value)
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"sweep {cfg.sweep.param}={value!r}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
-    cfg, out, digest = _load(args)
-    if not cfg.sweep.param:
+    run = _load(args)
+    param, values = run.cfg.sweep.param, run.cfg.sweep.values
+    if not param:
         raise PipelineError("sweep.param is not set")
-    if not cfg.sweep.values:
+    if not values:
         raise PipelineError("sweep.values is empty")
-    base_agent = _require(out / "agent_bc.txt", "train-bc")
-    leaf = cfg.sweep.param.split(".")[-1]
     summary = []
-    for value in cfg.sweep.values:
-        data = config_to_dict(cfg)
-        node = data
-        parts = cfg.sweep.param.split(".")
-        try:
-            for part in parts[:-1]:
-                node = node[part]
-            if parts[-1] not in node:
-                raise KeyError(parts[-1])
-        except (KeyError, TypeError):
-            raise ConfigError(f"sweep.param {cfg.sweep.param!r} "
-                              "is not a configuration key") from None
-        node[parts[-1]] = value
-        variant = config_from_dict(data)
-        variant_digest = config_hash(variant)
-        label = f"{leaf}={value}"
-        sub_out = out / "sweep" / label
-
-        agent = CategoricalQAgent.load(base_agent)
-        sim_config = _build_sim_config(variant, out)
-        agent_path = sub_out / "agent_rl.txt"
-        agent_path.parent.mkdir(parents=True, exist_ok=True)
-        report = train_rl(agent, sim_config, variant.rl,
-                          seed_stream(cfg.seed, f"sweep-{label}-train"),
-                          checkpoint_path=agent_path)
-        _stamp_agent(agent_path, variant_digest, cfg.seed)
-        _write_train_report(sub_out / "rl_report.csv", report,
-                            "episode_reward", variant_digest, cfg.seed)
-
-        agent.epsilon = 0.0
-        runs = _replicate_and_write(sim_config, agent, variant, cfg.seed,
-                                    f"sweep-{label}", sub_out, variant_digest)
-        offers = runs.offers
-        accepted = sum(1 for o in offers if o.action == Action.ACCEPT)
-        rate = accepted / len(offers) if offers else float("nan")
-        reward = float(np.mean(runs.rewards))
-        summary.append([str(value), str(len(offers)), str(accepted),
-                        f"{rate:.6f}", f"{float(np.mean(runs.completed)):.6f}",
-                        f"{reward:.6f}"])
-        print(f"{cfg.sweep.param}={value}: acceptance {rate:.4f}, "
-              f"mean reward {reward:.2f}")
-    write_csv_artifact(out / "sweep" / "summary.csv",
-                       ["value", "offers", "accepted", "acceptance_rate",
-                        "mean_completed_trips", "mean_episode_reward"],
-                       summary, __version__, digest, cfg.seed)
-    print(f"sweep artifacts in {out / 'sweep'}")
+    for value in values:
+        label = f"{param.split('.')[-1]}={value}"
+        variant = _Run(_variant(run.cfg, value), run.out / "sweep" / label,
+                       inputs=run.out)
+        _, sim_config = _refine(variant, f"sweep-{label}-train")
+        runs = _replicate(variant, variant.out / "agent_rl.txt", sim_config,
+                          f"sweep-{label}")
+        summary.append([str(value), str(runs.offers), str(runs.accepted),
+                        f"{runs.rate:.6f}", f"{runs.completed:.6f}",
+                        f"{runs.reward:.6f}"])
+        print(f"{param}={value}: acceptance {runs.rate:.4f}, "
+              f"mean reward {runs.reward:.2f}")
+    run.write_csv("sweep/summary.csv",
+                  ["value", "offers", "accepted", "acceptance_rate",
+                   "mean_completed_trips", "mean_episode_reward"], summary)
+    print(f"sweep artifacts in {run.out / 'sweep'}")
     return 0
 
 
@@ -489,34 +451,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="write a synthetic trip log")
-    p.set_defaults(func=cmd_synth)
-    p = sub.add_parser("ingest", parents=[common],
-                       help="parse and clean a trip log")
-    p.add_argument("--trip-log", metavar="PATH",
-                   help="raw log (default paths.trip_log)")
-    p.set_defaults(func=cmd_ingest)
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit demand and location models")
-    p.set_defaults(func=cmd_fit)
-    p = sub.add_parser("generate", parents=[common],
-                       help="sample ride requests from the fitted models")
-    p.set_defaults(func=cmd_generate)
-    p = sub.add_parser("train-bc", parents=[common],
-                       help="imitate logged driver decisions")
-    p.set_defaults(func=cmd_train_bc)
-    p = sub.add_parser("train-rl", parents=[common],
-                       help="refine the agent in the simulator")
-    p.set_defaults(func=cmd_train_rl)
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="replicate simulations and compare to the log")
-    p.add_argument("--agent", metavar="PATH",
-                   help="agent checkpoint (default: newest trained)")
-    p.set_defaults(func=cmd_evaluate)
-    p = sub.add_parser("sweep", parents=[common],
-                       help="retrain across values of one platform knob")
-    p.set_defaults(func=cmd_sweep)
+    for name, func, text in (
+            ("synth", cmd_synth, "write a synthetic trip log"),
+            ("ingest", cmd_ingest, "parse and clean a trip log"),
+            ("fit", cmd_fit, "fit demand and location models"),
+            ("generate", cmd_generate,
+             "sample ride requests from the fitted models"),
+            ("train-bc", cmd_train_bc, "imitate logged driver decisions"),
+            ("train-rl", cmd_train_rl, "refine the agent in the simulator"),
+            ("evaluate", cmd_evaluate,
+             "replicate simulations and compare to the log"),
+            ("sweep", cmd_sweep, "retrain and evaluate across one config key")):
+        sub.add_parser(name, parents=[common],
+                       help=text).set_defaults(func=func)
+    sub.choices["ingest"].add_argument(
+        "--trip-log", metavar="PATH", help="raw log (default paths.trip_log)")
+    sub.choices["evaluate"].add_argument(
+        "--agent", metavar="PATH",
+        help="agent checkpoint (default: newest trained)")
     return parser
 
 
@@ -531,8 +483,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, PipelineError, ValueError, OSError,
-            FloatingPointError) as exc:
+    except (PipelineError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -159,18 +159,23 @@ def apply_override(data: dict, item: str):
     if "=" not in item:
         raise ConfigError(f"override must look like key=value: {item!r}")
     dotted, raw = item.split("=", 1)
-    parts = dotted.strip().split(".")
-    if not all(parts):
-        raise ConfigError(f"bad override key: {dotted!r}")
     try:
         value = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(f"bad override value {raw!r}: {exc}") from exc
+    set_key(data, dotted.strip(), value)
+
+
+def set_key(data: dict, dotted: str, value):
+    """Set the dotted `section.key` of the raw mapping to `value` in place."""
+    parts = dotted.split(".")
+    if not all(parts):
+        raise ConfigError(f"bad override key: {dotted!r}")
     node = data
     for part in parts[:-1]:
         nxt = node.setdefault(part, {})
         if not isinstance(nxt, dict):
-            raise ConfigError(f"override {dotted!r} descends into a scalar")
+            raise ConfigError(f"{dotted!r} descends into a scalar")
         node = nxt
     node[parts[-1]] = value
 

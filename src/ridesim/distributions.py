@@ -97,6 +97,8 @@ class TimeProfile:
     scale_factor: float = 35.0
 
     def __post_init__(self):
+        if not 0 < self.scale_factor < math.inf:  # NaN fails too
+            raise ValueError("scale_factor must be positive and finite")
         if self.means.shape != (DAYS_PER_WEEK, MINUTES_PER_DAY):
             raise ValueError("profile must have shape (7, 1440)")
         if not np.all(np.isfinite(self.means)) or np.any(self.means < 0):
@@ -115,8 +117,6 @@ def fit_time_profile(created_times: Iterable[datetime],
     which divides demand so one simulated week stays at a tractable size.
     The log must span at least one full week so every slot has support.
     """
-    if not math.isfinite(scale_factor) or scale_factor <= 0:
-        raise ValueError("scale_factor must be positive and finite")
     times = list(created_times)
     if not times:
         raise ValueError("cannot fit a time profile from an empty log")
@@ -133,7 +133,8 @@ def fit_time_profile(created_times: Iterable[datetime],
     occurrences = np.zeros(DAYS_PER_WEEK, dtype=float)
     for offset in range(span_days):
         occurrences[(first + timedelta(days=offset)).weekday()] += 1.0
-    means = counts / occurrences[:, None] / scale_factor
+    with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+        means = counts / occurrences[:, None] / scale_factor
     return TimeProfile(means=means, scale_factor=scale_factor)
 
 

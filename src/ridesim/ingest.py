@@ -40,8 +40,6 @@ LOG_COLUMNS = ["driver_id", "trip_id", "created_time", "assigned_time",
 
 STATUSES = ("accepted", "rejected", "completed", "cancelled")
 
-REJECT_COLUMNS = ["row_number", "reason"]
-
 TIME_FORMAT = "%Y-%m-%dT%H:%M"
 
 
@@ -198,8 +196,11 @@ def parse_trip_log(lines: Iterable[str]) -> tuple[list, list]:
 
 
 def read_trip_log(path) -> tuple[list, list]:
-    with open(path) as fh:
-        return parse_trip_log(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_trip_log(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def clean(records: Sequence[TripRecord],

@@ -300,11 +300,12 @@ def _holdout_agreement(agent: CategoricalQAgent,
 
 def _train(agent: CategoricalQAgent, report: TrainReport,
            config: BcConfig | RlConfig, patience: int, run_iteration,
-           checkpoint_path) -> TrainReport:
+           save) -> TrainReport:
     """The loop both phases share. `run_iteration(helper)` trains for one
-    iteration and returns its (losses, metric). The checkpoint, when
-    requested, tracks the best metric; `patience + 1` iterations in a row
-    without an improvement on it end the run early."""
+    iteration and returns its (losses, metric). `save(agent)` is called at
+    each new best metric, or once at the end when no iteration scored;
+    `patience + 1` iterations in a row without an improvement end the run
+    early."""
     stale = 0
     started = time.perf_counter()
     with _target_helper(agent, config.batch_size) as helper:
@@ -317,8 +318,7 @@ def _train(agent: CategoricalQAgent, report: TrainReport,
                 report.best_metric = metric
                 report.best_iteration = iteration
                 stale = 0
-                if checkpoint_path is not None:
-                    agent.save(checkpoint_path)
+                save(agent)
             else:
                 stale += 1
                 if stale > patience:
@@ -326,14 +326,14 @@ def _train(agent: CategoricalQAgent, report: TrainReport,
                     break
     report.stop_reason = report.stop_reason or "max_iterations"
     report.wall_clock_s = time.perf_counter() - started
-    if checkpoint_path is not None and report.best_iteration < 0:
-        agent.save(checkpoint_path)
+    if report.best_iteration < 0:
+        save(agent)
     return report
 
 
 def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
              rng: np.random.Generator,
-             checkpoint_path=None) -> TrainReport:
+             save=lambda agent: None) -> TrainReport:
     """Offline training on demonstration transitions.
 
     A fraction of whole trajectories is held out; the rest fill the buffer
@@ -370,11 +370,11 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
         return losses, _holdout_agreement(agent, holdout_batch)
 
     return _train(agent, TrainReport("bc", "holdout_agreement"), config,
-                  BC_PATIENCE, run_iteration, checkpoint_path)
+                  BC_PATIENCE, run_iteration, save)
 
 
 def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
-             rng: np.random.Generator, checkpoint_path=None,
+             rng: np.random.Generator, save=lambda agent: None,
              allow_cold_start: bool = False) -> TrainReport:
     """Simulator-in-the-loop refinement with early stopping.
 
@@ -400,4 +400,4 @@ def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
         return losses, episode.total_reward
 
     return _train(agent, TrainReport("rl", "episode_reward"), config,
-                  config.patience, run_iteration, checkpoint_path)
+                  config.patience, run_iteration, save)

@@ -474,6 +474,19 @@ class TestAgentPersistence:
         with pytest.raises(ValueError, match=repr(key)):
             CategoricalQAgent.load(path)
 
+    @pytest.mark.parametrize("extra, message", [
+        ("gamma 0.9", "agent header repeats 'gamma'"),
+        ("learning_rate 0.5", "agent header repeats 'learning_rate'"),
+        ("gama 0.9", "unknown agent header key 'gama'")])
+    def test_load_rejects_an_unknown_or_repeated_header_key(
+            self, scales, tmp_path, extra, message):
+        # the extra line comes first, so a later valid line cannot win
+        lines = make_agent(scales).to_lines()
+        path = tmp_path / "agent.txt"
+        path.write_text("\n".join(lines[:1] + [extra] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=f"agent.txt: {message}"):
+            CategoricalQAgent.load(path)
+
     def test_load_rejects_target_dims_unlike_online(self, scales, tmp_path):
         lines = make_agent(scales).to_lines()
         other = CategoricalQAgent.create(scales, v_min=-5.0, v_max=5.0,

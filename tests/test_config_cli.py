@@ -1,17 +1,18 @@
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from ridesim import cli
-from ridesim.agent import FeatureScales
+from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
                                read_data_lines, seed_stream, write_artifact)
 from ridesim.config import (Config, ConfigError, apply_override,
                             config_from_dict, config_hash, config_to_dict,
                             load_config)
 from ridesim.ridegen import GridSpec
-from ridesim.sim import PlatformParams
+from ridesim.sim import PlatformParams, run_episode
 from ridesim.synth import SyntheticLogSpec
 from ridesim.training import BcConfig, RlConfig
 
@@ -414,6 +415,34 @@ class TestCliPipeline:
             assert (sub / "agent_rl.txt").exists()
             assert (sub / "acceptance_by_hour.csv").exists()
 
+    def test_sweep_scores_the_agent_it_saves(self, pipeline, tmp_path,
+                                             monkeypatch):
+        cfg_path, out = pipeline
+        for name in ("dist_pickup_x.txt", "dist_pickup_y.txt",
+                     "dist_trip_km.txt", "time_profile.txt",
+                     "driver_averages.csv", "agent_bc.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        scored = []
+
+        def replicate(sim_config, agent, rng):
+            scored.append(agent.to_lines())
+            return run_episode(sim_config, agent, rng)
+
+        monkeypatch.setattr(cli, "run_episode", replicate)
+        assert cli.main(["sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path), "--set", "rl.patience=0",
+                         "--set", "rl.iterations=4"]) == 0
+        best_is_last = []
+        for k, value in enumerate(("2.0", "3.0")):
+            sub = tmp_path / "sweep" / f"peak_fare_multiplier={value}"
+            saved = CategoricalQAgent.load(sub / "agent_rl.txt")
+            saved.epsilon = 0.0
+            assert scored[2 * k:2 * k + 2] == [saved.to_lines()] * 2, value
+            _, rows = read_csv_artifact(sub / "rl_report.csv")
+            rewards = [float(row[2]) for row in rows]
+            best_is_last.append(rewards.index(max(rewards)) == len(rows) - 1)
+        assert not all(best_is_last), "every variant saved its last iterate"
+
     def test_agent_file_without_gamma_exits_2(self, pipeline, tmp_path,
                                               capsys):
         cfg_path, out = pipeline
@@ -444,13 +473,35 @@ class TestCliPipeline:
                                               capsys):
         cfg_path, out = pipeline
         shutil.copy(out / "cleaned_trips.csv", tmp_path / "cleaned_trips.csv")
-        code = cli.main(["train-bc", "--config", str(cfg_path),
-                         "--out", str(tmp_path),
-                         "--set", "agent.learning_rate=1.0e+300"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["train-bc", "--config", str(cfg_path),
+                             "--out", str(tmp_path),
+                             "--set", "agent.learning_rate=1.0e+300"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: non-finite training loss")
         assert "Traceback" not in err
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+
+    @pytest.mark.parametrize("command, name", [
+        ("ingest", "synthetic_trips.csv"), ("generate", "time_profile.txt"),
+        ("generate", "dist_trip_km.txt")])
+    def test_undecodable_file_exits_2_naming_it(self, pipeline, tmp_path,
+                                                capsys, command, name):
+        cfg_path, out = pipeline
+        for copied in ("synthetic_trips.csv", "dist_pickup_x.txt",
+                       "dist_pickup_y.txt", "dist_trip_km.txt",
+                       "time_profile.txt"):
+            shutil.copy(out / copied, tmp_path / copied)
+        bad = tmp_path / name
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        code = cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path), "--set",
+                         f"paths.trip_log={tmp_path / 'synthetic_trips.csv'}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {bad}: 'utf-8' codec can't decode" in err
 
     def test_truncated_distribution_exits_2(self, pipeline, tmp_path, capsys):
         cfg_path, out = pipeline

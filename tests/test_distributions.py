@@ -245,6 +245,15 @@ class TestStrictReaders:
         with pytest.raises(ValueError, match="p.txt.*not dow 6"):
             read_time_profile(path)
 
+    @pytest.mark.parametrize("scale", ["nan", "-1.0", "inf", "0.0"])
+    def test_profile_scale_must_be_positive_and_finite(self, tmp_path, scale):
+        path = self._profile_file(tmp_path)
+        path.write_text(path.read_text().replace("scale 2.0\n",
+                                                 f"scale {scale}\n"))
+        with pytest.raises(ValueError,
+                           match="p.txt: scale_factor must be positive"):
+            read_time_profile(path)
+
     def test_profile_short_row(self, tmp_path):
         path = self._profile_file(tmp_path)
         lines = path.read_text().splitlines()

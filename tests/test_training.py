@@ -131,17 +131,17 @@ class TestTrainBc:
                                                hidden=(8,), atom_count=11)
         path = tmp_path / "best.txt"
         report = train_bc(agent, trajs, BcConfig(iterations=5), rng,
-                          checkpoint_path=path)
+                          save=lambda a: a.save(path))
         assert path.exists()
         assert report.best_metric == max(metric_series(report))
         assert report.best_iteration == int(np.argmax(metric_series(report)))
         loaded = CategoricalQAgent.load(path)
         assert 0 < loaded.train_steps <= agent.train_steps
 
-    def _scripted_run(self, monkeypatch, tmp_path, metrics):
+    def _scripted_run(self, monkeypatch, metrics):
         """A BC run whose holdout agreement follows `metrics`; the agent's
-        lines at each scoring are kept for comparison with the checkpoint."""
-        script, scored = iter(metrics), []
+        lines at each scoring are kept for comparison with the last save."""
+        script, scored, saved = iter(metrics), [], []
 
         def agreement(agent, holdout):
             scored.append(agent.to_lines())
@@ -152,17 +152,15 @@ class TestTrainBc:
         trajs = make_trajectories(6, 10, rng)
         agent = build_agent_for_demonstrations(trajs, FeatureScales(), rng,
                                                hidden=(8,), atom_count=11)
-        path = tmp_path / "bc.txt"
         report = train_bc(agent, trajs,
                           BcConfig(iterations=40, batch_size=16), rng,
-                          checkpoint_path=path)
-        return report, scored, CategoricalQAgent.load(path).to_lines()
+                          save=lambda a: saved.append(a.to_lines()))
+        return report, scored, saved[-1]
 
-    def test_stale_agreement_stops_early(self, monkeypatch, tmp_path):
+    def test_stale_agreement_stops_early(self, monkeypatch):
         # improves for three iterations, then never again
         metrics = [0.5, 0.6, 0.7] + [0.7, 0.65] * 40
-        report, scored, saved = self._scripted_run(monkeypatch, tmp_path,
-                                                   metrics)
+        report, scored, saved = self._scripted_run(monkeypatch, metrics)
         assert report.stop_reason == "early_stop"
         assert report.best_iteration == 2
         assert report.best_metric == 0.7
@@ -170,12 +168,10 @@ class TestTrainBc:
         assert saved == scored[report.best_iteration]
         assert saved != scored[-1]
 
-    def test_improvement_after_patience_keeps_running(self, monkeypatch,
-                                                      tmp_path):
+    def test_improvement_after_patience_keeps_running(self, monkeypatch):
         # BC_PATIENCE stale iterations are tolerated: the next one improves
         metrics = [0.5] + [0.4] * BC_PATIENCE + [0.6] + [0.3] * 40
-        report, scored, saved = self._scripted_run(monkeypatch, tmp_path,
-                                                   metrics)
+        report, scored, saved = self._scripted_run(monkeypatch, metrics)
         assert report.best_iteration == BC_PATIENCE + 1
         assert report.best_metric == 0.6
         assert report.stop_reason == "early_stop"
@@ -259,7 +255,8 @@ class TestTrainRl:
         config = RlConfig(iterations=20, patience=2)
         path = tmp_path / "rl.txt"
         report = train_rl(agent, tiny_sim_config(), config,
-                          np.random.default_rng(10), checkpoint_path=path)
+                          np.random.default_rng(10),
+                          save=lambda a: a.save(path))
         assert report.stop_reason == "early_stop"
         assert len(report.iterations) == 4   # improve, then 3 stale
         assert report.best_iteration == 0
