@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import nn
-from .artifacts import read_data_lines, write_lines_atomic
+from .artifacts import _read_keyed, write_lines_atomic
 from .ridegen import GridSpec
 from .sim import Action, OBS_DIM, _is_int
 
@@ -238,7 +238,7 @@ class CategoricalQAgent:
         self.epsilon = epsilon
         self.sync_every = sync_every
         self.train_steps = train_steps
-        self.adam = nn.AdamState.for_net(online, lr=learning_rate)
+        self.adam = nn.AdamState(online.flat.size, lr=learning_rate)
         self._scale_array = scales.as_array()
         self._grad = np.empty_like(online.flat)
 
@@ -282,22 +282,18 @@ class CategoricalQAgent:
             else:
                 yield Action(action)
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> Action:
-        """Decision on one raw observation: `decide` on a one-row batch."""
-        return next(self.decide(np.asarray(obs)[None, :], rng))
+    def greedy_actions(self, obs_batch: np.ndarray) -> np.ndarray:
+        """Vectorized greedy decisions for a (batch, 6) block of raw obs."""
+        return self._greedy(self.online, np.atleast_2d(obs_batch))[1]
 
-    def greedy_actions(self, obs_batch: np.ndarray,
-                       net: nn.Mlp | None = None) -> np.ndarray:
-        """Vectorized greedy decisions for a (batch, 6) block of raw obs.
-
-        On an exact value tie the driver accepts.
-        """
-        net = net or self.online
-        x = np.atleast_2d(obs_batch) / self._scale_array
-        logits = nn.forward(net, x).reshape(len(x), N_ACTIONS, -1)
-        q = expected_q(nn._softmax(logits), self.atoms)
-        return np.where(q[:, Action.ACCEPT] >= q[:, Action.REJECT],
-                        int(Action.ACCEPT), int(Action.REJECT))
+    def _greedy(self, net: nn.Mlp, obs_batch: np.ndarray) -> tuple:
+        """(value distributions, greedy actions) of `net` for a (batch, 6)
+        block of raw obs. On an exact value tie the driver accepts."""
+        x = obs_batch / self._scale_array
+        probs = nn._softmax(nn.forward(net, x).reshape(len(x), N_ACTIONS, -1))
+        q = expected_q(probs, self.atoms)
+        return probs, np.where(q[:, Action.ACCEPT] >= q[:, Action.REJECT],
+                               int(Action.ACCEPT), int(Action.REJECT))
 
     def sync_target(self) -> None:
         self.target.copy_from(self.online)
@@ -311,13 +307,8 @@ class CategoricalQAgent:
         entirely. Only the rows and the target weights are read, so the
         result is the same wherever those are.
         """
-        n = len(reward)
-        next_logits = nn.forward(self.target, next_obs / self._scale_array)
-        next_probs = nn._softmax(next_logits.reshape(n, N_ACTIONS, -1))
-        next_q = expected_q(next_probs, self.atoms)
-        bootstrap = np.where(next_q[:, Action.ACCEPT] >= next_q[:, Action.REJECT],
-                             int(Action.ACCEPT), int(Action.REJECT))
-        chosen = next_probs[np.arange(n), bootstrap]
+        next_probs, bootstrap = self._greedy(self.target, next_obs)
+        chosen = next_probs[np.arange(len(reward)), bootstrap]
         gammas = np.where(terminal, 0.0, self.gamma)
         return project_target_batch(chosen, reward, gammas, self.atoms)
 
@@ -369,34 +360,20 @@ class CategoricalQAgent:
 
     @classmethod
     def load(cls, path) -> "CategoricalQAgent":
-        lines = read_data_lines(path)
-        if not lines or lines[0] != AGENT_MAGIC:
-            raise ValueError(f"{path}: not an agent checkpoint")
-        header = {}
-        idx = lines.index("online") if "online" in lines else len(lines)
-        for line in lines[1:idx]:
-            key, _, value = line.partition(" ")
-            if key not in AGENT_HEADER_KEYS and key != "learning_rate":
-                raise ValueError(f"{path}: unknown agent header key {key!r}")
-            if key in header:
-                raise ValueError(f"{path}: agent header repeats {key!r}")
-            header[key] = value
-        for key in AGENT_HEADER_KEYS:
-            if key not in header:
-                raise ValueError(f"{path}: agent header has no {key!r} line")
-        if "target" not in lines[idx:]:
-            raise ValueError(f"{path}: agent checkpoint ends before its "
-                             "'target' network")
-        target_marker = lines.index("target", idx)
-        online = nn.parse_checkpoint(lines[idx + 1:target_marker],
-                                     label=f"{path}:online")
-        target = nn.parse_checkpoint(lines[target_marker + 1:],
-                                     label=f"{path}:target")
-        scale_vals = header["scales"].split()
-        if len(scale_vals) != OBS_DIM:
-            raise ValueError(f"{path}: expected {OBS_DIM} feature scales, "
-                             f"found {len(scale_vals)}")
-        try:
+        def build(header, body):
+            # body is the "online" line, its network, "target", its network
+            if "target" not in body:
+                raise ValueError("agent checkpoint ends before its "
+                                 "'target' network")
+            target_marker = body.index("target")
+            online = nn.parse_checkpoint(body[1:target_marker],
+                                         label=f"{path}:online")
+            target = nn.parse_checkpoint(body[target_marker + 1:],
+                                         label=f"{path}:target")
+            scale_vals = header["scales"].split()
+            if len(scale_vals) != OBS_DIM:
+                raise ValueError(f"expected {OBS_DIM} feature scales, "
+                                 f"found {len(scale_vals)}")
             atoms = np.linspace(float(header["v_min"]), float(header["v_max"]),
                                 int(header["atoms"]))
             lr = header.get("learning_rate", repr(AgentSpec.learning_rate))
@@ -407,5 +384,5 @@ class CategoricalQAgent:
                        learning_rate=float(lr),
                        sync_every=int(header["sync_every"]),
                        train_steps=int(header["train_steps"]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        return _read_keyed(path, AGENT_MAGIC, AGENT_HEADER_KEYS, build,
+                           optional=("learning_rate",), end="online")

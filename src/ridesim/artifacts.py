@@ -102,6 +102,41 @@ def read_data_lines(path) -> list:
     return out
 
 
+def _read_keyed(path, magic: str, keys, build, optional=(), end=None):
+    """`build(header, body)` of the keyed artifact at `path`.
+
+    The first data line is `magic`; `<key> <value>` header lines follow in
+    any order, each of `keys` exactly once, each of `optional` at most once
+    and no other key. The header ends at the line `end`, which opens the
+    body, or after `len(keys)` lines when `end` is None. Every ValueError,
+    the builder's included, names the file.
+    """
+    lines = read_data_lines(path)
+    kind = magic.split()[0].removeprefix(f"{MAGIC}-")
+    try:
+        if lines[:1] != [magic]:
+            raise ValueError(f"first line is not {magic!r}")
+        if end is None:
+            stop = 1 + len(keys)
+        else:
+            stop = lines.index(end) if end in lines else len(lines)
+        header = {}
+        for line in lines[1:stop]:
+            key, _, value = line.partition(" ")
+            if key not in keys and key not in optional:
+                raise ValueError(f"unknown {kind} header key {key!r}")
+            if key in header:
+                raise ValueError(f"{kind} header repeats {key!r}")
+            header[key] = value
+        for key in keys:
+            if not header.get(key):
+                raise ValueError(f"{kind} header has no {key!r} line")
+        return build(header, lines[stop:])
+    except ValueError as exc:
+        named = str(exc).startswith(str(path))  # e.g. a labelled network
+        raise ValueError(exc if named else f"{path}: {exc}") from None
+
+
 def read_csv_artifact(path) -> tuple:
     """(columns, rows) from a headered CSV artifact whose every row has as
     many fields as the header."""

@@ -333,7 +333,7 @@ def _replicate(run: _Run, agent_path: Path, sim_config: SimConfig,
         daily = [d[:len(actual_daily)] for d in daily]
     report = daily_counts(daily, actual_daily,
                           start_dow=sim_config.start_dow,
-                          scale=run.cfg.demand.scale_factor)
+                          scale=sim_config.time_profile.scale_factor)
     hour_curve = acceptance_by_hour(offers)
     dist_curve = acceptance_by_distance(offers)
     run.write_csv("daily_counts.csv", DAILY_COUNT_COLUMNS, report.to_rows())

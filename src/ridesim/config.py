@@ -19,11 +19,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import yaml
 
 from .agent import AgentSpec
+from .artifacts import read_text
 from .ridegen import GridSpec
 from .sim import PlatformParams, SimSettings, _is_int
 from .synth import SyntheticLogSpec
@@ -183,7 +183,7 @@ def set_key(data: dict, dotted: str, value):
 def load_config(path=None, overrides=()) -> Config:
     data: dict = {}
     if path is not None:
-        text = Path(path).read_text()
+        text = read_text(path)
         try:
             loaded = yaml.safe_load(text)
         except yaml.YAMLError as exc:

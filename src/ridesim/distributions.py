@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import read_data_lines
+from .artifacts import _read_keyed
 
 PROFILE_MAGIC = "ridesim-profile v1"
 DIST_MAGIC = "ridesim-dist v1"
@@ -160,28 +160,14 @@ def distribution_lines(dist: EmpiricalDistribution, name: str) -> list:
     return lines
 
 
-def _keyed(lines: list, index: int, key: str) -> str:
-    """The value of line `index`, which must read `<key> <value>`."""
-    line = lines[index] if index < len(lines) else ""
-    found, _, value = line.partition(" ")
-    if found != key or not value:
-        raise ValueError(f"payload line {index + 1} is not a {key!r} line")
-    return value
-
-
 def read_distribution(path) -> tuple[str, EmpiricalDistribution]:
-    lines = read_data_lines(path)
-    try:
-        if lines[:1] != [DIST_MAGIC]:
-            raise ValueError("not a distribution artifact")
-        name = _keyed(lines, 1, "name")
-        count = int(_keyed(lines, 2, "count"))
-        samples = np.array([float(v) for v in lines[3:]])
+    def build(header, body):
+        count = int(header["count"])
+        samples = np.array([float(v) for v in body])
         if samples.size != count:
             raise ValueError(f"expected {count} samples, found {samples.size}")
-        return name, EmpiricalDistribution(samples=samples)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return header["name"], EmpiricalDistribution(samples=samples)
+    return _read_keyed(path, DIST_MAGIC, ("name", "count"), build)
 
 
 def time_profile_lines(profile: TimeProfile) -> list:
@@ -193,21 +179,16 @@ def time_profile_lines(profile: TimeProfile) -> list:
 
 
 def read_time_profile(path) -> TimeProfile:
-    lines = read_data_lines(path)
-    try:
-        if lines[:1] != [PROFILE_MAGIC]:
-            raise ValueError("not a time profile artifact")
-        scale = float(_keyed(lines, 1, "scale"))
-        if len(lines) != 2 + DAYS_PER_WEEK:
+    def build(header, body):
+        scale = float(header["scale"])
+        if len(body) != DAYS_PER_WEEK:
             raise ValueError(f"expected {DAYS_PER_WEEK} dow rows, "
-                             f"found {len(lines) - 2}")
-        rows = [_keyed(lines, 2 + dow, "dow").split()
-                for dow in range(DAYS_PER_WEEK)]
+                             f"found {len(body)}")
+        rows = [line.split() for line in body]
         for dow, row in enumerate(rows):
-            if row[:1] != [str(dow)] or len(row) != 1 + MINUTES_PER_DAY:
+            if row[:2] != ["dow", str(dow)] or len(row) != 2 + MINUTES_PER_DAY:
                 raise ValueError(f"row {dow + 1} is not dow {dow} "
                                  f"with {MINUTES_PER_DAY} values")
-        means = np.array([[float(v) for v in row[1:]] for row in rows])
+        means = np.array([[float(v) for v in row[2:]] for row in rows])
         return TimeProfile(means=means, scale_factor=scale)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _read_keyed(path, PROFILE_MAGIC, ("scale",), build)

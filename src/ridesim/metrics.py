@@ -124,7 +124,6 @@ def daily_counts(replication_counts: Sequence[Sequence[float]],
 class AcceptanceCurve:
     """Acceptance rate per bin; empty bins carry a None rate."""
 
-    axis: str
     labels: list
     offers: list
     accepted: list
@@ -132,9 +131,6 @@ class AcceptanceCurve:
     def rates(self) -> list:
         return [None if o == 0 else a / o
                 for o, a in zip(self.offers, self.accepted)]
-
-    def populated(self) -> list:
-        return [i for i, o in enumerate(self.offers) if o > 0]
 
 
 ACCEPTANCE_COLUMNS = ["bin", "offers", "accepted", "rate"]
@@ -165,8 +161,7 @@ def acceptance_by_hour(offers: Sequence) -> AcceptanceCurve:
     labels = [f"{h:02d}" for h in range(24)]
     indices = [int(o.obs[F_MINUTE_OF_DAY]) // 60 for o in offers]
     counts, accepted = _accumulate(labels, indices, [o.action for o in offers])
-    return AcceptanceCurve(axis="hour", labels=labels, offers=counts,
-                           accepted=accepted)
+    return AcceptanceCurve(labels=labels, offers=counts, accepted=accepted)
 
 
 def acceptance_by_distance(offers: Sequence,
@@ -182,8 +177,7 @@ def acceptance_by_distance(offers: Sequence,
         idx = min(int(km // bin_km), len(labels) - 1) if km < max_km else len(labels) - 1
         indices.append(idx)
     counts, accepted = _accumulate(labels, indices, [o.action for o in offers])
-    return AcceptanceCurve(axis="distance_km", labels=labels, offers=counts,
-                           accepted=accepted)
+    return AcceptanceCurve(labels=labels, offers=counts, accepted=accepted)
 
 
 def curve_pearson(a: AcceptanceCurve, b: AcceptanceCurve) -> float:

@@ -170,10 +170,6 @@ class AdamState:
         self.v = np.zeros(size)
         self._scratch = np.empty((2, size))
 
-    @classmethod
-    def for_net(cls, net: Mlp, lr: float = 1e-3) -> "AdamState":
-        return cls(net.flat.size, lr=lr)
-
 
 def adam_step(net: Mlp, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update of `net.flat`, in place.

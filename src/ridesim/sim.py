@@ -19,11 +19,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .distributions import (EmpiricalDistribution, TimeProfile, inverse_sample,
-                            probabilistic_round)
+from .distributions import (MINUTES_PER_DAY, EmpiricalDistribution,
+                            TimeProfile, inverse_sample, probabilistic_round)
 from .ridegen import GridSpec, Ride, generate_rides
 
-MINUTES_PER_DAY = 1440
 MINUTES_PER_WEEK = 7 * MINUTES_PER_DAY
 
 # Observation vector layout (fixed order, raw units).

@@ -290,13 +290,14 @@ class TestCategoricalQAgent:
         for w in agent.online.weights:
             w[:] = 0.0
         obs = np.ones(6)
-        assert agent.act(obs, np.random.default_rng(0)) == Action.ACCEPT
+        decisions = agent.decide(obs[None], np.random.default_rng(0))
+        assert next(decisions) == Action.ACCEPT
         assert agent.greedy_actions(obs[None, :])[0] == int(Action.ACCEPT)
 
     def test_full_exploration_hits_both_actions(self, scales):
         agent = make_agent(scales, epsilon=1.0)
         rng = np.random.default_rng(5)
-        actions = {agent.act(np.zeros(6), rng) for _ in range(50)}
+        actions = {next(agent.decide(np.zeros((1, 6)), rng)) for _ in range(50)}
         assert actions == {Action.REJECT, Action.ACCEPT}
 
     def test_greedy_matches_act_when_exploit(self, scales):
@@ -304,7 +305,7 @@ class TestCategoricalQAgent:
         rng = np.random.default_rng(0)
         obs = np.abs(np.random.default_rng(7).normal(size=(20, 6)))
         batch = agent.greedy_actions(obs)
-        singles = [int(agent.act(o, rng)) for o in obs]
+        singles = [int(next(agent.decide(o[None], rng))) for o in obs]
         np.testing.assert_array_equal(batch, singles)
 
     def test_decide_draws_only_for_consumed_rows(self, scales):
@@ -314,7 +315,8 @@ class TestCategoricalQAgent:
         decisions = agent.decide(obs, batched_rng)
         first_two = [next(decisions), next(decisions)]
         single_rng = np.random.default_rng(12)
-        assert first_two == [agent.act(o, single_rng) for o in obs[:2]]
+        assert first_two == [next(agent.decide(o[None], single_rng))
+                             for o in obs[:2]]
         # the three unconsumed rows drew nothing
         assert batched_rng.random() == single_rng.random()
 

@@ -1,9 +1,14 @@
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ridesim
 from ridesim import cli
 from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
@@ -272,6 +277,29 @@ class TestValuesCheckedAtLoad:
             assert err.startswith("error: ") and "Traceback" not in err
             assert key in err, argv
 
+    def test_undecodable_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"seed: 3\n# caf\xe9\n")  # Latin-1, not UTF-8
+        code = cli.main(["generate", "--config", str(path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert (f"error: {path}: 'utf-8' codec can't decode"
+                in capsys.readouterr().err)
+
+    def test_utf8_comment_loads_under_the_c_locale(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("# café\nseed: 3\n", encoding="utf-8")
+        src = str(Path(ridesim.__file__).parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from ridesim.config import "
+             "load_config; print(load_config(sys.argv[1]).seed)", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3\n"
+
 
 class TestSeedStreams:
     def test_reproducible(self):
@@ -402,6 +430,23 @@ class TestCliPipeline:
         assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
         for name, lines in before.items():
             assert comparable_lines(out / name) == lines, name
+
+    def test_predictions_use_the_fitted_scale(self, pipeline, tmp_path):
+        # the episodes draw demand from time_profile.txt, fitted at scale
+        # 2.0, so a later demand.scale_factor changes neither the episodes
+        # nor the scale their counts are reported at
+        cfg_path, out = pipeline
+        for name in ("cleaned_trips.csv", "dist_pickup_x.txt",
+                     "dist_pickup_y.txt", "dist_trip_km.txt",
+                     "time_profile.txt", "driver_averages.csv",
+                     "agent_rl.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        assert cli.main(["evaluate", "--config", str(cfg_path),
+                         "--out", str(tmp_path),
+                         "--set", "demand.scale_factor=4.0"]) == 0
+        for name in ("daily_counts.csv", "acceptance_by_hour.csv"):
+            assert (read_csv_artifact(tmp_path / name)
+                    == read_csv_artifact(out / name)), name
 
     def test_sweep_artifacts(self, pipeline):
         cfg_path, out = pipeline

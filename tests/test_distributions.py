@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from helpers import (expected_daily, ks_statistic, write_distribution,
                      write_time_profile)
+from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.distributions import (EmpiricalDistribution,
-                                   TimeProfile, fit_empirical,
-                                   fit_time_profile, inverse_sample,
-                                   probabilistic_round,
-                                   read_distribution, read_time_profile)
+                                   TimeProfile, distribution_lines,
+                                   fit_empirical, fit_time_profile,
+                                   inverse_sample, probabilistic_round,
+                                   read_distribution, read_time_profile,
+                                   time_profile_lines)
 
 
 @pytest.fixture
@@ -261,3 +263,56 @@ class TestStrictReaders:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="p.txt.*1440 values"):
             read_time_profile(path)
+
+
+def keyed_artifact(kind):
+    """(payload lines, reader, lines of what was read, header length) of a
+    small artifact of each keyed kind."""
+    if kind == "distribution":
+        return (distribution_lines(fit_empirical([1.0, 2.0, 4.0]), "x"),
+                read_distribution, lambda got: distribution_lines(got[1], got[0]),
+                2)
+    if kind == "profile":
+        profile = TimeProfile(means=np.full((7, 1440), 0.01), scale_factor=2.0)
+        return (time_profile_lines(profile), read_time_profile,
+                time_profile_lines, 1)
+    agent = CategoricalQAgent.create(FeatureScales(), v_min=-1.0, v_max=1.0,
+                                     rng=np.random.default_rng(0),
+                                     hidden=(4, 4), atom_count=5)
+    lines = agent.to_lines()
+    return (lines, CategoricalQAgent.load, CategoricalQAgent.to_lines,
+            lines.index("online") - 1)
+
+
+class TestKeyedReaders:
+    """Distribution, time-profile and agent files share one header rule."""
+
+    @pytest.mark.parametrize("kind", ["distribution", "profile", "agent"])
+    def test_every_cut_short_of_the_end_names_the_file(self, tmp_path, kind):
+        lines, read, _, _ = keyed_artifact(kind)
+        path = tmp_path / f"{kind}.txt"
+        for cut in range(len(lines)):
+            path.write_text("".join(line + "\n" for line in lines[:cut]))
+            with pytest.raises(ValueError) as caught:
+                read(path)
+            assert str(caught.value).startswith(f"{path}:"), cut
+
+    @pytest.mark.parametrize("kind", ["distribution", "profile", "agent"])
+    def test_reordered_header_reads_the_same(self, tmp_path, kind):
+        lines, read, lines_of, header = keyed_artifact(kind)
+        reordered = lines[:1] + lines[header:0:-1] + lines[header + 1:]
+        path = tmp_path / f"{kind}.txt"
+        path.write_text("\n".join(reordered) + "\n")
+        assert lines_of(read(path)) == lines
+
+    @pytest.mark.parametrize("kind, extra, message", [
+        ("distribution", "bogus 1", "unknown dist header key 'bogus'"),
+        ("distribution", "name y", "dist header repeats 'name'"),
+        ("profile", "bogus 1", "unknown profile header key 'bogus'")])
+    def test_unknown_or_repeated_key_names_the_file(self, tmp_path, kind,
+                                                    extra, message):
+        lines, read, _, _ = keyed_artifact(kind)
+        path = tmp_path / f"{kind}.txt"
+        path.write_text("\n".join(lines[:1] + [extra] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=f"{kind}.txt: {message}"):
+            read(path)

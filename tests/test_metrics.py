@@ -117,7 +117,7 @@ class TestAcceptanceCurves:
         assert curve.offers[0] == 1 and curve.accepted[0] == 1
         assert curve.offers[1] == 1 and curve.accepted[1] == 0
         assert len(curve.labels) == 24
-        assert curve.populated() == [0, 1]
+        assert [i for i, o in enumerate(curve.offers) if o > 0] == [0, 1]
 
     def test_distance_bins_and_overflow(self):
         offers = [offer(trip_km=0.5), offer(trip_km=19.99),
@@ -137,8 +137,7 @@ class TestAcceptanceCurves:
         assert rates[1:] == [None] * 23
 
     def test_curve_rows_format(self):
-        curve = AcceptanceCurve(axis="hour", labels=["00", "01"],
-                                offers=[4, 0], accepted=[1, 0])
+        curve = AcceptanceCurve(labels=["00", "01"], offers=[4, 0], accepted=[1, 0])
         rows = curve_rows(curve)
         assert rows[0] == ["00", "4", "1", "0.250000"]
         assert rows[1] == ["01", "0", "0", ""]
@@ -147,8 +146,7 @@ class TestAcceptanceCurves:
 class TestCurvePearson:
     def curve(self, offers, accepted):
         labels = [str(i) for i in range(len(offers))]
-        return AcceptanceCurve(axis="x", labels=labels, offers=offers,
-                               accepted=accepted)
+        return AcceptanceCurve(labels=labels, offers=offers, accepted=accepted)
 
     def test_joint_bins_only(self):
         a = self.curve([10, 10, 0, 10], [1, 5, 0, 9])
@@ -159,8 +157,7 @@ class TestCurvePearson:
 
     def test_label_mismatch(self):
         a = self.curve([1, 1], [0, 1])
-        b = AcceptanceCurve(axis="x", labels=["a", "b"], offers=[1, 1],
-                            accepted=[0, 1])
+        b = AcceptanceCurve(labels=["a", "b"], offers=[1, 1], accepted=[0, 1])
         with pytest.raises(ValueError, match="binning"):
             curve_pearson(a, b)
 

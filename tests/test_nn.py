@@ -159,7 +159,7 @@ def adam_reference(params, grads, ms, vs, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 class TestAdam:
     def test_first_step_is_bias_corrected(self):
         net = one_weight_net()
-        state = AdamState.for_net(net, lr=0.1)
+        state = AdamState(net.flat.size, lr=0.1)
         adam_step(net, np.array([0.5, 0.0]), state)
         # m_hat/sqrt(v_hat) == sign(g) on step one, so the move is exactly lr
         assert net.weights[0][0, 0] == pytest.approx(0.9, abs=1e-6)
@@ -167,7 +167,7 @@ class TestAdam:
 
     def test_constant_gradient_keeps_unit_ratio(self):
         net = one_weight_net()
-        state = AdamState.for_net(net, lr=0.1)
+        state = AdamState(net.flat.size, lr=0.1)
         for _ in range(3):
             adam_step(net, np.array([0.5, 0.0]), state)
         assert net.weights[0][0, 0] == pytest.approx(0.7, abs=1e-5)
@@ -175,7 +175,7 @@ class TestAdam:
     def test_zero_gradient_moves_nothing(self):
         net = make_net([2, 3, 2], seed=11)
         snapshot = net.flat.copy()
-        state = AdamState.for_net(net)
+        state = AdamState(net.flat.size)
         adam_step(net, np.zeros_like(net.flat), state)
         np.testing.assert_array_equal(net.flat, snapshot)
 
@@ -186,7 +186,7 @@ class TestAdam:
         ref_b = [b.copy() for b in ref.biases]
         ms = [np.zeros_like(p) for p in ref_w + ref_b]
         vs = [np.zeros_like(p) for p in ref_w + ref_b]
-        state = AdamState.for_net(net, lr=3e-3)
+        state = AdamState(net.flat.size, lr=3e-3)
         rng = np.random.default_rng(6)
         for t in range(1, 51):
             grad = rng.normal(size=net.flat.size) * rng.uniform(1e-4, 10.0)
@@ -201,7 +201,7 @@ class TestAdam:
     @pytest.mark.parametrize("lr", [0.0, -1e-3, float("inf"), float("nan")])
     def test_bad_learning_rate_rejected(self, lr):
         with pytest.raises(ValueError, match="learning rate"):
-            AdamState.for_net(one_weight_net(), lr=lr)
+            AdamState(one_weight_net().flat.size, lr=lr)
 
 
 def assert_views_of_flat(net):
