@@ -27,6 +27,7 @@ AGENT_HEADER_KEYS = ("atoms", "v_min", "v_max", "gamma", "epsilon",
                      "sync_every", "train_steps", "scales")
 
 N_ACTIONS = 2
+_ACTIONS = tuple(Action)  # indexed by action value
 
 
 @dataclass
@@ -276,11 +277,12 @@ class CategoricalQAgent:
         return self._explore(self.greedy_actions(obs_batch).tolist(), rng)
 
     def _explore(self, greedy: list, rng: np.random.Generator) -> Iterator[Action]:
+        epsilon = self.epsilon
         for action in greedy:
-            if self.epsilon > 0 and rng.random() < self.epsilon:
-                yield Action(int(rng.integers(0, N_ACTIONS)))
+            if epsilon > 0 and rng.random() < epsilon:
+                yield _ACTIONS[int(rng.integers(0, N_ACTIONS))]
             else:
-                yield Action(action)
+                yield _ACTIONS[action]
 
     def greedy_actions(self, obs_batch: np.ndarray) -> np.ndarray:
         """Vectorized greedy decisions for a (batch, 6) block of raw obs."""
@@ -290,10 +292,11 @@ class CategoricalQAgent:
         """(value distributions, greedy actions) of `net` for a (batch, 6)
         block of raw obs. On an exact value tie the driver accepts."""
         x = obs_batch / self._scale_array
-        probs = nn._softmax(nn.forward(net, x).reshape(len(x), N_ACTIONS, -1))
+        logits = nn.forward(net, x).reshape(len(x), N_ACTIONS, -1)
+        probs = nn._softmax(logits, out=logits)
         q = expected_q(probs, self.atoms)
-        return probs, np.where(q[:, Action.ACCEPT] >= q[:, Action.REJECT],
-                               int(Action.ACCEPT), int(Action.REJECT))
+        # 1 (accept) where accepting is worth at least as much, else 0
+        return probs, (q[:, 1] >= q[:, 0]).astype(np.int64)
 
     def sync_target(self) -> None:
         self.target.copy_from(self.online)

@@ -410,6 +410,10 @@ def cmd_sweep(args) -> int:
     param, values = run.cfg.sweep.param, run.cfg.sweep.values
     if not param:
         raise PipelineError("sweep.param is not set")
+    if param.split(".")[0] in ("synth", "demand", "grid", "bc"):
+        raise PipelineError(f"sweep cannot vary {param}: only synth, ingest, "
+                            "fit and train-bc read it, and every variant "
+                            "reuses their outputs from the base run")
     if not values:
         raise PipelineError("sweep.values is empty")
     summary = []

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import Action, F_MINUTE_OF_DAY, F_TRIP_KM
+from .sim import Action, F_MINUTE_OF_DAY, F_TRIP_KM, OBS_DIM
 
 DOW_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
@@ -145,23 +145,23 @@ def curve_rows(curve: AcceptanceCurve) -> list:
     return rows
 
 
-def _accumulate(labels, indices, actions) -> tuple[list, list]:
-    offers = [0] * len(labels)
-    accepted = [0] * len(labels)
-    for idx, action in zip(indices, actions):
-        offers[idx] += 1
-        if action == Action.ACCEPT:
-            accepted[idx] += 1
-    return offers, accepted
+def _curve(labels, offers, bin_of) -> AcceptanceCurve:
+    """Offers and accepts per bin; `bin_of` maps the offers' stacked
+    (n, OBS_DIM) observations to their bins."""
+    index = bin_of(np.array([o.obs for o in offers], dtype=float).reshape(-1, OBS_DIM))
+    if index.size and not (0 <= index.min() and index.max() < len(labels)):
+        raise ValueError("an offer falls outside the curve's bins")
+    accepted = np.array([o.action for o in offers], dtype=np.int64) == Action.ACCEPT
+    return AcceptanceCurve(
+        labels=labels, offers=np.bincount(index, minlength=len(labels)).tolist(),
+        accepted=np.bincount(index[accepted], minlength=len(labels)).tolist())
 
 
 def acceptance_by_hour(offers: Sequence) -> AcceptanceCurve:
     """24 hourly bins over the minute-of-day feature of each offer: a sim
     OfferRecord or a log Transition, anything with `obs` and `action`."""
-    labels = [f"{h:02d}" for h in range(24)]
-    indices = [int(o.obs[F_MINUTE_OF_DAY]) // 60 for o in offers]
-    counts, accepted = _accumulate(labels, indices, [o.action for o in offers])
-    return AcceptanceCurve(labels=labels, offers=counts, accepted=accepted)
+    return _curve([f"{h:02d}" for h in range(24)], offers,
+                  lambda obs: obs[:, F_MINUTE_OF_DAY].astype(np.int64) // 60)
 
 
 def acceptance_by_distance(offers: Sequence,
@@ -171,13 +171,15 @@ def acceptance_by_distance(offers: Sequence,
     edges = np.arange(0.0, max_km + bin_km, bin_km)
     labels = [f"{edges[i]:g}-{edges[i + 1]:g}" for i in range(len(edges) - 1)]
     labels.append(f"{max_km:g}+")
-    indices = []
-    for o in offers:
-        km = float(o.obs[F_TRIP_KM])
-        idx = min(int(km // bin_km), len(labels) - 1) if km < max_km else len(labels) - 1
-        indices.append(idx)
-    counts, accepted = _accumulate(labels, indices, [o.action for o in offers])
-    return AcceptanceCurve(labels=labels, offers=counts, accepted=accepted)
+    overflow = len(labels) - 1
+
+    def bin_of(obs):
+        km = obs[:, F_TRIP_KM]
+        inside = km < max_km  # NaN and inf go to the overflow bin
+        index = np.full(km.shape, overflow, dtype=np.int64)
+        index[inside] = np.minimum(km[inside] // bin_km, overflow)
+        return index
+    return _curve(labels, offers, bin_of)
 
 
 def curve_pearson(a: AcceptanceCurve, b: AcceptanceCurve) -> float:

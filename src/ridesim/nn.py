@@ -87,10 +87,12 @@ def _forward_cached(net: Mlp, x: np.ndarray):
     return activations
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis; `out=z` overwrites the logits."""
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _check_distributions(probs: np.ndarray) -> None:

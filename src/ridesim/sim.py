@@ -13,6 +13,7 @@ own normalization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
@@ -186,12 +187,22 @@ class EpisodeLog:
     weeks: int
     start_dow: int
     offers: list = field(default_factory=list)
-    trajectories: dict = field(default_factory=dict)
     daily_generated: list = field(default_factory=list)
     daily_assigned: list = field(default_factory=list)
     daily_lost: list = field(default_factory=list)
     completed_trips: int = 0
     total_reward: float = 0.0
+
+    @functools.cached_property
+    def trajectories(self) -> dict:
+        """Driver id -> Trajectory of its offers in order, built on first
+        read from `offers`."""
+        by_driver: dict = {}
+        for rec in self.offers:
+            by_driver.setdefault(rec.driver_id, []).append(rec)
+        return {i: Trajectory(i, chain_transitions((o.obs, o.action, o.reward)
+                                                   for o in by_driver[i]))
+                for i in sorted(by_driver)}
 
     @property
     def generated_total(self) -> int:
@@ -326,33 +337,38 @@ class Fleet:
         self.next_completion = min(self.next_completion, done)
 
     def nearest_idle(self, x: float, y: float, k: int) -> list[int]:
-        """Ids of up to k idle drivers nearest to (x, y).
+        """Ids of up to k idle drivers nearest to (x, y), nearest first."""
+        return [i for _, i in self._nearest_idle(x, y, k)]
+
+    def _nearest_idle(self, x: float, y: float, k: int) -> list[tuple]:
+        """(distance, id) of up to k idle drivers nearest to (x, y).
 
         Ordered by straight-line distance, ties to the lower id. A partition
         on squared distance narrows the field first; its cut keeps a 1e-9
         relative margin so that no driver the exact hypot order would place
         in the first k is dropped by rounding.
         """
-        ids = np.flatnonzero(self.idle)
+        ids = self.idle.nonzero()[0]
+        dx = self.x[ids] - x
+        dy = self.y[ids] - y
         if ids.size > k:
-            dx = self.x[ids] - x
-            dy = self.y[ids] - y
             d2 = dx * dx + dy * dy
-            cut = np.partition(d2, k - 1)[k - 1]
-            ids = ids[d2 <= cut * (1.0 + 1e-9)]
-        keyed = sorted(zip(map(math.hypot, (self.x[ids] - x).tolist(),
-                               (self.y[ids] - y).tolist()), ids.tolist()))
-        return [i for _, i in keyed[:k]]
+            keep = d2 <= np.partition(d2, k - 1)[k - 1] * (1.0 + 1e-9)
+            ids, dx, dy = ids[keep], dx[keep], dy[keep]
+        return sorted(zip(map(math.hypot, dx.tolist(), dy.tolist()),
+                          ids.tolist()))[:k]
 
-    def observe(self, driver_ids: list[int], ride: Ride, clock: int,
-                grid: GridSpec) -> np.ndarray:
-        """Offer observations in raw units (see F_* layout), one row per driver."""
+    def observe(self, driver_ids, ride: Ride, clock: int, grid: GridSpec,
+                pickup_km=None) -> np.ndarray:
+        """Offer observations in raw units (see F_* layout), one row per
+        driver; `pickup_km` passes distances already measured."""
         ids = np.asarray(driver_ids, dtype=np.int64)
+        if pickup_km is None:
+            pickup_km = list(map(math.hypot, (self.x[ids] - ride.pickup_x).tolist(),
+                                 (self.y[ids] - ride.pickup_y).tolist()))
         cx, cy = grid.center()
         obs = np.empty((ids.size, OBS_DIM))
-        obs[:, F_PICKUP_KM] = list(map(math.hypot,
-                                       (self.x[ids] - ride.pickup_x).tolist(),
-                                       (self.y[ids] - ride.pickup_y).tolist()))
+        obs[:, F_PICKUP_KM] = pickup_km
         obs[:, F_TRIP_KM] = ride.distance_km
         obs[:, F_MINUTE_OF_DAY] = clock % MINUTES_PER_DAY
         obs[:, F_TRIPS_TO_GOAL] = np.maximum(0, self.goal[ids] - self.trips_week[ids])
@@ -371,18 +387,22 @@ def dispatch(ride: Ride, fleet: Fleet, agent, config: SimConfig, clock: int,
     the first accept. Returns the records and the assigned driver's id, or
     None when the ride goes unserved.
     """
-    ids = fleet.nearest_idle(ride.pickup_x, ride.pickup_y, config.max_offers)
+    nearest = fleet._nearest_idle(ride.pickup_x, ride.pickup_y, config.max_offers)
     records = []
-    if not ids:
+    if not nearest:
         return records, None
-    obs_batch = fleet.observe(ids, ride, clock, config.grid)
-    for driver_id, obs, action in zip(ids, obs_batch,
-                                      agent.decide(obs_batch, rng)):
-        goal = int(fleet.goal[driver_id])
-        reward = reward_from_observation(config.params, obs, goal, action)
-        records.append(OfferRecord(minute=clock, driver_id=driver_id, obs=obs,
-                                   action=action, reward=reward,
-                                   goal_trips=goal, ride=ride))
+    pickup_km, ids = zip(*nearest)
+    index = np.array(ids)
+    obs_batch = fleet.observe(index, ride, clock, config.grid, pickup_km)
+    goals = fleet.goal[index].tolist()
+    for driver_id, obs, goal, action in zip(ids, obs_batch, goals,
+                                            agent.decide(obs_batch, rng)):
+        # reward_for_features is 0.0 for every reject
+        reward = (0.0 if action == Action.REJECT else
+                  reward_from_observation(config.params, obs, goal, action))
+        # positional: this runs for every offer, and keywords cost a third more
+        records.append(OfferRecord(clock, driver_id, obs, action, reward, goal,
+                                   ride))
         if action == Action.ACCEPT:
             fleet.assign(driver_id, ride, clock, config.speed_kmh)
             return records, driver_id
@@ -390,24 +410,25 @@ def dispatch(ride: Ride, fleet: Fleet, agent, config: SimConfig, clock: int,
 
 
 def ride_stream(config: SimConfig, rng: np.random.Generator):
-    """Yield (minute, rides) for every minute of config.weeks weeks.
+    """Yield (minute, rides) for each minute of config.weeks weeks that has
+    a ride, in order.
 
-    A minute's ride count is its demand mean rounded probabilistically;
-    rides are generated only for a minute with at least one. The generator
-    draws a minute's rides when the consumer asks for them, so draws the
-    consumer makes in between (dispatch) keep their place in the stream.
+    A minute's ride count is its demand mean rounded probabilistically; a
+    mean of exactly 0 is skipped, as rounding it draws nothing. A minute's
+    rides are drawn when the consumer asks for them, so draws the consumer
+    makes in between (dispatch) keep their place in the stream.
     """
-    for minute in range(config.weeks * MINUTES_PER_WEEK):
-        dow = (config.start_dow + minute // MINUTES_PER_DAY) % 7
-        mean = config.time_profile.means[dow][minute % MINUTES_PER_DAY]
-        count = probabilistic_round(float(mean), rng)
-        if count == 0:
-            yield minute, ()
-            continue
-        yield minute, generate_rides(config.grid, config.pickup_x_dist,
-                                     config.pickup_y_dist,
-                                     config.trip_distance_dist, count, minute,
-                                     rng)
+    week = np.roll(config.time_profile.means, -config.start_dow, axis=0).ravel()
+    means = week.tolist()
+    active = np.flatnonzero(week).tolist()
+    for first in range(0, config.weeks * MINUTES_PER_WEEK, MINUTES_PER_WEEK):
+        for offset in active:
+            count = probabilistic_round(means[offset], rng)
+            if count:
+                minute = first + offset
+                yield minute, generate_rides(
+                    config.grid, config.pickup_x_dist, config.pickup_y_dist,
+                    config.trip_distance_dist, count, minute, rng)
 
 
 def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLog:
@@ -416,38 +437,33 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
     Weekly goals are fixed at episode start from each driver's prior week
     count times the target multiplier and refreshed at week boundaries from
     the trips actually completed. Unserved rides are lost; they never
-    re-enter the queue.
+    re-enter the queue. Trip completions and week rollovers wait for the
+    next ride, which finds the fleet as a minute-by-minute clock would.
     """
     fleet = Fleet.place(config, rng)
     days = config.weeks * 7
     log = EpisodeLog(weeks=config.weeks, start_dow=config.start_dow,
                      daily_generated=[0] * days, daily_assigned=[0] * days,
                      daily_lost=[0] * days)
+    next_week = MINUTES_PER_WEEK  # first minute of the next week
 
     for minute, rides in ride_stream(config, rng):
-        # A trip ending on a week's first minute counts toward the new week.
-        if minute > 0 and minute % MINUTES_PER_WEEK == 0:
+        while minute >= next_week:
+            # A trip ending on a week's first minute counts toward the new week.
+            log.completed_trips += fleet.complete_trips(next_week - 1)
             fleet.start_week(config.params.weekly_target_multiplier)
+            next_week += MINUTES_PER_WEEK
         log.completed_trips += fleet.complete_trips(minute)
-        if not rides:
-            continue
         day = minute // MINUTES_PER_DAY
         log.daily_generated[day] += len(rides)
         for ride in rides:
             records, assigned = dispatch(ride, fleet, agent, config, minute, rng)
             log.offers.extend(records)
-            for rec in records:
-                log.total_reward += rec.reward
             if assigned is None:
                 log.daily_lost[day] += 1
             else:
+                # every other record is a reject, worth 0.0
+                log.total_reward += records[-1].reward
                 log.daily_assigned[day] += 1
-
-    by_driver: dict = {}
-    for rec in log.offers:
-        by_driver.setdefault(rec.driver_id, []).append(rec)
-    log.trajectories = {
-        i: Trajectory(i, chain_transitions((o.obs, o.action, o.reward)
-                                           for o in by_driver[i]))
-        for i in sorted(by_driver)}
+    log.completed_trips += fleet.complete_trips(days * MINUTES_PER_DAY - 1)
     return log

@@ -1,8 +1,8 @@
 """Helpers used only by the tests: scalar forms of the learner kernels, the
 agent's single-observation views, a forward-only loss, central finite
 differences, per-iteration series of a training report, summaries of fitted
-models and cleaning reports, and file writers for bare networks and fitted
-artifacts."""
+models and cleaning reports, file writers for bare networks and fitted
+artifacts, and the minute-by-minute reference of the episode loop."""
 
 import numpy as np
 
@@ -10,8 +10,13 @@ from ridesim.agent import (N_ACTIONS, CategoricalQAgent, expected_q,
                            project_target_batch)
 from ridesim.distributions import (EmpiricalDistribution, TimeProfile,
                                    distribution_lines, time_profile_lines)
+from ridesim.distributions import MINUTES_PER_DAY, probabilistic_round
 from ridesim.nn import (Mlp, _softmax, checkpoint_lines, forward,
                         loss_and_grad_batch, parse_checkpoint)
+from ridesim.ridegen import generate_rides
+from ridesim.sim import (MINUTES_PER_WEEK, Action, EpisodeLog, Fleet,
+                         OfferRecord, Trajectory, chain_transitions,
+                         reward_from_observation)
 
 
 def tabular_q_update(q: float, alpha: float, reward: float, gamma: float,
@@ -157,3 +162,80 @@ def write_distribution(dist: EmpiricalDistribution, path, name: str) -> None:
 def write_time_profile(profile: TimeProfile, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(time_profile_lines(profile)) + "\n")
+
+
+def reference_ride_stream(config, rng):
+    """(minute, rides) for every minute of the episode, each minute's mean
+    rounded in turn, rides or not: the stream `sim.ride_stream` must match
+    draw for draw."""
+    for minute in range(config.weeks * MINUTES_PER_WEEK):
+        dow = (config.start_dow + minute // MINUTES_PER_DAY) % 7
+        mean = config.time_profile.means[dow][minute % MINUTES_PER_DAY]
+        count = probabilistic_round(float(mean), rng)
+        if count == 0:
+            yield minute, ()
+            continue
+        yield minute, generate_rides(config.grid, config.pickup_x_dist,
+                                     config.pickup_y_dist,
+                                     config.trip_distance_dist, count, minute,
+                                     rng)
+
+
+def reference_dispatch(ride, fleet, agent, config, clock, rng):
+    """`sim.dispatch` through the fleet's public queries, scoring every
+    offer, rejects included, from its observation row."""
+    ids = fleet.nearest_idle(ride.pickup_x, ride.pickup_y, config.max_offers)
+    records = []
+    if not ids:
+        return records, None
+    obs_batch = fleet.observe(ids, ride, clock, config.grid)
+    for driver_id, obs, action in zip(ids, obs_batch,
+                                      agent.decide(obs_batch, rng)):
+        goal = int(fleet.goal[driver_id])
+        reward = reward_from_observation(config.params, obs, goal, action)
+        records.append(OfferRecord(minute=clock, driver_id=driver_id, obs=obs,
+                                   action=action, reward=reward,
+                                   goal_trips=goal, ride=ride))
+        if action == Action.ACCEPT:
+            fleet.assign(driver_id, ride, clock, config.speed_kmh)
+            return records, driver_id
+    return records, None
+
+
+def reference_episode(config, agent, rng) -> EpisodeLog:
+    """`sim.run_episode` on a minute clock: every minute rolls the week over
+    when one starts and completes due trips, rides or not, and the
+    trajectories are built before returning."""
+    fleet = Fleet.place(config, rng)
+    days = config.weeks * 7
+    log = EpisodeLog(weeks=config.weeks, start_dow=config.start_dow,
+                     daily_generated=[0] * days, daily_assigned=[0] * days,
+                     daily_lost=[0] * days)
+    for minute, rides in reference_ride_stream(config, rng):
+        # A trip ending on a week's first minute counts toward the new week.
+        if minute > 0 and minute % MINUTES_PER_WEEK == 0:
+            fleet.start_week(config.params.weekly_target_multiplier)
+        log.completed_trips += fleet.complete_trips(minute)
+        if not rides:
+            continue
+        day = minute // MINUTES_PER_DAY
+        log.daily_generated[day] += len(rides)
+        for ride in rides:
+            records, assigned = reference_dispatch(ride, fleet, agent, config,
+                                                   minute, rng)
+            log.offers.extend(records)
+            for rec in records:
+                log.total_reward += rec.reward
+            if assigned is None:
+                log.daily_lost[day] += 1
+            else:
+                log.daily_assigned[day] += 1
+
+    by_driver: dict = {}
+    for rec in log.offers:
+        by_driver.setdefault(rec.driver_id, []).append(rec)
+    log.trajectories = {
+        i: Trajectory(i, chain_transitions((o.obs, o.action, o.reward)
+                                           for o in by_driver[i]))
+        for i in sorted(by_driver)}
+    return log

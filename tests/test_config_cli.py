@@ -488,6 +488,24 @@ class TestCliPipeline:
             best_is_last.append(rewards.index(max(rewards)) == len(rows) - 1)
         assert not all(best_is_last), "every variant saved its last iterate"
 
+    @pytest.mark.parametrize("key, values", [
+        ("demand.scale_factor", "[2.0, 4.0]"), ("bc.iterations", "[1, 50]"),
+        ("grid.width_km", "[8.0, 12.0]"), ("synth.days", "[14, 21]")])
+    def test_sweep_refuses_a_key_fixed_before_training(self, pipeline,
+                                                       tmp_path, capsys, key,
+                                                       values):
+        cfg_path, out = pipeline
+        for name in ("dist_pickup_x.txt", "dist_pickup_y.txt",
+                     "dist_trip_km.txt", "time_profile.txt",
+                     "driver_averages.csv", "agent_bc.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        code = cli.main(["sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path), "--set", f"sweep.param={key}",
+                         "--set", f"sweep.values={values}"])
+        assert code == 2
+        assert f"sweep cannot vary {key}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_agent_file_without_gamma_exits_2(self, pipeline, tmp_path,
                                               capsys):
         cfg_path, out = pipeline

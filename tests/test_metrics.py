@@ -9,7 +9,7 @@ from ridesim.metrics import (AcceptanceCurve, acceptance_by_distance,
                              curve_pearson, curve_rows, daily_counts,
                              delta_percent, pearson)
 from ridesim.ridegen import Ride
-from ridesim.sim import Action, OfferRecord
+from ridesim.sim import Action, OfferRecord, Transition
 
 
 class TestPearson:
@@ -141,6 +141,34 @@ class TestAcceptanceCurves:
         rows = curve_rows(curve)
         assert rows[0] == ["00", "4", "1", "0.250000"]
         assert rows[1] == ["01", "0", "0", ""]
+
+    @pytest.mark.parametrize("bin_km, max_km", [(1.0, 20.0), (3.0, 20.0),
+                                                (0.7, 5.0)])
+    def test_binned_counts_match_a_loop_over_offers(self, bin_km, max_km):
+        rng = np.random.default_rng(int(bin_km * 10))
+        offers = [offer(minute_of_day=float(rng.integers(0, 1440)),
+                        trip_km=float(rng.choice([rng.uniform(0, 25),
+                                                  max_km, np.inf])),
+                        action=Action(int(rng.integers(2))))
+                  for _ in range(400)]
+        offers += [Transition(obs=o.obs, action=o.action, next_obs=o.obs,
+                              reward=0.0) for o in offers[:50]]
+        hours = acceptance_by_hour(offers)
+        dist = acceptance_by_distance(offers, bin_km=bin_km, max_km=max_km)
+        for curve, bin_of in (
+                (hours, lambda o: int(o.obs[2]) // 60),
+                (dist, lambda o: (min(int(o.obs[1] // bin_km),
+                                      len(dist.labels) - 1)
+                                  if o.obs[1] < max_km
+                                  else len(dist.labels) - 1))):
+            expect_offers = [0] * len(curve.labels)
+            expect_accepted = [0] * len(curve.labels)
+            for o in offers:
+                expect_offers[bin_of(o)] += 1
+                expect_accepted[bin_of(o)] += o.action == Action.ACCEPT
+            assert curve.offers == expect_offers
+            assert curve.accepted == expect_accepted
+            assert all(type(n) is int for n in curve.offers + curve.accepted)
 
 
 class TestCurvePearson:

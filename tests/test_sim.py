@@ -368,6 +368,17 @@ class TestRunEpisode:
                                               offers[i + 1].obs)
             assert traj.transitions[-1].terminal
 
+    def test_trajectories_are_built_when_first_read(self, grid, params):
+        config = _sim_config(grid, params, demand=0.02, driver_count=2,
+                             weeks=1)
+        log = run_episode(config, _FixedAgent([Action.REJECT]),
+                          np.random.default_rng(1))
+        assert "trajectories" not in vars(log)
+        copy = EpisodeLog(**vars(log))
+        assert log.trajectories is log.trajectories
+        assert ([t.driver_id for t in copy.trajectories.values()]
+                == sorted({o.driver_id for o in log.offers}))
+
     def test_deterministic_under_seed(self, grid, params):
         config = _sim_config(grid, params, demand=0.01, driver_count=2)
         a = run_episode(config, _FixedAgent([Action.ACCEPT]),
