@@ -422,8 +422,9 @@ def cmd_sweep(args) -> int:
         variant = _Run(_variant(run.cfg, value), run.out / "sweep" / label,
                        inputs=run.out)
         _, sim_config = _refine(variant, f"sweep-{label}-train")
+        # every value's replication i runs on demand realisation i
         runs = _replicate(variant, variant.out / "agent_rl.txt", sim_config,
-                          f"sweep-{label}")
+                          "sweep")
         summary.append([str(value), str(runs.offers), str(runs.accepted),
                         f"{runs.rate:.6f}", f"{runs.completed:.6f}",
                         f"{runs.reward:.6f}"])

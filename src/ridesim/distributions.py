@@ -59,26 +59,18 @@ def fit_empirical(values: Sequence[float]) -> EmpiricalDistribution:
     return EmpiricalDistribution(samples=np.sort(arr))
 
 
-def inverse_sample(dist: EmpiricalDistribution, u):
-    """Quantile of the interpolated empirical CDF at u in [0, 1].
+def inverse_sample(dist: EmpiricalDistribution, u) -> np.ndarray:
+    """Quantiles of the interpolated empirical CDF at every u in [0, 1].
 
-    Positions the probe at p = u * (n - 1) and interpolates linearly between
+    Positions each probe at p = u * (n - 1) and interpolates linearly between
     the bracketing order statistics, so u=0 gives the minimum, u=1 the
-    maximum. Accepts a scalar or an array of u values.
+    maximum.
     """
-    n = dist.samples.size
-    if isinstance(u, float):
-        # The per-ride path: one chained compare, which NaN also fails.
-        if not 0.0 <= u <= 1.0:
-            raise ValueError("u must lie in [0, 1]")
-        return float(np.interp(u * (n - 1), _index_grid(n), dist.samples))
-    u_arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u_arr)) or np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails both
         raise ValueError("u must lie in [0, 1]")
-    out = np.interp(u_arr * (n - 1), _index_grid(n), dist.samples)
-    if np.isscalar(u) or u_arr.ndim == 0:
-        return float(out)
-    return out
+    n = dist.samples.size
+    return np.interp(u * (n - 1), _index_grid(n), dist.samples)
 
 
 @functools.lru_cache(maxsize=16)
@@ -138,19 +130,23 @@ def fit_time_profile(created_times: Iterable[datetime],
     return TimeProfile(means=means, scale_factor=scale_factor)
 
 
-def probabilistic_round(x: float, rng: np.random.Generator) -> int:
-    """Round x down, bumping up by 1 with probability frac(x).
+def probabilistic_round(x, rng: np.random.Generator) -> np.ndarray:
+    """Round every entry of x down, bumping it up by 1 with probability
+    frac(x), as an int array.
 
-    The result's expectation equals x, so scaled fractional demand keeps
-    its mean over a run.
+    Each result's expectation equals its entry, so scaled fractional demand
+    keeps its mean over a run. One `rng.random` call covers the entries with
+    a fractional part, in order; integer entries, zeros included, draw
+    nothing.
     """
-    if not math.isfinite(x) or x < 0:
+    x = np.array(x, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise ValueError("x must be non-negative and finite")
-    base = math.floor(x)
-    frac = x - base
-    if frac > 0.0 and rng.random() < frac:
-        return base + 1
-    return base
+    counts = np.floor(x)
+    frac = x - counts
+    up = frac > 0.0
+    counts[up] += rng.random(np.count_nonzero(up)) < frac[up]
+    return counts.astype(np.int64)
 
 
 def distribution_lines(dist: EmpiricalDistribution, name: str) -> list:

@@ -123,52 +123,35 @@ class CleaningReport:
 
 
 def _parse_row(row: Sequence[str]) -> TripRecord:
+    """One data row as a TripRecord, field by position; the first failed
+    check raises ValueError naming its column."""
     if len(row) != len(LOG_COLUMNS):
         raise ValueError(f"expected {len(LOG_COLUMNS)} columns, got {len(row)}")
     vals = [v.strip() for v in row]
-    named = dict(zip(LOG_COLUMNS, vals))
-    for key in ("driver_id", "trip_id", "payment_method"):
-        if not named[key]:
-            raise ValueError(f"missing {key}")
-    times = {}
-    for key in ("created_time", "assigned_time", "decision_time"):
+    for i in (0, 1, 13):  # driver_id, trip_id, payment_method
+        if not vals[i]:
+            raise ValueError(f"missing {LOG_COLUMNS[i]}")
+    for i in range(2, 6):  # created, assigned, decision and pickup time
+        if i == 5 and not vals[i]:  # pickup_time may be empty
+            vals[i] = None
+            continue
         try:
-            times[key] = parse_minute(named[key])
+            vals[i] = parse_minute(vals[i])
         except ValueError:
-            raise ValueError(f"bad {key} {named[key]!r}")
-    pickup_time = None
-    if named["pickup_time"]:
+            raise ValueError(f"bad {LOG_COLUMNS[i]} {vals[i]!r}")
+    for i in range(6, 12):  # pickup and drop coordinates, then distances
         try:
-            pickup_time = parse_minute(named["pickup_time"])
+            vals[i] = float(vals[i])
         except ValueError:
-            raise ValueError(f"bad pickup_time {named['pickup_time']!r}")
-    floats = {}
-    for key in ("pickup_lat", "pickup_lon", "drop_lat", "drop_lon",
-                "pickup_distance_km", "trip_distance_km"):
-        try:
-            floats[key] = float(named[key])
-        except ValueError:
-            raise ValueError(f"non-numeric {key} {named[key]!r}")
-        if not math.isfinite(floats[key]):
-            raise ValueError(f"non-finite {key}")
-    for key in ("pickup_distance_km", "trip_distance_km"):
-        if floats[key] < 0:
-            raise ValueError(f"negative {key}")
-    if named["status"] not in STATUSES:
-        raise ValueError(f"unknown status {named['status']!r}")
-    return TripRecord(driver_id=named["driver_id"], trip_id=named["trip_id"],
-                      created_time=times["created_time"],
-                      assigned_time=times["assigned_time"],
-                      decision_time=times["decision_time"],
-                      pickup_time=pickup_time,
-                      pickup_lat=floats["pickup_lat"],
-                      pickup_lon=floats["pickup_lon"],
-                      drop_lat=floats["drop_lat"],
-                      drop_lon=floats["drop_lon"],
-                      pickup_distance_km=floats["pickup_distance_km"],
-                      trip_distance_km=floats["trip_distance_km"],
-                      status=named["status"],
-                      payment_method=named["payment_method"])
+            raise ValueError(f"non-numeric {LOG_COLUMNS[i]} {vals[i]!r}")
+        if not math.isfinite(vals[i]):
+            raise ValueError(f"non-finite {LOG_COLUMNS[i]}")
+    for i in (10, 11):
+        if vals[i] < 0:
+            raise ValueError(f"negative {LOG_COLUMNS[i]}")
+    if vals[12] not in STATUSES:
+        raise ValueError(f"unknown status {vals[12]!r}")
+    return TripRecord(*vals)
 
 
 def parse_trip_log(lines: Iterable[str]) -> tuple[list, list]:

@@ -73,21 +73,31 @@ class Ride:
     created_minute: int
 
 
-def drop_location(grid: GridSpec, x: float, y: float, km: float,
-                  rng: np.random.Generator) -> tuple[float, float, float]:
-    """(drop_x, drop_y, km): a point km from (x, y) in a uniform direction.
+def drop_location(grid: GridSpec, x, y, km,
+                  rng: np.random.Generator) -> tuple[list, list, list]:
+    """(drop_x, drop_y, km) lists: each row's point km from (x, y) in a
+    uniform direction.
 
-    While the point falls outside the open grid box both the distance is
-    halved and the direction redrawn. More than 64 halvings aborts, since
-    that only happens when the caller feeds degenerate inputs.
+    Each round draws, in one `rng.uniform` call, a direction for every row
+    not yet inside the open grid box, and halves the distance of each row
+    that lands outside again. More than 65 rounds aborts: only degenerate
+    inputs get there. `math.cos` and `math.sin`, unlike numpy's SIMD
+    paths, give the same bits on every host.
     """
+    drop_x, drop_y, km = list(x), list(y), list(km)
+    rows = range(len(km))
     for _ in range(MAX_HALVING_ITERATIONS + 1):
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        dx = x + km * math.cos(angle)
-        dy = y + km * math.sin(angle)
-        if 0.0 < dx < grid.width_km and 0.0 < dy < grid.height_km:
-            return dx, dy, km
-        km /= 2.0
+        outside = []
+        angles = rng.uniform(0.0, 2.0 * math.pi, len(rows)).tolist()
+        for i, angle in zip(rows, angles):
+            dx = drop_x[i] = x[i] + km[i] * math.cos(angle)
+            dy = drop_y[i] = y[i] + km[i] * math.sin(angle)
+            if not (0.0 < dx < grid.width_km and 0.0 < dy < grid.height_km):
+                km[i] /= 2.0
+                outside.append(i)
+        rows = outside
+        if not rows:
+            return drop_x, drop_y, km
     raise RuntimeError("drop placement failed to converge; "
                        "check grid and distance inputs")
 
@@ -96,31 +106,30 @@ def generate_rides(grid: GridSpec,
                    pickup_x_dist: EmpiricalDistribution,
                    pickup_y_dist: EmpiricalDistribution,
                    trip_distance_dist: EmpiricalDistribution,
-                   count: int,
-                   minute: int,
+                   counts,
+                   first_minute: int,
                    rng: np.random.Generator) -> list[Ride]:
-    """Sample `count` rides created at the given minute.
+    """counts[i] rides created at minute first_minute + i, in minute order.
 
-    Per ride: each pickup axis is an inverse-CDF draw plus Uniform(-eps, eps)
-    jitter, clamped into the closed grid box. The trip distance is an
-    inverse-CDF draw, and `drop_location` places the drop at it.
+    Each pickup axis is an inverse-CDF draw plus Uniform(-eps, eps) jitter,
+    clamped into the closed grid box, and the trip distance an inverse-CDF
+    draw, each quantity one array call for the whole block in that order
+    (x, x jitter, y, y jitter, distance); `drop_location` places the drops.
     """
-    if count < 0:
+    counts = np.array(counts, dtype=np.int64, ndmin=1)
+    if np.any(counts < 0):
         raise ValueError("count must be non-negative")
-    eps = grid.noise_epsilon_km
-    rides = []
-    for _ in range(count):
-        px = inverse_sample(pickup_x_dist, rng.random()) + rng.uniform(-eps, eps)
-        py = inverse_sample(pickup_y_dist, rng.random()) + rng.uniform(-eps, eps)
-        px = min(max(px, 0.0), grid.width_km)
-        py = min(max(py, 0.0), grid.height_km)
-        dist = inverse_sample(trip_distance_dist, rng.random())
-        if dist < 0:
-            raise ValueError("trip distance distribution produced a negative value")
-        dx, dy, dist = drop_location(grid, px, py, dist, rng)
-        rides.append(Ride(pickup_x=px, pickup_y=py, drop_x=dx, drop_y=dy,
-                          distance_km=dist, created_minute=minute))
-    return rides
+    minutes = np.repeat(np.arange(counts.size) + first_minute, counts)
+    n, eps = minutes.size, grid.noise_epsilon_km
+    px = np.clip(inverse_sample(pickup_x_dist, rng.random(n))
+                 + rng.uniform(-eps, eps, n), 0.0, grid.width_km).tolist()
+    py = np.clip(inverse_sample(pickup_y_dist, rng.random(n))
+                 + rng.uniform(-eps, eps, n), 0.0, grid.height_km).tolist()
+    dist = inverse_sample(trip_distance_dist, rng.random(n))
+    if np.any(dist < 0):
+        raise ValueError("trip distance distribution produced a negative value")
+    dx, dy, dist = drop_location(grid, px, py, dist.tolist(), rng)
+    return list(map(Ride, px, py, dx, dy, dist, minutes.tolist()))
 
 
 RIDE_COLUMNS = ["minute", "pickup_x", "pickup_y", "drop_x", "drop_y", "distance_km"]

@@ -1,7 +1,7 @@
 """Discrete-event marketplace simulation on a minute clock.
 
-One episode covers a whole number of weeks. Every minute the demand profile
-emits new rides, each ride is offered to idle drivers nearest-first until one
+One episode covers a whole number of weeks. The demand profile emits each
+day's rides, each ride is offered to idle drivers nearest-first until one
 accepts or the offer budget runs out, and a driver who accepts is busy for
 the pickup and trip legs at a constant speed, then idles at the drop point.
 Each offer produces an observation, an accept/reject decision, a scalar
@@ -17,6 +17,8 @@ import functools
 import math
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -413,41 +415,47 @@ def ride_stream(config: SimConfig, rng: np.random.Generator):
     """Yield (minute, rides) for each minute of config.weeks weeks that has
     a ride, in order.
 
-    A minute's ride count is its demand mean rounded probabilistically; a
-    mean of exactly 0 is skipped, as rounding it draws nothing. A minute's
-    rides are drawn when the consumer asks for them, so draws the consumer
-    makes in between (dispatch) keep their place in the stream.
+    Each day is drawn as one block when the consumer reaches it: its minute
+    means are rounded by `probabilistic_round`, which draws only for means
+    with a fractional part, and `generate_rides` draws all of its rides.
     """
-    week = np.roll(config.time_profile.means, -config.start_dow, axis=0).ravel()
-    means = week.tolist()
-    active = np.flatnonzero(week).tolist()
-    for first in range(0, config.weeks * MINUTES_PER_WEEK, MINUTES_PER_WEEK):
-        for offset in active:
-            count = probabilistic_round(means[offset], rng)
-            if count:
-                minute = first + offset
-                yield minute, generate_rides(
-                    config.grid, config.pickup_x_dist, config.pickup_y_dist,
-                    config.trip_distance_dist, count, minute, rng)
+    week = np.roll(config.time_profile.means, -config.start_dow, axis=0)
+    for day in range(config.weeks * 7):
+        rides = generate_rides(
+            config.grid, config.pickup_x_dist, config.pickup_y_dist,
+            config.trip_distance_dist, probabilistic_round(week[day % 7], rng),
+            day * MINUTES_PER_DAY, rng)
+        for minute, batch in groupby(rides, attrgetter("created_minute")):
+            yield minute, list(batch)
+
+
+def episode_streams(rng: np.random.Generator) -> tuple:
+    """(placement, demand, decisions): one generator each, seeded from three
+    draws of `rng`, so two agents run under one seed see the same rides."""
+    return tuple(np.random.default_rng(seed)
+                 for seed in rng.integers(2**63, size=3).tolist())
 
 
 def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLog:
     """Simulate config.weeks weeks and return the full episode log.
 
-    Weekly goals are fixed at episode start from each driver's prior week
-    count times the target multiplier and refreshed at week boundaries from
-    the trips actually completed. Unserved rides are lost; they never
-    re-enter the queue. Trip completions and week rollovers wait for the
-    next ride, which finds the fleet as a minute-by-minute clock would.
+    Fleet placement, demand and the agent's decisions each draw from their
+    own generator (`episode_streams`). Weekly goals are fixed at episode
+    start from each driver's prior week count times the target multiplier
+    and refreshed at week boundaries from the trips actually completed.
+    Unserved rides are lost; they never re-enter the queue. Trip completions
+    and week rollovers wait for the next ride, which finds the fleet as a
+    minute-by-minute clock would.
     """
-    fleet = Fleet.place(config, rng)
+    placement, demand, decisions = episode_streams(rng)
+    fleet = Fleet.place(config, placement)
     days = config.weeks * 7
     log = EpisodeLog(weeks=config.weeks, start_dow=config.start_dow,
                      daily_generated=[0] * days, daily_assigned=[0] * days,
                      daily_lost=[0] * days)
     next_week = MINUTES_PER_WEEK  # first minute of the next week
 
-    for minute, rides in ride_stream(config, rng):
+    for minute, rides in ride_stream(config, demand):
         while minute >= next_week:
             # A trip ending on a week's first minute counts toward the new week.
             log.completed_trips += fleet.complete_trips(next_week - 1)
@@ -457,7 +465,8 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
         day = minute // MINUTES_PER_DAY
         log.daily_generated[day] += len(rides)
         for ride in rides:
-            records, assigned = dispatch(ride, fleet, agent, config, minute, rng)
+            records, assigned = dispatch(ride, fleet, agent, config, minute,
+                                         decisions)
             log.offers.extend(records)
             if assigned is None:
                 log.daily_lost[day] += 1

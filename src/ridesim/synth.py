@@ -135,8 +135,8 @@ def generate_synthetic_log(spec: SyntheticLogSpec, grid: GridSpec,
                 raw_km = min(max(rng.lognormal(spec.trip_km_log_mean,
                                                spec.trip_km_log_sigma),
                                  spec.trip_km_min), spec.trip_km_max)
-                drop_x, drop_y, trip_km = drop_location(grid, pickup_x,
-                                                        pickup_y, raw_km, rng)
+                (drop_x,), (drop_y,), (trip_km,) = drop_location(
+                    grid, [pickup_x], [pickup_y], [raw_km], rng)
                 obs = ledger.observe(created, pickup_km, trip_km,
                                      drop_x, drop_y)
                 accept = rng.random() < spec.accept_probability(obs, scales)

@@ -2,7 +2,8 @@
 agent's single-observation views, a forward-only loss, central finite
 differences, per-iteration series of a training report, summaries of fitted
 models and cleaning reports, file writers for bare networks and fitted
-artifacts, and the minute-by-minute reference of the episode loop."""
+artifacts, the minute-by-minute reference of the episode loop and a
+recorder of the rides episodes draw."""
 
 import numpy as np
 
@@ -10,13 +11,13 @@ from ridesim.agent import (N_ACTIONS, CategoricalQAgent, expected_q,
                            project_target_batch)
 from ridesim.distributions import (EmpiricalDistribution, TimeProfile,
                                    distribution_lines, time_profile_lines)
-from ridesim.distributions import MINUTES_PER_DAY, probabilistic_round
+from ridesim.distributions import MINUTES_PER_DAY
+from ridesim import sim
 from ridesim.nn import (Mlp, _softmax, checkpoint_lines, forward,
                         loss_and_grad_batch, parse_checkpoint)
-from ridesim.ridegen import generate_rides
 from ridesim.sim import (MINUTES_PER_WEEK, Action, EpisodeLog, Fleet,
                          OfferRecord, Trajectory, chain_transitions,
-                         reward_from_observation)
+                         episode_streams, reward_from_observation, ride_stream)
 
 
 def tabular_q_update(q: float, alpha: float, reward: float, gamma: float,
@@ -70,18 +71,43 @@ def loss_only(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
 def finite_difference_grads(net: Mlp, x: np.ndarray, target: np.ndarray,
                             action: int, n_actions: int, eps: float = 1e-6):
     """Central-difference gradients of the single-sample loss, as
-    (weight_grads, bias_grads) views into one vector laid out like net.flat."""
+    (weight_grads, bias_grads) views into one vector laid out like net.flat.
+
+    Each parameter p is stepped by h = eps * max(1, |p|) both ways. A step
+    in layer i moves only that layer's pre-activation: weight (a, o) moves
+    unit o by h times input a, bias o moves it by h. So every perturbed
+    network of layer i runs as one stacked forward pass from layer i on.
+    """
     grad = np.zeros_like(net.flat)
-    for j in range(net.flat.size):
-        orig = net.flat[j]
-        h = eps * max(1.0, abs(orig))
-        net.flat[j] = orig + h
-        up = loss_only(net, x, target, action, n_actions)
-        net.flat[j] = orig - h
-        down = loss_only(net, x, target, action, n_actions)
-        net.flat[j] = orig
-        grad[j] = (up - down) / (2.0 * h)
-    return net.views(grad)
+    grad_w, grad_b = net.views(grad)
+    last = len(net.weights) - 1
+    inputs, pre = [np.asarray(x, dtype=float)], []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre.append(inputs[-1] @ w + b)
+        inputs.append(np.maximum(pre[-1], 0.0) if i != last else pre[-1])
+
+    def losses(i, z):
+        """Loss of each row of layer-i pre-activations z, run to the end."""
+        for j in range(i, last):
+            z = np.maximum(z, 0.0) @ net.weights[j + 1] + net.biases[j + 1]
+        rows = z.reshape(len(z), n_actions, -1)[:, action]
+        zmax = rows.max(axis=1)
+        lse = zmax + np.log(np.exp(rows - zmax[:, None]).sum(axis=1))
+        return lse - rows @ target
+
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        for params, out, scale in ((w, grad_w[i], inputs[i][:, None]),
+                                   (b, grad_b[i], 1.0)):
+            h = eps * np.maximum(1.0, np.abs(params))
+            shift = np.broadcast_to(h * scale, params.shape).ravel()
+            unit = np.arange(params.size) % params.shape[-1]
+            z = np.tile(pre[i], (2 * params.size, 1))
+            z[np.arange(params.size), unit] += shift
+            z[params.size + np.arange(params.size), unit] -= shift
+            both = losses(i, z).reshape(2, -1)
+            out[...] = ((both[0] - both[1]) / (2.0 * h.ravel())).reshape(
+                params.shape)
+    return grad_w, grad_b
 
 
 def gradient_check(net: Mlp, x: np.ndarray, target: np.ndarray, action: int,
@@ -164,21 +190,21 @@ def write_time_profile(profile: TimeProfile, path) -> None:
         fh.write("\n".join(time_profile_lines(profile)) + "\n")
 
 
-def reference_ride_stream(config, rng):
-    """(minute, rides) for every minute of the episode, each minute's mean
-    rounded in turn, rides or not: the stream `sim.ride_stream` must match
-    draw for draw."""
-    for minute in range(config.weeks * MINUTES_PER_WEEK):
-        dow = (config.start_dow + minute // MINUTES_PER_DAY) % 7
-        mean = config.time_profile.means[dow][minute % MINUTES_PER_DAY]
-        count = probabilistic_round(float(mean), rng)
-        if count == 0:
-            yield minute, ()
-            continue
-        yield minute, generate_rides(config.grid, config.pickup_x_dist,
-                                     config.pickup_y_dist,
-                                     config.trip_distance_dist, count, minute,
-                                     rng)
+def record_ride_streams(monkeypatch) -> list:
+    """Make every later `sim.ride_stream` call, the episodes' included,
+    collect the rides it yields into a list of its own; returns the lists,
+    one per call, in call order."""
+    streams = []
+
+    def recording(config, rng):
+        rides = []
+        streams.append(rides)
+        for minute, batch in ride_stream(config, rng):
+            rides.extend(batch)
+            yield minute, batch
+
+    monkeypatch.setattr(sim, "ride_stream", recording)
+    return streams
 
 
 def reference_dispatch(ride, fleet, agent, config, clock, rng):
@@ -205,24 +231,28 @@ def reference_dispatch(ride, fleet, agent, config, clock, rng):
 def reference_episode(config, agent, rng) -> EpisodeLog:
     """`sim.run_episode` on a minute clock: every minute rolls the week over
     when one starts and completes due trips, rides or not, and the
-    trajectories are built before returning."""
-    fleet = Fleet.place(config, rng)
+    trajectories are built before returning. The rides come from
+    `sim.ride_stream` on the episode's demand generator, drawn up front."""
+    placement, demand, decisions = episode_streams(rng)
+    fleet = Fleet.place(config, placement)
     days = config.weeks * 7
     log = EpisodeLog(weeks=config.weeks, start_dow=config.start_dow,
                      daily_generated=[0] * days, daily_assigned=[0] * days,
                      daily_lost=[0] * days)
-    for minute, rides in reference_ride_stream(config, rng):
+    rides_at = dict(ride_stream(config, demand))
+    for minute in range(days * MINUTES_PER_DAY):
         # A trip ending on a week's first minute counts toward the new week.
         if minute > 0 and minute % MINUTES_PER_WEEK == 0:
             fleet.start_week(config.params.weekly_target_multiplier)
         log.completed_trips += fleet.complete_trips(minute)
+        rides = rides_at.get(minute)
         if not rides:
             continue
         day = minute // MINUTES_PER_DAY
         log.daily_generated[day] += len(rides)
         for ride in rides:
             records, assigned = reference_dispatch(ride, fleet, agent, config,
-                                                   minute, rng)
+                                                   minute, decisions)
             log.offers.extend(records)
             for rec in records:
                 log.total_reward += rec.reward

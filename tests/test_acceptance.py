@@ -153,8 +153,8 @@ def test_ride_generation_invariants(capsys):
         px = fit_empirical(rng.uniform(0.0, 10.0, 2000))
         py = fit_empirical(rng.uniform(0.0, 10.0, 2000))
         trips = fit_empirical(np.clip(rng.lognormal(1.25, 0.45, 2000), 0.3, 25.0))
-        rides = generate_rides(grid, px, py, trips, count=10_000, minute=0,
-                               rng=rng)
+        rides = generate_rides(grid, px, py, trips, counts=10_000,
+                               first_minute=0, rng=rng)
         assert len(rides) == 10_000
         for ride in rides:
             assert 0.0 < ride.drop_x < grid.width_km
@@ -170,8 +170,8 @@ def test_ride_generation_invariants(capsys):
         pinned = GridSpec(width_km=10.0, height_km=10.0, noise_epsilon_km=0.0)
         point = fit_empirical([0.5, 0.5])
         forty = fit_empirical([40.0, 40.0])
-        forced = generate_rides(pinned, point, point, forty, count=200,
-                                minute=0, rng=rng)
+        forced = generate_rides(pinned, point, point, forty, counts=200,
+                                first_minute=0, rng=rng)
         bound = math.hypot(9.5, 9.5)
         for ride in forced:
             assert ride.pickup_x == 0.5 and ride.pickup_y == 0.5
@@ -196,8 +196,8 @@ def test_sampling_reproduces_fitted_distribution(capsys):
         # Cross-check with an independent KS implementation.
         assert scipy.stats.ks_2samp(source, draws).statistic < 0.05
 
-        counts = [probabilistic_round(2.3, rng) for _ in range(100_000)]
-        assert set(counts) <= {2, 3}
+        counts = probabilistic_round(np.full(100_000, 2.3), rng)
+        assert set(counts.tolist()) <= {2, 3}
         assert np.mean(counts) == pytest.approx(2.3, abs=0.01)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ridesim
+from helpers import record_ride_streams
 from ridesim import cli
 from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
@@ -487,6 +488,24 @@ class TestCliPipeline:
             rewards = [float(row[2]) for row in rows]
             best_is_last.append(rewards.index(max(rewards)) == len(rows) - 1)
         assert not all(best_is_last), "every variant saved its last iterate"
+
+    def test_sweep_values_share_each_replications_demand(self, pipeline,
+                                                         tmp_path,
+                                                         monkeypatch):
+        cfg_path, out = pipeline
+        for name in ("dist_pickup_x.txt", "dist_pickup_y.txt",
+                     "dist_trip_km.txt", "time_profile.txt",
+                     "driver_averages.csv", "agent_bc.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        streams = record_ride_streams(monkeypatch)
+        assert cli.main(["sweep", "--config", str(cfg_path),
+                         "--out", str(tmp_path),
+                         "--set", "rl.iterations=1"]) == 0
+        # per value: one training episode, then two replications
+        assert len(streams) == 6
+        _, first_rep0, first_rep1, _, second_rep0, second_rep1 = streams
+        assert first_rep0 and first_rep0 == second_rep0
+        assert first_rep1 == second_rep1 and first_rep0 != first_rep1
 
     @pytest.mark.parametrize("key, values", [
         ("demand.scale_factor", "[2.0, 4.0]"), ("bc.iterations", "[1, 50]"),

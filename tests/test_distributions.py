@@ -105,12 +105,27 @@ class TestProbabilisticRound:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             probabilistic_round(-0.1, rng)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                probabilistic_round([1.5, bad], rng)
 
     def test_mean_matches_fraction(self):
         rng = np.random.default_rng(42)
-        draws = [probabilistic_round(2.3, rng) for _ in range(20000)]
-        assert set(draws) <= {2, 3}
+        draws = probabilistic_round(np.full(20000, 2.3), rng)
+        assert set(draws.tolist()) <= {2, 3}
         assert abs(np.mean(draws) - 2.3) < 0.02
+
+    def test_draws_once_for_the_fractional_entries_only(self):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        out = probabilistic_round([0.0, 2.0, 0.25, 0.0, 1.75, 3.0], rng)
+        u = twin.random(2)
+        assert out.tolist() == [0, 2, int(u[0] < 0.25), 0,
+                                1 + int(u[1] < 0.75), 3]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        before = rng.bit_generator.state
+        assert probabilistic_round(np.zeros(1440), rng).tolist() == [0] * 1440
+        assert probabilistic_round([1.0, 4.0], rng).tolist() == [1, 4]
+        assert rng.bit_generator.state == before
 
     @given(st.floats(0.0, 100.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

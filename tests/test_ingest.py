@@ -146,6 +146,44 @@ class TestParseTripLog:
         assert "unknown status" in reasons
         assert "non-numeric pickup_lat" in reasons
 
+    # One bad value per column, in the order the checks run (which is not
+    # column order: payment_method is checked with the other ids).
+    BAD_FIELDS = [
+        ("driver_id", dict(driver=""), "missing driver_id"),
+        ("trip_id", dict(trip=" "), "missing trip_id"),
+        ("payment_method", dict(pay=""), "missing payment_method"),
+        ("created_time", dict(created="noon", assigned="2026-02-02T08:00",
+                              decision="2026-02-02T08:00"),
+         "bad created_time 'noon'"),
+        ("assigned_time", dict(assigned="2026-02-02T25:00"),
+         "bad assigned_time '2026-02-02T25:00'"),
+        ("decision_time", dict(decision="2026-02-30T08:00"),
+         "bad decision_time '2026-02-30T08:00'"),
+        ("pickup_time", dict(pickup="soon"), "bad pickup_time 'soon'"),
+        ("pickup_lat", dict(plat="east"), "non-numeric pickup_lat 'east'"),
+        ("pickup_lon", dict(plon="inf"), "non-finite pickup_lon"),
+        ("drop_lat", dict(dlat=""), "non-numeric drop_lat ''"),
+        ("drop_lon", dict(dlon="nan"), "non-finite drop_lon"),
+        ("pickup_distance_km", dict(pdist="1 km"),
+         "non-numeric pickup_distance_km '1 km'"),
+        ("trip_distance_km", dict(tdist="-2.0"),
+         "negative trip_distance_km"),
+        ("status", dict(status="vanished"), "unknown status 'vanished'"),
+    ]
+
+    @pytest.mark.parametrize("k", range(len(BAD_FIELDS)),
+                             ids=[c for c, _, _ in BAD_FIELDS])
+    def test_each_column_names_its_reject_reason(self, k):
+        column, bad, reason = self.BAD_FIELDS[k]
+        rows = [csv_row(**bad)]
+        if k + 1 < len(self.BAD_FIELDS):
+            # the same row also broken by the next check: the earlier wins
+            rows.append(csv_row(**{**bad, **self.BAD_FIELDS[k + 1][1]}))
+        records, rejects = parse_trip_log([HEADER] + rows)
+        assert not records
+        assert [r.reason for r in rejects] == [reason] * len(rows), column
+        assert {c for c, _, _ in self.BAD_FIELDS} == set(LOG_COLUMNS)
+
     def test_row_roundtrip(self):
         original = make_record(status="completed",
                                pickup_time=datetime(2026, 2, 2, 8, 5))

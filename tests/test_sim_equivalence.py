@@ -1,16 +1,20 @@
-"""The event-driven episode loop against the minute-by-minute reference.
+"""The event-driven episode loop against the minute-by-minute reference,
+and the demand stream it draws from.
 
 `run_episode` skips minutes without rides and processes trip completions and
 week rollovers when the next ride arrives. These tests pin that it still
-draws, dispatches and books exactly as the reference loop in `helpers`
-does, and that a minute without demand consumes no randomness.
+dispatches and books exactly as the reference loop in `helpers` does on the
+same rides. The rides come from their own generator, a day at a time: a
+minute whose mean is 0 or an integer draws no rounding uniform, `generate`
+writes exactly that stream, and agents that decide differently under one
+seed see the same rides (common random numbers).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (reference_episode, reference_ride_stream,
+from helpers import (record_ride_streams, reference_episode,
                      write_distribution, write_time_profile)
 from test_sim_golden import _CoinAgent, episode_digest
 
@@ -123,11 +127,16 @@ def test_integer_means_draw_only_the_rides_own_uniforms():
 
     expected = []
     for first in (0, MINUTES_PER_WEEK):
-        for offset, count in ((0, 1), (700, 3), (MINUTES_PER_WEEK - 1, 2)):
-            minute = first + offset
-            expected.append((minute, generate_rides(
-                GRID, config.pickup_x_dist, config.pickup_y_dist,
-                config.trip_distance_dist, count, minute, twin)))
+        day_one = np.zeros(MINUTES_PER_DAY, dtype=int)
+        day_one[[0, 700]] = 1, 3
+        rides = generate_rides(GRID, config.pickup_x_dist,
+                               config.pickup_y_dist,
+                               config.trip_distance_dist, day_one, first, twin)
+        expected += [(first, rides[:1]), (first + 700, rides[1:])]
+        last = first + MINUTES_PER_WEEK - 1
+        expected.append((last, generate_rides(
+            GRID, config.pickup_x_dist, config.pickup_y_dist,
+            config.trip_distance_dist, 2, last, twin)))
     assert stream == expected
     assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -148,8 +157,26 @@ def test_generate_writes_the_reference_stream(tmp_path):
         "sim:\n  weeks: 2\n  start_dow: 5\n")
     assert cli.main(["generate", "--config", str(cfg_path)]) == 0
 
-    stream = reference_ride_stream(config, cli.seed_stream(13, "generate"))
+    stream = ride_stream(config, cli.seed_stream(13, "generate"))
     expected = [ride_to_row(ride) for _, rides in stream for ride in rides]
     _, rows = read_csv_artifact(tmp_path / "rides.csv")
     assert len(expected) > 100
     assert rows == expected
+
+
+def test_agents_under_one_seed_see_the_same_rides(monkeypatch):
+    means = _profile(6, zero_share=0.3, integer_share=0.002,
+                     boundary_demand=1)
+    config = _config(means, driver_count=4, max_offers=2, speed_kmh=6.0)
+    streams = record_ride_streams(monkeypatch)
+    greedy, explore = (run_episode(config, CategoricalQAgent.create(
+        FeatureScales.for_grid(GRID), -200.0, 400.0, np.random.default_rng(1),
+        hidden=[8], atom_count=11, epsilon=epsilon),
+        np.random.default_rng(21)) for epsilon in (0.0, 0.3))
+    greedy_rides, explore_rides = streams
+    assert len(greedy_rides) > 100
+    assert greedy_rides == explore_rides
+    # the agents decided differently, and the fleet went different ways
+    assert ([int(o.action) for o in greedy.offers]
+            != [int(o.action) for o in explore.offers])
+    assert greedy.daily_assigned != explore.daily_assigned

@@ -2,8 +2,9 @@
 
 The hashes pin dispatch order, the order of every random draw and the
 driver bookkeeping bit for bit: any change to them shows up here, even when
-every statistical check still passes. They were recorded before the
-simulator core moved to arrays and must not be updated to fit a change that
+every statistical check still passes. They were last recorded when each
+episode split its draws into placement, demand and decision generators and
+drew demand a day at a time, and must not be updated to fit a change that
 is meant to keep outputs identical.
 """
 
@@ -60,11 +61,11 @@ GOLDEN = {
     # Roomy fleet: most rides find several idle drivers.
     "roomy": (dict(demand=0.03, driver_count=7, weeks=2, max_offers=3,
                    start_dow=4, initial_weekly_trips=[3, 12, 0]), 11,
-              "d4286cb804eff215dde240c2996c03fa6e7c76d15608ca7ce5aac183a7786112"),
+              "44aaa74af7527dc5472968c5b1e8ad4cd75500070e1a8fb5709d9c6afdec87f5"),
     # Saturated fleet: rides often find every driver busy and are lost.
     "saturated": (dict(demand=0.5, driver_count=6, weeks=2, max_offers=2,
                        speed_kmh=12.0), 12,
-                  "77fa69de9045190242cdcc864c8ce4dd63af6b0ed2fa06d19a6a712ab5e4cc2d"),
+                  "7e778541755d3e87cb91c2c1dc34a2300789ce83e0d48f27a4a43659703e2e71"),
 }
 
 
