@@ -8,7 +8,7 @@ Subcommands, in pipeline order:
   generate   sample ride requests from the fitted models
   train-bc   imitate the logged driver decisions
   train-rl   refine the imitation agent inside the simulator
-  evaluate   replicate simulations and compare them against the log
+  evaluate   replicate simulations and compare them against the held-out days
   sweep      train-rl, then evaluate of the saved agent, for each value of
              one configuration key, in sweep/<key>=<value>/
 
@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .agent import CategoricalQAgent, FeatureScales
-from .artifacts import (csv_lines, read_csv_artifact, seed_stream,
-                        write_artifact)
+from .artifacts import (_read_keyed, csv_lines, read_csv_artifact,
+                        seed_stream, write_artifact)
 from .config import (Config, ConfigError, config_from_dict, config_hash,
                      config_to_dict, load_config, set_key)
 from .distributions import (distribution_lines, fit_empirical,
@@ -65,7 +65,8 @@ class _Parser(argparse.ArgumentParser):
 # The subcommand that writes each artifact a later one cannot run without.
 _PRODUCERS = {"cleaned_trips.csv": "ingest", "dist_pickup_x.txt": "fit",
               "dist_pickup_y.txt": "fit", "dist_trip_km.txt": "fit",
-              "time_profile.txt": "fit", "agent_bc.txt": "train-bc"}
+              "time_profile.txt": "fit", "holdout.txt": "fit",
+              "agent_bc.txt": "train-bc"}
 
 
 class _Run:
@@ -196,11 +197,68 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+HOLDOUT_MAGIC = "ridesim-holdout v1"
+# holdout.txt's lines after its header, in order, when it holds out any day
+_HOLDOUT_LINES = ("daily", "hour_offers", "hour_accepted", "distance_offers",
+                  "distance_accepted")
+
+
+def _holdout_lines(cfg: Config, records, window) -> list:
+    """fit: holdout.txt, the log side of every `evaluate` comparison: trips
+    per held-out day and the acceptance curves of the held-out decisions."""
+    start, days = window[0], cfg.demand.holdout_days
+    lines = [HOLDOUT_MAGIC, f"holdout_days {days}",
+             f"start_dow {start.weekday()}"]
+    if days < 1:
+        return lines
+    holdout = window_records(records, window)  # holds the last trip
+    counts = [0] * days
+    for rec in holdout:
+        counts[(rec.created_time - start).days] += 1
+    decisions = [t for traj in extract_demonstrations(
+                     holdout, cfg.platform, cfg.grid, window=window,
+                     speed_kmh=cfg.sim.speed_kmh)
+                 for t in traj.transitions]
+    curves = acceptance_by_hour(decisions), acceptance_by_distance(decisions)
+    values = [counts] + [n for c in curves for n in (c.offers, c.accepted)]
+    return lines + [" ".join([key, *map(str, v)])
+                    for key, v in zip(_HOLDOUT_LINES, values)]
+
+
+def _read_holdout(run: _Run):
+    """evaluate: the held-out days' trip counts and acceptance curves that
+    `fit` wrote to holdout.txt, or None when it held out no day."""
+    def build(header, body):
+        days, dow = int(header["holdout_days"]), int(header["start_dow"])
+        if days != run.cfg.demand.holdout_days:
+            raise ValueError(f"holds out {days} days but demand.holdout_days "
+                             f"is {run.cfg.demand.holdout_days}; "
+                             "re-run `ridesim fit`")
+        if not 0 <= dow < 7:
+            raise ValueError(f"start_dow {dow} is not in 0-6")
+        keys = list(_HOLDOUT_LINES) if days else []
+        rows = [line.split() for line in body]
+        if [row[0] for row in rows] != keys:
+            raise ValueError(f"expected the lines {keys} after the header")
+        if not days:
+            return None
+        daily, *counts = ([int(v) for v in row[1:]] for row in rows)
+        if len(daily) != days or min(daily) < 0:
+            raise ValueError(f"daily needs {days} non-negative counts")
+        hour, dist = acceptance_by_hour(()), acceptance_by_distance(())
+        return SimpleNamespace(
+            start_dow=dow, daily=daily,
+            hour_curve=replace(hour, offers=counts[0], accepted=counts[1]),
+            dist_curve=replace(dist, offers=counts[2], accepted=counts[3]))
+    return _read_keyed(run.need("holdout.txt"), HOLDOUT_MAGIC,
+                       ("holdout_days", "start_dow"), build)
+
+
 def cmd_fit(args) -> int:
     run = _load(args)
     cfg = run.cfg
     records = _read_cleaned(run.need("cleaned_trips.csv"))
-    train_win, _ = training_window(records, cfg.demand.holdout_days)
+    train_win, holdout_win = training_window(records, cfg.demand.holdout_days)
     train = window_records(records, train_win)
     if len(train) < 2:
         raise PipelineError("training window holds fewer than 2 trips")
@@ -215,6 +273,7 @@ def cmd_fit(args) -> int:
     run.write_csv("driver_averages.csv", ["driver_id", "weekly_trips"],
                   [[d, f"{v:.6f}"] for d, v in
                    driver_weekly_averages(train).items()])
+    run.write("holdout.txt", _holdout_lines(cfg, records, holdout_win))
     weekly = profile.expected_weekly() * cfg.demand.scale_factor
     print(f"fitted {len(train)} trips from {train_win[0]:%Y-%m-%d} "
           f"to {train_win[1]:%Y-%m-%d}")
@@ -285,31 +344,6 @@ def cmd_train_rl(args) -> int:
     return 0
 
 
-def _holdout_log(run: _Run):
-    """Daily counts and acceptance curves of the held-out log days."""
-    cfg = run.cfg
-    cleaned = run.inputs / "cleaned_trips.csv"
-    if not cleaned.exists() or cfg.demand.holdout_days < 1:
-        return None
-    records = _read_cleaned(cleaned)
-    try:
-        _, holdout_win = training_window(records, cfg.demand.holdout_days)
-    except ValueError:
-        return None
-    holdout = window_records(records, holdout_win)  # holds the last trip
-    start, _ = holdout_win
-    counts = [0] * cfg.demand.holdout_days
-    for rec in holdout:
-        counts[(rec.created_time - start).days] += 1
-    decisions = [t for traj in extract_demonstrations(
-                     holdout, cfg.platform, cfg.grid, window=holdout_win,
-                     speed_kmh=cfg.sim.speed_kmh)
-                 for t in traj.transitions]
-    return SimpleNamespace(start_dow=start.weekday(), daily=counts,
-                           hour_curve=acceptance_by_hour(decisions),
-                           dist_curve=acceptance_by_distance(decisions))
-
-
 def _replicate(run: _Run, agent_path: Path, sim_config: SimConfig,
                stream: str, actual_daily=None) -> SimpleNamespace:
     """evaluate: replicate episodes of the greedy policy saved at
@@ -360,7 +394,7 @@ def cmd_evaluate(args) -> int:
     run = _load(args)
     agent_path = _find_agent(run.out, args.agent)
     sim_config = _build_sim_config(run)
-    log = _holdout_log(run)
+    log = _read_holdout(run)
     if log is not None:
         sim_config = replace(sim_config, weeks=-(-len(log.daily) // 7),
                              start_dow=log.start_dow)
@@ -421,8 +455,8 @@ def cmd_sweep(args) -> int:
         label = f"{param.split('.')[-1]}={value}"
         variant = _Run(_variant(run.cfg, value), run.out / "sweep" / label,
                        inputs=run.out)
-        _, sim_config = _refine(variant, f"sweep-{label}-train")
-        # every value's replication i runs on demand realisation i
+        # values share their training rides and replication i's demand
+        _, sim_config = _refine(variant, "sweep-train")
         runs = _replicate(variant, variant.out / "agent_rl.txt", sim_config,
                           "sweep")
         summary.append([str(value), str(runs.offers), str(runs.accepted),

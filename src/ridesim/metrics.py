@@ -128,6 +128,13 @@ class AcceptanceCurve:
     offers: list
     accepted: list
 
+    def __post_init__(self):
+        if not len(self.labels) == len(self.offers) == len(self.accepted):
+            raise ValueError(f"{len(self.labels)} bins, but {len(self.offers)} "
+                             f"offer and {len(self.accepted)} accept counts")
+        if not all(0 <= a <= o for o, a in zip(self.offers, self.accepted)):
+            raise ValueError("a bin's accepts are negative or exceed its offers")
+
     def rates(self) -> list:
         return [None if o == 0 else a / o
                 for o, a in zip(self.offers, self.accepted)]
@@ -147,10 +154,9 @@ def curve_rows(curve: AcceptanceCurve) -> list:
 
 def _curve(labels, offers, bin_of) -> AcceptanceCurve:
     """Offers and accepts per bin; `bin_of` maps the offers' stacked
-    (n, OBS_DIM) observations to their bins."""
+    (n, OBS_DIM) observations to their bins, and a bin past the last one
+    fails the curve's own count check."""
     index = bin_of(np.array([o.obs for o in offers], dtype=float).reshape(-1, OBS_DIM))
-    if index.size and not (0 <= index.min() and index.max() < len(labels)):
-        raise ValueError("an offer falls outside the curve's bins")
     accepted = np.array([o.action for o in offers], dtype=np.int64) == Action.ACCEPT
     return AcceptanceCurve(
         labels=labels, offers=np.bincount(index, minlength=len(labels)).tolist(),

@@ -173,7 +173,7 @@ def chain_transitions(steps) -> list[Transition]:
             for i, (obs, action, reward) in enumerate(steps)]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OfferRecord:
     minute: int
     driver_id: int

@@ -376,6 +376,27 @@ sweep:
 """
 
 
+# what evaluate reads besides holdout.txt, and what it writes
+EVALUATE_INPUTS = ("dist_pickup_x.txt", "dist_pickup_y.txt",
+                   "dist_trip_km.txt", "time_profile.txt",
+                   "driver_averages.csv", "agent_rl.txt")
+EVALUATE_OUTPUTS = ("daily_counts.csv", "acceptance_by_hour.csv",
+                    "acceptance_by_distance.csv", "correlations.txt")
+
+
+def _edit_holdout_line(key, change):
+    """An edit of holdout.txt's lines: `change` maps the values of `key`'s
+    line to new ones."""
+    def edit(lines):
+        return [" ".join([key, *change(line.split()[1:])])
+                if line.split()[0] == key else line for line in lines]
+    return edit
+
+
+def _drop_holdout_line(key):
+    return lambda lines: [line for line in lines if line.split()[0] != key]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full command line run shared by the CLI assertions."""
@@ -432,12 +453,99 @@ class TestCliPipeline:
         for name, lines in before.items():
             assert comparable_lines(out / name) == lines, name
 
+    def test_evaluate_never_reads_the_trip_log(self, pipeline, tmp_path,
+                                               monkeypatch):
+        # the log side of the comparison is holdout.txt, written by fit, so
+        # a directory without cleaned_trips.csv gives the same payloads
+        cfg_path, out = pipeline
+        for name in EVALUATE_INPUTS + ("holdout.txt",):
+            shutil.copy(out / name, tmp_path / name)
+
+        def read_trip_log(path):
+            raise AssertionError(f"evaluate read {path}")
+
+        monkeypatch.setattr(cli, "read_trip_log", read_trip_log)
+        assert cli.main(["evaluate", "--config", str(cfg_path),
+                         "--out", str(tmp_path)]) == 0
+        assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
+        for name in EVALUATE_OUTPUTS:
+            assert (read_data_lines(tmp_path / name)
+                    == read_data_lines(out / name)), name
+        assert any(line.startswith("daily_count_pearson ") for line in
+                   read_data_lines(tmp_path / "correlations.txt"))
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda lines: lines[:-2], "expected the lines"),
+        (_drop_holdout_line("start_dow"), "unknown holdout header key 'daily'"),
+        (_drop_holdout_line("holdout_days"),
+         "unknown holdout header key 'daily'"),
+        (_edit_holdout_line("daily", lambda v: v[:-1]), "daily needs 7"),
+        (_edit_holdout_line("hour_offers", lambda v: v[:-1]),
+         "24 bins, but 23 offer and 24 accept counts"),
+        (_edit_holdout_line("distance_accepted", lambda v: v + ["0"]),
+         "21 bins, but 21 offer and 22 accept counts"),
+        (_edit_holdout_line("daily", lambda v: ["1.5"] + v[1:]), "'1.5'"),
+        (_edit_holdout_line("hour_accepted", lambda v: ["1000000"] * len(v)),
+         "exceed its offers")],
+        ids=["truncated", "no-start-dow", "no-holdout-days", "short-daily",
+             "short-hour-bins", "long-distance-bins", "non-integer",
+             "accepts-above-offers"])
+    def test_malformed_holdout_exits_2_naming_it(self, pipeline, tmp_path,
+                                                 capsys, edit, reason):
+        cfg_path, out = pipeline
+        for name in EVALUATE_INPUTS:
+            shutil.copy(out / name, tmp_path / name)
+        lines = (out / "holdout.txt").read_text().splitlines()
+        (tmp_path / "holdout.txt").write_text("\n".join(edit(lines)) + "\n")
+        code = cli.main(["evaluate", "--config", str(cfg_path),
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {tmp_path / 'holdout.txt'}: " in err
+        assert reason in err
+        assert "Traceback" not in err
+
+    def test_missing_holdout_names_fit(self, pipeline, tmp_path, capsys):
+        cfg_path, out = pipeline
+        for name in EVALUATE_INPUTS:
+            shutil.copy(out / name, tmp_path / name)
+        code = cli.main(["evaluate", "--config", str(cfg_path),
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert (f"missing {tmp_path / 'holdout.txt'}; run `ridesim fit` first"
+                in capsys.readouterr().err)
+
+    def test_holdout_days_are_fixed_at_fit(self, pipeline, capsys):
+        cfg_path, out = pipeline
+        code = cli.main(["evaluate", "--config", str(cfg_path),
+                         "--set", "demand.holdout_days=5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "holds out 7 days but demand.holdout_days is 5" in err
+        assert "re-run `ridesim fit`" in err
+
+    def test_no_holdout_days_compares_nothing(self, pipeline, tmp_path):
+        cfg_path, out = pipeline
+        for name in ("cleaned_trips.csv", "agent_bc.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        for command in ("fit", "evaluate"):
+            assert cli.main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path),
+                             "--set", "demand.holdout_days=0"]) == 0, command
+        lines = read_data_lines(tmp_path / "holdout.txt")
+        assert lines[:2] == ["ridesim-holdout v1", "holdout_days 0"]
+        assert [line.split()[0] for line in lines[2:]] == ["start_dow"]
+        _, rows = read_csv_artifact(tmp_path / "daily_counts.csv")
+        assert len(rows) == 7 and not any(row[5] for row in rows)
+        assert not any("pearson" in line for line in
+                       read_data_lines(tmp_path / "correlations.txt"))
+
     def test_predictions_use_the_fitted_scale(self, pipeline, tmp_path):
         # the episodes draw demand from time_profile.txt, fitted at scale
         # 2.0, so a later demand.scale_factor changes neither the episodes
         # nor the scale their counts are reported at
         cfg_path, out = pipeline
-        for name in ("cleaned_trips.csv", "dist_pickup_x.txt",
+        for name in ("holdout.txt", "dist_pickup_x.txt",
                      "dist_pickup_y.txt", "dist_trip_km.txt",
                      "time_profile.txt", "driver_averages.csv",
                      "agent_rl.txt"):
@@ -503,7 +611,9 @@ class TestCliPipeline:
                          "--set", "rl.iterations=1"]) == 0
         # per value: one training episode, then two replications
         assert len(streams) == 6
-        _, first_rep0, first_rep1, _, second_rep0, second_rep1 = streams
+        (first_train, first_rep0, first_rep1,
+         second_train, second_rep0, second_rep1) = streams
+        assert first_train and first_train == second_train
         assert first_rep0 and first_rep0 == second_rep0
         assert first_rep1 == second_rep1 and first_rep0 != first_rep1
 
