@@ -108,8 +108,9 @@ def _read_keyed(path, magic: str, keys, build, optional=(), end=None):
     The first data line is `magic`; `<key> <value>` header lines follow in
     any order, each of `keys` exactly once, each of `optional` at most once
     and no other key. The header ends at the line `end`, which opens the
-    body, or after `len(keys)` lines when `end` is None. Every ValueError,
-    the builder's included, names the file.
+    body, or after `len(keys)` lines when `end` is None. A required key that
+    begins no line is reported as missing, before any unknown key. Every
+    ValueError, those of `build` included, names the file.
     """
     lines = read_data_lines(path)
     kind = magic.split()[0].removeprefix(f"{MAGIC}-")
@@ -124,7 +125,11 @@ def _read_keyed(path, magic: str, keys, build, optional=(), end=None):
         for line in lines[1:stop]:
             key, _, value = line.partition(" ")
             if key not in keys and key not in optional:
-                raise ValueError(f"unknown {kind} header key {key!r}")
+                firsts = {line.partition(" ")[0] for line in lines[1:]}
+                missing = [k for k in keys if k not in firsts]
+                raise ValueError(f"{kind} header has no {missing[0]!r} line"
+                                 if missing else
+                                 f"unknown {kind} header key {key!r}")
             if key in header:
                 raise ValueError(f"{kind} header repeats {key!r}")
             header[key] = value

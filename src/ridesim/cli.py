@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import pickle
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, training
 from .agent import CategoricalQAgent, FeatureScales
 from .artifacts import (_read_keyed, csv_lines, read_csv_artifact,
                         seed_stream, write_artifact)
@@ -44,7 +47,7 @@ from .metrics import (ACCEPTANCE_COLUMNS, DAILY_COUNT_COLUMNS,
                       acceptance_by_distance, acceptance_by_hour, curve_pearson,
                       curve_rows, daily_counts, delta_percent, pearson)
 from .ridegen import RIDE_COLUMNS, ride_to_row
-from .sim import Action, SimConfig, ride_stream, run_episode
+from .sim import SimConfig, ride_stream, run_episode
 from .synth import generate_synthetic_log
 from .training import build_agent_for_demonstrations, train_bc, train_rl
 
@@ -344,6 +347,52 @@ def cmd_train_rl(args) -> int:
     return 0
 
 
+def _in_workers(task, count: int) -> list:
+    """`[task(i) for i in range(count)]` on min(count, usable CPUs)
+    processes: worker k runs every i ≡ k (mod workers). This process is
+    worker 0 and forks the others; each pipes back its results, or its
+    exception to raise here, pickled. No child outlives the call."""
+    workers = min(count, training.usable_cpus())
+    children = []   # (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                _work_share(task, range(k, count, workers), write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        shares = [[task(i) for i in range(0, count, workers)]]
+        for pid, pipe in children:
+            try:
+                error, results = pickle.loads(pipe.read())
+            except (EOFError, pickle.UnpicklingError):
+                raise PipelineError(f"replication worker {pid} exited "
+                                    "without its results") from None
+            if error is not None:
+                raise error
+            shares.append(results)
+    finally:   # a child that is still running after an error is not needed
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % workers][i // workers] for i in range(count)]
+
+
+def _work_share(task, indices, write_fd) -> None:
+    """A forked worker: its results, or the exception that stopped them,
+    pickled to `write_fd`; then an exit that skips the parent's handlers."""
+    try:
+        try:
+            message = pickle.dumps((None, [task(i) for i in indices]))
+        except Exception as exc:   # raised by the parent
+            message = pickle.dumps((exc, None))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(message)
+    finally:
+        os._exit(0)
+
+
 def _replicate(run: _Run, agent_path: Path, sim_config: SimConfig,
                stream: str, actual_daily=None) -> SimpleNamespace:
     """evaluate: replicate episodes of the greedy policy saved at
@@ -355,31 +404,37 @@ def _replicate(run: _Run, agent_path: Path, sim_config: SimConfig,
     """
     agent = CategoricalQAgent.load(agent_path)
     agent.epsilon = 0.0  # evaluate the learned policy, not exploration
-    daily, offers, rewards, completed = [], [], [], []
-    for i in range(run.cfg.evaluate.replications):
-        rng = seed_stream(run.cfg.seed, f"{stream}-rep-{i}")
-        episode = run_episode(sim_config, agent, rng)
-        daily.append(episode.daily_generated)
-        offers.extend(episode.offers)
-        rewards.append(episode.total_reward)
-        completed.append(episode.completed_trips)
+
+    def replicate(i):   # reduced where it ran to what the merge reads
+        episode = run_episode(sim_config, agent,
+                              seed_stream(run.cfg.seed, f"{stream}-rep-{i}"))
+        curves = [np.array([c.offers, c.accepted]) for c in
+                  (acceptance_by_hour(episode.offers),
+                   acceptance_by_distance(episode.offers))]
+        return (episode.daily_generated, curves, episode.total_reward,
+                episode.completed_trips)
+
+    daily, curves, rewards, completed = zip(*_in_workers(
+        replicate, run.cfg.evaluate.replications))
     if actual_daily is not None:
         daily = [d[:len(actual_daily)] for d in daily]
     report = daily_counts(daily, actual_daily,
                           start_dow=sim_config.start_dow,
                           scale=sim_config.time_profile.scale_factor)
-    hour_curve = acceptance_by_hour(offers)
-    dist_curve = acceptance_by_distance(offers)
+    hour_curve, dist_curve = (  # each bin's counts summed over the runs
+        replace(empty, offers=total[0], accepted=total[1]) for empty, total
+        in zip((acceptance_by_hour(()), acceptance_by_distance(())),
+               (sum(counts).tolist() for counts in zip(*curves))))
     run.write_csv("daily_counts.csv", DAILY_COUNT_COLUMNS, report.to_rows())
     run.write_csv("acceptance_by_hour.csv", ACCEPTANCE_COLUMNS,
                   curve_rows(hour_curve))
     run.write_csv("acceptance_by_distance.csv", ACCEPTANCE_COLUMNS,
                   curve_rows(dist_curve))
-    accepted = sum(1 for o in offers if o.action == Action.ACCEPT)
+    offers, accepted = sum(hour_curve.offers), sum(hour_curve.accepted)
     return SimpleNamespace(
         report=report, hour_curve=hour_curve, dist_curve=dist_curve,
-        offers=len(offers), accepted=accepted,
-        rate=accepted / len(offers) if offers else math.nan,
+        offers=offers, accepted=accepted,
+        rate=accepted / offers if offers else math.nan,
         reward=float(np.mean(rewards)), completed=float(np.mean(completed)))
 
 

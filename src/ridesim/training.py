@@ -131,9 +131,9 @@ _REQUESTS_AHEAD = 2
 _HELPER_EXIT_S = 5.0
 
 
-def _has_second_cpu() -> bool:
-    """Whether a forked target helper can run beside this process."""
-    return sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set on Linux, else 1."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
 def _shared_array(shape, dtype=float) -> np.ndarray:
@@ -257,7 +257,7 @@ def _target_helper(agent: CategoricalQAgent, batch_size: int):
     scheduler, the helper is often woken on this thread's CPU, and the two
     then take turns instead of overlapping.
     """
-    if not (isinstance(agent, CategoricalQAgent) and _has_second_cpu()):
+    if not (isinstance(agent, CategoricalQAgent) and usable_cpus() >= 2):
         yield None
         return
     cpus = os.sched_getaffinity(0)

@@ -10,7 +10,7 @@ import pytest
 
 import ridesim
 from helpers import record_ride_streams
-from ridesim import cli
+from ridesim import cli, training
 from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
                                read_data_lines, seed_stream, write_artifact)
@@ -476,9 +476,10 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("edit, reason", [
         (lambda lines: lines[:-2], "expected the lines"),
-        (_drop_holdout_line("start_dow"), "unknown holdout header key 'daily'"),
+        (_drop_holdout_line("start_dow"),
+         "holdout header has no 'start_dow' line"),
         (_drop_holdout_line("holdout_days"),
-         "unknown holdout header key 'daily'"),
+         "holdout header has no 'holdout_days' line"),
         (_edit_holdout_line("daily", lambda v: v[:-1]), "daily needs 7"),
         (_edit_holdout_line("hour_offers", lambda v: v[:-1]),
          "24 bins, but 23 offer and 24 accept counts"),
@@ -576,6 +577,8 @@ class TestCliPipeline:
                      "dist_trip_km.txt", "time_profile.txt",
                      "driver_averages.csv", "agent_bc.txt"):
             shutil.copy(out / name, tmp_path / name)
+        # the calls are recorded in this process, so no replication forks
+        monkeypatch.setattr(training, "usable_cpus", lambda: 1)
         scored = []
 
         def replicate(sim_config, agent, rng):
@@ -605,6 +608,7 @@ class TestCliPipeline:
                      "dist_trip_km.txt", "time_profile.txt",
                      "driver_averages.csv", "agent_bc.txt"):
             shutil.copy(out / name, tmp_path / name)
+        monkeypatch.setattr(training, "usable_cpus", lambda: 1)
         streams = record_ride_streams(monkeypatch)
         assert cli.main(["sweep", "--config", str(cfg_path),
                          "--out", str(tmp_path),
@@ -616,6 +620,77 @@ class TestCliPipeline:
         assert first_train and first_train == second_train
         assert first_rep0 and first_rep0 == second_rep0
         assert first_rep1 == second_rep1 and first_rep0 != first_rep1
+
+    @pytest.mark.parametrize("cpus, count", [(1, 3), (2, 5), (4, 3)])
+    def test_worker_k_runs_the_replications_congruent_to_k(
+            self, monkeypatch, cpus, count):
+        monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+        results = cli._in_workers(lambda i: (i, os.getpid()), count)
+        assert [i for i, _ in results] == list(range(count))
+        workers = min(cpus, count)
+        pids = [pid for _, pid in results]
+        assert set(pids[::workers]) == {os.getpid()}
+        assert len(set(pids)) == workers
+        assert all(len(set(pids[k::workers])) == 1 for k in range(workers))
+
+    def test_replications_merge_alike_on_one_or_two_workers(
+            self, pipeline, tmp_path, monkeypatch):
+        # three replications split unevenly over two workers: 0 and 2 run
+        # here and 1 in a forked child, and every payload stays the same
+        cfg_path, out = pipeline
+        payloads = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+            run_dir = tmp_path / f"cpus{cpus}"
+            run_dir.mkdir()
+            for name in EVALUATE_INPUTS + ("holdout.txt", "agent_bc.txt"):
+                shutil.copy(out / name, run_dir / name)
+            for command in ("evaluate", "sweep"):
+                assert cli.main([command, "--config", str(cfg_path),
+                                 "--out", str(run_dir),
+                                 "--set", "evaluate.replications=3",
+                                 "--set", "rl.iterations=1"]) == 0, command
+            payloads[cpus] = {path.relative_to(run_dir): read_data_lines(path)
+                              for path in run_dir.rglob("*") if path.is_file()}
+        assert payloads[1] == payloads[2]
+        written = {str(path) for path in payloads[1]}
+        assert set(EVALUATE_OUTPUTS) <= written
+        assert "sweep/summary.csv" in written
+        assert ("sweep/peak_fare_multiplier=3.0/acceptance_by_distance.csv"
+                in written)
+        assert "replications 3" in payloads[1][Path("correlations.txt")]
+
+    @pytest.mark.parametrize("where", ["nowhere", "child", "parent", "dies"])
+    def test_replication_workers_never_outlive_evaluate(
+            self, pipeline, tmp_path, capsys, monkeypatch, where):
+        cfg_path, out = pipeline
+        for name in EVALUATE_INPUTS + ("holdout.txt",):
+            shutil.copy(out / name, tmp_path / name)
+        parent = os.getpid()
+
+        def episode(sim_config, agent, rng):
+            in_child = os.getpid() != parent
+            if where == "dies" and in_child:
+                os._exit(1)
+            if where == ("child" if in_child else "parent"):
+                raise ValueError(f"replication failed in the {where}")
+            return run_episode(sim_config, agent, rng)
+
+        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "run_episode", episode)
+        code = cli.main(["evaluate", "--config", str(cfg_path),
+                         "--out", str(tmp_path),
+                         "--set", "evaluate.replications=3"])
+        err = capsys.readouterr().err
+        if where == "nowhere":
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert ("exited without its results" if where == "dies"
+                    else f"error: replication failed in the {where}") in err
+            assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("key, values", [
         ("demand.scale_factor", "[2.0, 4.0]"), ("bc.iterations", "[1, 50]"),

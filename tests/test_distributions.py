@@ -331,3 +331,16 @@ class TestKeyedReaders:
         path.write_text("\n".join(lines[:1] + [extra] + lines[1:]) + "\n")
         with pytest.raises(ValueError, match=f"{kind}.txt: {message}"):
             read(path)
+
+    @pytest.mark.parametrize("kind, key", [("distribution", "name"),
+                                           ("distribution", "count"),
+                                           ("profile", "scale")])
+    def test_missing_key_is_named_not_the_body_line_after_it(self, tmp_path,
+                                                             kind, key):
+        lines, read, _, _ = keyed_artifact(kind)
+        path = tmp_path / f"{kind}.txt"
+        path.write_text("\n".join(line for line in lines
+                                  if line.split()[0] != key) + "\n")
+        with pytest.raises(ValueError, match=f"{kind}.txt: .* header has no "
+                                             f"'{key}' line"):
+            read(path)

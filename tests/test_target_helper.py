@@ -33,8 +33,8 @@ PATHS = {"helper": True, "in_process": False}
 def path(request, monkeypatch):
     """Force one target path, and count target computations made here.
     Afterwards no helper is left and this process's CPUs are as before."""
-    monkeypatch.setattr(training, "_has_second_cpu",
-                        lambda: PATHS[request.param])
+    monkeypatch.setattr(training, "usable_cpus",
+                        lambda: 2 if PATHS[request.param] else 1)
     calls = []
     bootstrap = CategoricalQAgent.bootstrap_targets
 
@@ -78,7 +78,8 @@ def test_paths_agree_for_any_sync_period(sync_every, monkeypatch):
     """Windows of one batch, of exactly one message, and a whole iteration."""
     runs = {}
     for name, helper in PATHS.items():
-        monkeypatch.setattr(training, "_has_second_cpu", lambda: helper)
+        monkeypatch.setattr(training, "usable_cpus",
+                            lambda: 2 if helper else 1)
         rng = np.random.default_rng(5)
         trajs = _demonstrations(rng)
         agent = _agent(trajs, rng, sync_every=sync_every)
@@ -108,7 +109,8 @@ def test_target_error_mid_run_leaves_the_same_agent_on_both_paths(monkeypatch):
     before its update, after every earlier batch's update."""
     outcomes = {}
     for name, helper in PATHS.items():
-        monkeypatch.setattr(training, "_has_second_cpu", lambda: helper)
+        monkeypatch.setattr(training, "usable_cpus",
+                            lambda: 2 if helper else 1)
         rng = np.random.default_rng(2024)
         trajs = _demonstrations(rng)
         for traj in trajs:
@@ -137,7 +139,7 @@ def _deadline(seconds):
 
 
 def test_killed_helper_makes_training_raise(monkeypatch):
-    monkeypatch.setattr(training, "_has_second_cpu", lambda: True)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
     step = CategoricalQAgent.train_step
     steps = []
 
