@@ -266,15 +266,18 @@ class CategoricalQAgent:
     def v_max(self) -> float:
         return float(self.atoms[-1])
 
-    def decide(self, obs_batch: np.ndarray,
-               rng: np.random.Generator) -> Iterator[Action]:
+    def decide(self, obs_batch: np.ndarray, rng: np.random.Generator,
+               greedy: list | None = None) -> Iterator[Action]:
         """Epsilon-greedy decisions for a (batch, 6) block of raw obs, in order.
 
-        One forward pass scores every row up front; the decisions are then
+        One forward pass scores every row up front, unless `greedy` passes
+        the rows' greedy actions, scored already; the decisions are then
         yielded lazily, so the exploration draws (a uniform, then an action
         when exploring) are made only for the rows actually consumed.
         """
-        return self._explore(self.greedy_actions(obs_batch).tolist(), rng)
+        if greedy is None:
+            greedy = self.greedy_actions(obs_batch).tolist()
+        return self._explore(greedy, rng)
 
     def _explore(self, greedy: list, rng: np.random.Generator) -> Iterator[Action]:
         epsilon = self.epsilon

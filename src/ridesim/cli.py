@@ -44,7 +44,8 @@ from .ingest import (LOG_COLUMNS, clean, driver_weekly_averages,
                      extract_demonstrations, read_trip_log, record_to_row,
                      training_window, window_records)
 from .metrics import (ACCEPTANCE_COLUMNS, DAILY_COUNT_COLUMNS,
-                      acceptance_by_distance, acceptance_by_hour, curve_pearson,
+                      acceptance_by_distance, acceptance_by_hour,
+                      acceptance_curves, curve_pearson,
                       curve_rows, daily_counts, delta_percent, pearson)
 from .ridegen import RIDE_COLUMNS, ride_to_row
 from .sim import SimConfig, ride_stream, run_episode
@@ -408,9 +409,8 @@ def _replicate(run: _Run, agent_path: Path, sim_config: SimConfig,
     def replicate(i):   # reduced where it ran to what the merge reads
         episode = run_episode(sim_config, agent,
                               seed_stream(run.cfg.seed, f"{stream}-rep-{i}"))
-        curves = [np.array([c.offers, c.accepted]) for c in
-                  (acceptance_by_hour(episode.offers),
-                   acceptance_by_distance(episode.offers))]
+        curves = [np.array([c.offers, c.accepted])
+                  for c in acceptance_curves(episode.offers)]
         return (episode.daily_generated, curves, episode.total_reward,
                 episode.completed_trips)
 
@@ -423,7 +423,7 @@ def _replicate(run: _Run, agent_path: Path, sim_config: SimConfig,
                           scale=sim_config.time_profile.scale_factor)
     hour_curve, dist_curve = (  # each bin's counts summed over the runs
         replace(empty, offers=total[0], accepted=total[1]) for empty, total
-        in zip((acceptance_by_hour(()), acceptance_by_distance(())),
+        in zip(acceptance_curves(()),
                (sum(counts).tolist() for counts in zip(*curves))))
     run.write_csv("daily_counts.csv", DAILY_COUNT_COLUMNS, report.to_rows())
     run.write_csv("acceptance_by_hour.csv", ACCEPTANCE_COLUMNS,

@@ -152,40 +152,58 @@ def curve_rows(curve: AcceptanceCurve) -> list:
     return rows
 
 
-def _curve(labels, offers, bin_of) -> AcceptanceCurve:
-    """Offers and accepts per bin; `bin_of` maps the offers' stacked
-    (n, OBS_DIM) observations to their bins, and a bin past the last one
-    fails the curve's own count check."""
-    index = bin_of(np.array([o.obs for o in offers], dtype=float).reshape(-1, OBS_DIM))
+def _stack(offers) -> tuple:
+    """(n, OBS_DIM) observations and (n,) accepted flags of offers: sim
+    OfferRecords or log Transitions, anything with `obs` and `action`."""
+    obs = np.array([o.obs for o in offers], dtype=float).reshape(-1, OBS_DIM)
     accepted = np.array([o.action for o in offers], dtype=np.int64) == Action.ACCEPT
+    return obs, accepted
+
+
+def _curve(labels, index, accepted) -> AcceptanceCurve:
+    """Offers and accepts per bin from each offer's bin `index`; a bin past
+    the last one fails the curve's own count check."""
     return AcceptanceCurve(
         labels=labels, offers=np.bincount(index, minlength=len(labels)).tolist(),
         accepted=np.bincount(index[accepted], minlength=len(labels)).tolist())
 
 
+def _hour_curve(obs, accepted) -> AcceptanceCurve:
+    return _curve([f"{h:02d}" for h in range(24)],
+                  obs[:, F_MINUTE_OF_DAY].astype(np.int64) // 60, accepted)
+
+
+def _distance_curve(obs, accepted, bin_km: float = 1.0,
+                    max_km: float = 20.0) -> AcceptanceCurve:
+    edges = np.arange(0.0, max_km + bin_km, bin_km)
+    labels = [f"{edges[i]:g}-{edges[i + 1]:g}" for i in range(len(edges) - 1)]
+    labels.append(f"{max_km:g}+")
+    overflow = len(labels) - 1
+    km = obs[:, F_TRIP_KM]
+    inside = km < max_km  # NaN and inf go to the overflow bin
+    index = np.full(km.shape, overflow, dtype=np.int64)
+    index[inside] = np.minimum(km[inside] // bin_km, overflow)
+    return _curve(labels, index, accepted)
+
+
 def acceptance_by_hour(offers: Sequence) -> AcceptanceCurve:
     """24 hourly bins over the minute-of-day feature of each offer: a sim
     OfferRecord or a log Transition, anything with `obs` and `action`."""
-    return _curve([f"{h:02d}" for h in range(24)], offers,
-                  lambda obs: obs[:, F_MINUTE_OF_DAY].astype(np.int64) // 60)
+    return _hour_curve(*_stack(offers))
 
 
 def acceptance_by_distance(offers: Sequence,
                            bin_km: float = 1.0,
                            max_km: float = 20.0) -> AcceptanceCurve:
     """Distance bins of bin_km width up to max_km plus one overflow bin."""
-    edges = np.arange(0.0, max_km + bin_km, bin_km)
-    labels = [f"{edges[i]:g}-{edges[i + 1]:g}" for i in range(len(edges) - 1)]
-    labels.append(f"{max_km:g}+")
-    overflow = len(labels) - 1
+    return _distance_curve(*_stack(offers), bin_km, max_km)
 
-    def bin_of(obs):
-        km = obs[:, F_TRIP_KM]
-        inside = km < max_km  # NaN and inf go to the overflow bin
-        index = np.full(km.shape, overflow, dtype=np.int64)
-        index[inside] = np.minimum(km[inside] // bin_km, overflow)
-        return index
-    return _curve(labels, offers, bin_of)
+
+def acceptance_curves(offers: Sequence) -> tuple:
+    """`acceptance_by_hour` and `acceptance_by_distance` (default bins) of
+    the same offers, which are stacked once for both."""
+    stacked = _stack(offers)
+    return _hour_curve(*stacked), _distance_curve(*stacked)
 
 
 def curve_pearson(a: AcceptanceCurve, b: AcceptanceCurve) -> float:

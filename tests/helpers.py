@@ -244,7 +244,7 @@ def reference_episode(config, agent, rng) -> EpisodeLog:
         # A trip ending on a week's first minute counts toward the new week.
         if minute > 0 and minute % MINUTES_PER_WEEK == 0:
             fleet.start_week(config.params.weekly_target_multiplier)
-        log.completed_trips += fleet.complete_trips(minute)
+        log.completed_trips += fleet.complete_trips(minute).size
         rides = rides_at.get(minute)
         if not rides:
             continue

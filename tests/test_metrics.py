@@ -5,9 +5,9 @@ import pytest
 from scipy import stats
 
 from ridesim.metrics import (AcceptanceCurve, acceptance_by_distance,
-                             acceptance_by_hour, bootstrap_mean_diff,
-                             curve_pearson, curve_rows, daily_counts,
-                             delta_percent, pearson)
+                             acceptance_by_hour, acceptance_curves,
+                             bootstrap_mean_diff, curve_pearson, curve_rows,
+                             daily_counts, delta_percent, pearson)
 from ridesim.ridegen import Ride
 from ridesim.sim import Action, OfferRecord, Transition
 
@@ -129,6 +129,17 @@ class TestAcceptanceCurves:
         assert curve.offers[0] == 1
         assert curve.offers[19] == 1
         assert curve.offers[20] == 2   # both beyond-max offers pool
+
+    def test_both_curves_from_one_stack_match_each_alone(self):
+        rng = np.random.default_rng(2)
+        offers = [offer(minute_of_day=float(m), trip_km=float(km),
+                        action=Action(int(a)))
+                  for m, km, a in zip(rng.integers(0, 1440, 300),
+                                      rng.uniform(0, 25, 300),
+                                      rng.integers(0, 2, 300))]
+        for sample in (offers, offers[:1], []):
+            assert acceptance_curves(sample) == (acceptance_by_hour(sample),
+                                                 acceptance_by_distance(sample))
 
     def test_empty_bins_have_no_rate(self):
         curve = acceptance_by_hour([offer(minute_of_day=0.0)])

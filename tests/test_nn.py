@@ -34,6 +34,53 @@ class TestForward:
         np.testing.assert_allclose(out, [1.0, -1.0])
 
 
+class TestRowsAreBatchIndependent:
+    """`sim.run_episode` scores a block's rides in one forward pass and
+    compares each ride's decisions with the ride scored alone, so it relies
+    on a row's output being bit for bit the same in any batch of two or more
+    rows. A BLAS that breaks this fails here by name. A batch of one row
+    may take another BLAS path and is not covered: a ride with one
+    candidate keeps its pass of one row."""
+
+    SIZES = (2, 3, 5, 16, 64, 81, 320)
+
+    @staticmethod
+    def _rows(seed=0, n=320):
+        rng = np.random.default_rng(seed)
+        # raw observations in the ranges the simulator produces
+        return np.column_stack([rng.uniform(0, 8, n), rng.uniform(0, 12, n),
+                                rng.integers(0, 1440, n), rng.integers(0, 60, n),
+                                rng.uniform(0, 6, n), rng.integers(0, 3000, n)]
+                               ).astype(float)
+
+    def test_forward_rows(self):
+        net = make_net([6, 64, 64, 102], seed=3)
+        x = self._rows()
+        full = forward(net, x)
+        for size in self.SIZES:
+            for start in range(0, len(x) - size + 1, 37):
+                part = forward(net, x[start:start + size])
+                assert part.tobytes() == full[start:start + size].tobytes(), \
+                    (size, start)
+
+    def test_greedy_rows(self):
+        from ridesim.agent import CategoricalQAgent, FeatureScales, expected_q
+        agent = CategoricalQAgent.create(FeatureScales(), -500.0, 1500.0,
+                                         np.random.default_rng(4))
+        obs = self._rows(seed=1)
+        probs, actions = agent._greedy(agent.online, obs)
+        q = expected_q(probs, agent.atoms)
+        for size in self.SIZES:
+            for start in range(0, len(obs) - size + 1, 37):
+                rows = slice(start, start + size)
+                part_probs, part_actions = agent._greedy(agent.online, obs[rows])
+                assert part_probs.tobytes() == probs[rows].tobytes(), (size, start)
+                assert (expected_q(part_probs, agent.atoms).tobytes()
+                        == q[rows].tobytes()), (size, start)
+                assert (agent.greedy_actions(obs[rows]).tolist()
+                        == part_actions.tolist() == actions[rows].tolist())
+
+
 class TestCreate:
     def test_zero_biases_and_scaled_weights(self):
         net = make_net([100, 200, 10], seed=3)

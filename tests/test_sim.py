@@ -179,14 +179,14 @@ class TestDriverLifecycle:
         assert fleet.busy_until[0] == 100 + 12  # 6 km at 30 km/h
 
         for minute in (105, 106, 111):
-            assert fleet.complete_trips(minute) == 0
+            assert fleet.complete_trips(minute).tolist() == []
             assert not fleet.idle[0]
-        assert fleet.complete_trips(112) == 1
+        assert fleet.complete_trips(112).tolist() == [0]
         assert fleet.idle[0]
         assert (fleet.x[0], fleet.y[0]) == (0.0, 6.0)
         assert fleet.idle_since[0] == 112
         assert fleet.trips_week[0] == 1
-        assert fleet.complete_trips(113) == 0
+        assert fleet.complete_trips(113).tolist() == []
 
     def test_completion_during_longer_gap_uses_busy_until(self):
         # completions may first be processed minutes after busy_until; idle
@@ -196,7 +196,7 @@ class TestDriverLifecycle:
         ride = Ride(pickup_x=0.0, pickup_y=1.0, drop_x=0.0, drop_y=2.0,
                     distance_km=1.0, created_minute=0)
         fleet.assign(0, ride, now=0, speed_kmh=30.0)
-        assert fleet.complete_trips(int(fleet.busy_until[0]) + 50) == 1
+        assert fleet.complete_trips(int(fleet.busy_until[0]) + 50).tolist() == [0]
         assert fleet.idle_since[0] == fleet.busy_until[0]
 
     def test_only_due_trips_complete(self):
@@ -207,9 +207,9 @@ class TestDriverLifecycle:
                     distance_km=4.0, created_minute=0)
         fleet.assign(0, short, now=0, speed_kmh=30.0)   # busy until 4
         fleet.assign(1, long, now=0, speed_kmh=30.0)    # busy until 8
-        assert fleet.complete_trips(4) == 1
+        assert fleet.complete_trips(4).tolist() == [0]
         assert fleet.idle.tolist() == [True, False]
-        assert fleet.complete_trips(8) == 1
+        assert fleet.complete_trips(8).tolist() == [1]
         assert (fleet.x[1], fleet.y[1]) == (5.0, 9.0)
 
     def test_week_start_sets_goals_from_completed_trips(self):

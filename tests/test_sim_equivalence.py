@@ -11,7 +11,7 @@ seed see the same rides (common random numbers).
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (record_ride_streams, reference_episode,
@@ -85,6 +85,46 @@ def test_episode_matches_the_minute_by_minute_reference(
 
     expected = reference_episode(config, agent(), np.random.default_rng(seed))
     got = run_episode(config, agent(), np.random.default_rng(seed))
+    assert episode_digest(got) == episode_digest(expected)
+
+
+class _OneRowAgent(CategoricalQAgent):
+    """Greedy on the BLAS it runs on, exaggerated: a row scored alone gets
+    the opposite greedy action from the same row in any batch of two or
+    more, where a row's action depends on that row only (see
+    `test_nn.TestRowsAreBatchIndependent`)."""
+
+    def greedy_actions(self, obs_batch):
+        greedy = super().greedy_actions(obs_batch)
+        return 1 - greedy if len(obs_batch) == 1 else greedy
+
+
+@given(drivers=st.integers(40, 120), max_offers=st.integers(1, 5),
+       # at 0.5 km/h a trip takes hours, at 60 km/h it ends within a block
+       speed=st.sampled_from([0.5, 6.0, 60.0]), peak=st.floats(0.6, 1.2),
+       epsilon=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+# One offer a ride: every block's rides have a single candidate.
+@example(drivers=60, max_offers=1, speed=6.0, peak=0.9, epsilon=0.0, seed=1)
+@settings(max_examples=20, deadline=None)
+def test_dense_episode_matches_the_reference(drivers, max_offers, speed,
+                                             peak, epsilon, seed):
+    # Three busy hours a day, about one ride a minute: `run_episode` scores
+    # rides in blocks, and both accepts and completions send later rides of
+    # a block back to be scored alone.
+    means = np.zeros((7, MINUTES_PER_DAY))
+    means[:, 420:600] = np.random.default_rng(seed).uniform(0.0, peak, (7, 180))
+    config = _config(means, driver_count=drivers, max_offers=max_offers,
+                     speed_kmh=speed, initial_weekly_trips=[0, 2, 5])
+
+    def agent():
+        return _OneRowAgent.create(
+            FeatureScales.for_grid(GRID), -200.0, 400.0,
+            np.random.default_rng(seed + 1), hidden=[8], atom_count=11,
+            epsilon=epsilon)
+
+    expected = reference_episode(config, agent(), np.random.default_rng(seed))
+    got = run_episode(config, agent(), np.random.default_rng(seed))
+    assert got.generated_total > 200
     assert episode_digest(got) == episode_digest(expected)
 
 

@@ -15,8 +15,11 @@ from ridesim.sim import (F_PICKUP_KM, MINUTES_PER_DAY, Action, PlatformParams,
 GRID = GridSpec(width_km=8.0, height_km=6.0)
 
 
-@given(drivers=st.integers(1, 30), max_offers=st.integers(1, 5),
-       demand=st.floats(0.0, 0.15), epsilon=st.floats(0.0, 1.0),
+# Up to 120 drivers and a ride every three minutes: `run_episode` scores
+# rides in blocks, and accepts and completions send some back to be scored
+# alone.
+@given(drivers=st.integers(1, 120), max_offers=st.integers(1, 5),
+       demand=st.floats(0.0, 0.3), epsilon=st.floats(0.0, 1.0),
        weeks=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_episode_invariants(drivers, max_offers, demand, epsilon, weeks, seed):
