@@ -98,8 +98,8 @@ def drop_location(grid: GridSpec, x, y, km,
         rows = outside
         if not rows:
             return drop_x, drop_y, km
-    raise RuntimeError("drop placement failed to converge; "
-                       "check grid and distance inputs")
+    raise ValueError("drop placement failed to converge; "
+                     "check grid and distance inputs")
 
 
 def generate_rides(grid: GridSpec,

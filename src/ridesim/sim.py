@@ -100,8 +100,16 @@ class PlatformParams:
 
 
 def weekly_goal(last_week_trips: int, multiplier: float) -> int:
-    """Next week's trip goal: last week's count scaled, half-up, at least 1."""
-    return max(1, int(math.floor(last_week_trips * multiplier + 0.5)))
+    """Next week's trip goal: last week's count scaled, half-up, at least 1.
+    A goal that does not fit the fleet's int64 goals is a ValueError."""
+    try:
+        goal = math.floor(last_week_trips * multiplier + 0.5)
+    except OverflowError:  # the product is infinite or too large a float
+        goal = math.inf
+    if goal >= 2**63:
+        raise ValueError(f"a weekly goal of {last_week_trips} trips times "
+                         f"multiplier {multiplier} does not fit a 64-bit integer")
+    return max(1, goal)
 
 
 def travel_minutes(distance_km: float, speed_kmh: float) -> int:
@@ -345,52 +353,6 @@ class Fleet:
         self.idle[driver_id] = False
         self.next_completion = min(self.next_completion, done)
 
-    def nearest_idle(self, x: float, y: float, k: int) -> list[int]:
-        """Ids of up to k idle drivers nearest to (x, y), nearest first."""
-        return [i for _, i in self._nearest_idle(x, y, k)]
-
-    def _nearest_idle(self, x: float, y: float, k: int) -> list[tuple]:
-        """(distance, id) of up to k idle drivers nearest to (x, y).
-
-        Ordered by straight-line distance, ties to the lower id. A partition
-        on squared distance narrows the field first; its cut keeps a 1e-9
-        relative margin so that no driver the exact hypot order would place
-        in the first k is dropped by rounding.
-        """
-        ids = self.idle.nonzero()[0]
-        dx = self.x[ids] - x
-        dy = self.y[ids] - y
-        if ids.size > k:
-            d2 = dx * dx + dy * dy
-            keep = d2 <= np.partition(d2, k - 1)[k - 1] * (1.0 + 1e-9)
-            ids, dx, dy = ids[keep], dx[keep], dy[keep]
-        return sorted(zip(map(math.hypot, dx.tolist(), dy.tolist()),
-                          ids.tolist()))[:k]
-
-    def observe(self, driver_ids, ride: Ride, clock: int, grid: GridSpec,
-                pickup_km=None) -> np.ndarray:
-        """Offer observations in raw units (see F_* layout), one row per
-        driver; `pickup_km` passes distances already measured."""
-        ids = np.asarray(driver_ids, dtype=np.int64)
-        if pickup_km is None:
-            pickup_km = list(map(math.hypot, (self.x[ids] - ride.pickup_x).tolist(),
-                                 (self.y[ids] - ride.pickup_y).tolist()))
-        cx, cy = grid.center()
-        return self._observe(ids, pickup_km, ride.distance_km, clock,
-                             math.hypot(ride.drop_x - cx, ride.drop_y - cy))
-
-    def _observe(self, ids, pickup_km, trip_km, clock, drop_center_km):
-        """Observation rows of drivers `ids`; every ride feature is one value
-        for all rows or one per row."""
-        obs = np.empty((ids.size, OBS_DIM))
-        obs[:, F_PICKUP_KM] = pickup_km
-        obs[:, F_TRIP_KM] = trip_km
-        obs[:, F_MINUTE_OF_DAY] = clock % MINUTES_PER_DAY
-        obs[:, F_TRIPS_TO_GOAL] = np.maximum(0, self.goal[ids] - self.trips_week[ids])
-        obs[:, F_DROP_CENTER_KM] = drop_center_km
-        obs[:, F_IDLE_MINUTES] = np.maximum(0, clock - self.idle_since[ids])
-        return obs
-
 
 def _ride_features(rides: list, grid: GridSpec) -> tuple:
     """Per-ride arrays of the features a block reads: pickup x and y, trip
@@ -405,16 +367,19 @@ def _ride_features(rides: list, grid: GridSpec) -> tuple:
 
 class _BlockScores:
     """The next rides of one day scored in one pass against the fleet as it
-    stands: each ride's candidates, observations, goals and, when it has two
-    or more candidates, greedy actions (one forward pass for all of them).
-    Every ride of a block has min(k, idle drivers) candidates.
+    stands: each ride's candidates, its min(k, idle drivers) idle drivers
+    nearest by straight-line distance, ties to the lower id, with their
+    observations, goals and, for an agent with `greedy_actions` and two or
+    more candidates a ride, greedy actions (one forward pass for all of
+    them). A partition on squared distance narrows the field first; its
+    cut, the ride's reach, keeps a 1e-9 relative margin so that rounding
+    drops no driver that the exact hypot order places in the first k.
 
     A ride's score holds until an event touches its candidates, and `take`
-    then hands back None, so the ride is scored again alone:
+    then hands back None, so the ride is scored again as a block of one:
     - a ride before it is assigned to one of its candidates (`assigned`);
-    - a trip completes with the driver within the ride's reach, the k-th
-      nearest squared distance with `_nearest_idle`'s margin, or while the
-      ride has fewer than k candidates (`completed`).
+    - a trip completes with the driver within the ride's reach, or while
+      the ride has fewer than k candidates (`completed`).
     Nothing else moves a clean ride's candidates or observations: they stay
     idle where they were, `idle_since` and `trips_week` change only for a
     completing driver, and goals only at a week rollover, which a block,
@@ -429,7 +394,6 @@ class _BlockScores:
         idle = fleet.idle.nonzero()[0]
         x, y = fleet.x[idle], fleet.y[idle]
         self.count = min(k, idle.size)
-        # the row-wise twin of _nearest_idle's cut, margin and final sort
         if idle.size >= k:
             d2 = x - self.px[:, None]  # squared in place, rides by drivers
             d2 *= d2
@@ -450,11 +414,16 @@ class _BlockScores:
             top = np.arange(rows.size) - np.searchsorted(rows, rows) < k
             rows, km, ids = rows[top], km[top], ids[top]
         self.ids = ids.tolist()
-        self.obs = fleet._observe(ids, km, trip_km[rows], minute[rows],
-                                  drop_km[rows])
+        obs = self.obs = np.empty((ids.size, OBS_DIM))
+        obs[:, F_PICKUP_KM] = km
+        obs[:, F_TRIP_KM] = trip_km[rows]
+        obs[:, F_MINUTE_OF_DAY] = minute[rows] % MINUTES_PER_DAY
+        obs[:, F_TRIPS_TO_GOAL] = np.maximum(0, fleet.goal[ids] - fleet.trips_week[ids])
+        obs[:, F_DROP_CENTER_KM] = drop_km[rows]
+        obs[:, F_IDLE_MINUTES] = np.maximum(0, minute[rows] - fleet.idle_since[ids])
         self.goals = fleet.goal[ids].tolist()
-        self.greedy = (agent.greedy_actions(self.obs).tolist()
-                       if self.count >= 2 else None)
+        self.greedy = (agent.greedy_actions(obs).tolist() if self.count >= 2
+                       and hasattr(agent, "greedy_actions") else None)
         # the walk's checks run once per event on a few rides: lists beat
         # numpy there
         self.reach = self.reach.tolist()
@@ -495,22 +464,18 @@ def dispatch(ride: Ride, fleet: Fleet, agent, config: SimConfig, clock: int,
     """Offer one ride to idle drivers nearest-first until someone accepts.
 
     At most config.max_offers drivers are polled; every polled driver yields
-    an OfferRecord whether they accepted or not. The agent scores all
-    candidates at once but decides lazily, so its exploration draws stop at
-    the first accept. `scored` passes what a `_BlockScores` scored ahead:
-    the candidates' ids, observations and goals, and their greedy actions
-    or None to let `agent.decide` score them. Returns the records and the
-    assigned driver's id, or None when the ride goes unserved.
+    an OfferRecord whether they accepted or not. `clock` is the ride's
+    created minute. The agent scores all candidates at once but decides
+    lazily, so its exploration draws stop at the first accept. `scored`
+    passes what a `_BlockScores` scored ahead: the candidates' ids,
+    observations and goals, and their greedy actions or None to let
+    `agent.decide` score them; without it the ride is scored as a block of
+    one. Returns the records and the assigned driver's id, or None when the
+    ride goes unserved.
     """
     if scored is None:
-        nearest = fleet._nearest_idle(ride.pickup_x, ride.pickup_y,
-                                      config.max_offers)
-        if not nearest:
-            return [], None
-        pickup_km, ids = zip(*nearest)
-        index = np.array(ids)
-        scored = (ids, fleet.observe(index, ride, clock, config.grid, pickup_km),
-                  fleet.goal[index].tolist(), None)
+        scored = _BlockScores(fleet, _ride_features([ride], config.grid),
+                              config.max_offers, agent).take(0)
     ids, obs_batch, goals, greedy = scored
     records = []
     if not ids:
@@ -566,11 +531,10 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
     and week rollovers wait for the next ride, which finds the fleet as a
     minute-by-minute clock would.
 
-    An agent with `greedy_actions` has each day's rides scored in blocks of
-    up to BLOCK_RIDES (`_BlockScores`): when a quarter of a block's rides or
-    more had to be scored again, the next block is half as long (two rides
-    at least), else twice as long. Any other agent's rides are scored one
-    at a time.
+    Each day's rides are scored in blocks of up to BLOCK_RIDES
+    (`_BlockScores`): when a quarter of a block's rides or more had to be
+    scored again, the next block is half as long (two rides at least), else
+    twice as long.
     """
     placement, demand, decisions = episode_streams(rng)
     fleet = Fleet.place(config, placement)
@@ -580,15 +544,14 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
                      daily_lost=[0] * days)
     next_week = MINUTES_PER_WEEK  # first minute of the next week
     now = -1  # minute of the last ride
-    # rides in the next block; only an agent with greedy_actions takes them
-    length = BLOCK_RIDES if hasattr(agent, "greedy_actions") else 1
+    length = BLOCK_RIDES  # rides in the next block
 
     for day, minutes in groupby(ride_stream(config, demand),
                                 lambda item: item[0] // MINUTES_PER_DAY):
         rides = [ride for _, batch in minutes for ride in batch]
         log.daily_generated[day] = len(rides)
-        features = _ride_features(rides, config.grid) if length > 1 else ()
-        scores, first, end = None, 0, 0  # the current block, rides[first:end]
+        features = _ride_features(rides, config.grid)
+        first, end = 0, 0  # the current block, rides[first:end]
         for i, ride in enumerate(rides):
             if ride.created_minute != now:
                 now = ride.created_minute
@@ -601,16 +564,14 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
                 done = fleet.complete_trips(now)
                 if done.size:
                     log.completed_trips += done.size
-                    if scores is not None and i < end:
+                    if i < end:
                         scores.completed(fleet, done, i - first)
             if i == end:
                 first, end = i, min(i + length, len(rides))
-                scores = (_BlockScores(fleet, [f[first:end] for f in features],
-                                       config.max_offers, agent)
-                          if length > 1 else None)
-            records, assigned = dispatch(
-                ride, fleet, agent, config, now, decisions,
-                None if scores is None else scores.take(i - first))
+                scores = _BlockScores(fleet, [f[first:end] for f in features],
+                                      config.max_offers, agent)
+            records, assigned = dispatch(ride, fleet, agent, config, now,
+                                         decisions, scores.take(i - first))
             log.offers.extend(records)
             if assigned is None:
                 log.daily_lost[day] += 1
@@ -618,9 +579,8 @@ def run_episode(config: SimConfig, agent, rng: np.random.Generator) -> EpisodeLo
                 # every other record is a reject, worth 0.0
                 log.total_reward += records[-1].reward
                 log.daily_assigned[day] += 1
-                if scores is not None:
-                    scores.assigned(assigned, i - first)
-            if i + 1 == end and scores is not None:
+                scores.assigned(assigned, i - first)
+            if i + 1 == end:
                 length = (max(2, length // 2) if 4 * scores.rescored >= end - first
                           else min(BLOCK_RIDES, 2 * length))
     log.completed_trips += fleet.complete_trips(days * MINUTES_PER_DAY - 1).size

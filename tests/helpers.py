@@ -3,7 +3,10 @@ agent's single-observation views, a forward-only loss, central finite
 differences, per-iteration series of a training report, summaries of fitted
 models and cleaning reports, file writers for bare networks and fitted
 artifacts, the minute-by-minute reference of the episode loop and a
-recorder of the rides episodes draw."""
+recorder of the rides episodes draw, and a ride's candidates read from
+the block scorer."""
+
+import math
 
 import numpy as np
 
@@ -207,16 +210,36 @@ def record_ride_streams(monkeypatch) -> list:
     return streams
 
 
+def candidates(fleet, rides, grid, k) -> list:
+    """Per ride, the (driver ids, observation rows) that one
+    `sim._BlockScores` of `rides` gives it: its k nearest idle drivers,
+    nearest first."""
+    scores = sim._BlockScores(fleet, sim._ride_features(rides, grid), k,
+                              agent=None)
+    return [scores.take(j)[:2] for j in range(len(rides))]
+
+
 def reference_dispatch(ride, fleet, agent, config, clock, rng):
-    """`sim.dispatch` through the fleet's public queries, scoring every
-    offer, rejects included, from its observation row."""
-    ids = fleet.nearest_idle(ride.pickup_x, ride.pickup_y, config.max_offers)
+    """`sim.dispatch` by a full sort of the idle drivers on (distance, id),
+    scoring every offer, rejects included, from its observation row."""
+    nearest = sorted(
+        (math.hypot(x - ride.pickup_x, y - ride.pickup_y), i)
+        for i, (x, y, idle) in enumerate(zip(fleet.x.tolist(), fleet.y.tolist(),
+                                             fleet.idle.tolist())) if idle)
+    nearest = nearest[:config.max_offers]
     records = []
-    if not ids:
+    if not nearest:
         return records, None
-    obs_batch = fleet.observe(ids, ride, clock, config.grid)
-    for driver_id, obs, action in zip(ids, obs_batch,
-                                      agent.decide(obs_batch, rng)):
+    cx, cy = config.grid.center()
+    drop_center_km = math.hypot(ride.drop_x - cx, ride.drop_y - cy)
+    # the sim.F_* layout
+    obs_batch = np.array([
+        [km, ride.distance_km, clock % MINUTES_PER_DAY,
+         max(0, int(fleet.goal[i] - fleet.trips_week[i])), drop_center_km,
+         max(0, clock - int(fleet.idle_since[i]))] for km, i in nearest],
+        dtype=float)
+    for (_, driver_id), obs, action in zip(nearest, obs_batch,
+                                           agent.decide(obs_batch, rng)):
         goal = int(fleet.goal[driver_id])
         reward = reward_from_observation(config.params, obs, goal, action)
         records.append(OfferRecord(minute=clock, driver_id=driver_id, obs=obs,

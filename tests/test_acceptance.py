@@ -16,8 +16,8 @@ import pytest
 import scipy.stats
 
 from ridesim import cli
-from helpers import (expected_daily, gradient_check, ks_statistic,
-                     project_target, tabular_q_update)
+from helpers import (candidates, expected_daily, gradient_check,
+                     ks_statistic, project_target, tabular_q_update)
 from ridesim.agent import (CategoricalQAgent, FeatureScales, TransitionBatch,
                            expected_q)
 from ridesim.artifacts import comparable_lines, seed_stream
@@ -86,8 +86,9 @@ def test_reward_formula_hand_values(capsys):
         fleet.idle_since[0] = 710
         ride = Ride(pickup_x=2.0, pickup_y=3.0, drop_x=2.0, drop_y=8.0,
                     distance_km=5.0, created_minute=720)
-        obs = fleet.observe([0], ride, 720, GridSpec(width_km=10.0,
-                                                     height_km=10.0))[0]
+        [(_, obs)] = candidates(fleet, [ride], GridSpec(width_km=10.0,
+                                                        height_km=10.0), 1)
+        obs = obs[0]
         assert reward_from_observation(params, obs, int(fleet.goal[0]),
                                        Action.ACCEPT) \
             == pytest.approx(360.0, abs=1e-9)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ridesim
-from helpers import record_ride_streams
+from helpers import record_ride_streams, write_distribution
 from ridesim import cli, training
 from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
@@ -17,6 +17,7 @@ from ridesim.artifacts import (comparable_lines, read_csv_artifact,
 from ridesim.config import (Config, ConfigError, apply_override,
                             config_from_dict, config_hash, config_to_dict,
                             load_config)
+from ridesim.distributions import fit_empirical
 from ridesim.ridegen import GridSpec
 from ridesim.sim import PlatformParams, run_episode
 from ridesim.synth import SyntheticLogSpec
@@ -805,6 +806,49 @@ class TestCliPipeline:
         assert code == 2
         assert f"driver_averages.csv {reason}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "train-rl"])
+    @pytest.mark.parametrize("setting, averages, named", [
+        ("platform.weekly_target_multiplier=1.0e+300", None,
+         "multiplier 1e+300"),
+        ("sim.initial_weekly_trips=100000000000000000000000", None,
+         "100000000000000000000000 trips"),
+        (None, "d000,1e30", f"{int(1e30 + 0.5)} trips")])
+    def test_overflowing_weekly_goal_exits_2(self, pipeline, tmp_path, capsys,
+                                             command, setting, averages,
+                                             named):
+        cfg_path, out = pipeline
+        for name in ("dist_pickup_x.txt", "dist_pickup_y.txt",
+                     "dist_trip_km.txt", "time_profile.txt", "holdout.txt",
+                     "driver_averages.csv", "agent_bc.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        if averages is not None:
+            (tmp_path / "driver_averages.csv").write_text(
+                "# seed 11\ndriver_id,weekly_trips\n" + averages + "\n")
+        extra = [] if setting is None else ["--set", setting]
+        code = cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: a weekly goal of ")
+        assert "does not fit a 64-bit integer" in err
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_unplaceable_drop_point_exits_2(self, pipeline, tmp_path, capsys):
+        cfg_path, out = pipeline
+        for name in ("dist_pickup_x.txt", "dist_pickup_y.txt",
+                     "time_profile.txt"):
+            shutil.copy(out / name, tmp_path / name)
+        write_distribution(fit_empirical([1e300, 2e300]),
+                           tmp_path / "dist_trip_km.txt", "trip_km")
+        code = cli.main(["generate", "--config", str(cfg_path),
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: drop placement failed to converge")
+        assert "Traceback" not in err
+        assert not (tmp_path / "rides.csv").exists()
 
     def test_read_helpers_skip_headers(self, pipeline):
         _, out = pipeline

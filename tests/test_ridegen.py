@@ -99,7 +99,7 @@ class TestDropLocation:
 
     def test_gives_up_after_65_draws(self, grid):
         rng = _FixedAngles(*[math.pi] * 100)  # always out of the west edge
-        with pytest.raises(RuntimeError, match="drop placement"):
+        with pytest.raises(ValueError, match="drop placement"):
             drop_location(grid, [0.0], [5.0], [1.0], rng)
         assert rng.draws == 65
 
@@ -179,7 +179,7 @@ class TestGenerateRides:
                 return np.full(size, low if low < 0 else 0.0)
 
         px, py = degenerate(0.0), degenerate(0.0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError):
             generate_rides(grid, px, py, degenerate(4.0), 1, 0, CornerRng())
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import candidates
 from ridesim.distributions import TimeProfile, fit_empirical
 from ridesim.ridegen import GridSpec, Ride
 from ridesim.sim import (Action, EpisodeLog, Fleet, OfferRecord,
@@ -27,6 +28,13 @@ def make_fleet(*positions, goal=1):
     """Idle drivers at the given (x, y) points, ids in argument order."""
     return Fleet([p[0] for p in positions], [p[1] for p in positions],
                  goal=[goal] * len(positions))
+
+
+def observe(fleet, driver_ids, ride, grid) -> np.ndarray:
+    """The observation rows that scoring `ride` with every idle driver a
+    candidate gives drivers `driver_ids`, in that order."""
+    [(ids, obs)] = candidates(fleet, [ride], grid, fleet.x.size)
+    return obs[[ids.index(i) for i in driver_ids]]
 
 
 class TestTravelMinutes:
@@ -123,7 +131,7 @@ class TestReward:
         fleet.idle_since[0] = 100
         ride = Ride(pickup_x=2.0, pickup_y=3.0, drop_x=2.0, drop_y=8.0,
                     distance_km=5.0, created_minute=147)
-        obs = fleet.observe([0], ride, 147, grid)[0]
+        obs = observe(fleet, [0], ride, grid)[0]
         via_obs = reward_from_observation(params, obs, 40, Action.ACCEPT)
         direct = reward_for_features(params, pickup_km=1.0, trip_km=5.0,
                                      minute_of_day=147, trips_to_goal=40,
@@ -139,7 +147,7 @@ class TestObservation:
         fleet.idle_since[0] = 100
         ride = Ride(pickup_x=2.0, pickup_y=5.0, drop_x=5.0, drop_y=9.0,
                     distance_km=5.0, created_minute=147)
-        obs = fleet.observe([0], ride, 147, grid)[0]
+        obs = observe(fleet, [0], ride, grid)[0]
         assert obs[0] == pytest.approx(3.0)       # pickup distance
         assert obs[1] == pytest.approx(5.0)       # trip distance
         assert obs[2] == 147.0                    # minute of day
@@ -151,7 +159,7 @@ class TestObservation:
         fleet = make_fleet((0.0, 0.0))
         ride = Ride(pickup_x=1.0, pickup_y=0.0, drop_x=2.0, drop_y=1.0,
                     distance_km=1.0, created_minute=1500)
-        obs = fleet.observe([0], ride, 1500, grid)[0]
+        obs = observe(fleet, [0], ride, grid)[0]
         assert obs[2] == 60.0
 
     def test_goal_deficit_never_negative(self, grid):
@@ -159,13 +167,13 @@ class TestObservation:
         fleet.trips_week[0] = 7
         ride = Ride(pickup_x=1.0, pickup_y=0.0, drop_x=2.0, drop_y=1.0,
                     distance_km=1.0, created_minute=0)
-        assert fleet.observe([0], ride, 0, grid)[0][3] == 0.0
+        assert observe(fleet, [0], ride, grid)[0][3] == 0.0
 
     def test_rows_follow_the_requested_driver_order(self, grid):
         fleet = make_fleet((0.0, 0.0), (3.0, 4.0))
         ride = Ride(pickup_x=0.0, pickup_y=0.0, drop_x=2.0, drop_y=1.0,
                     distance_km=1.0, created_minute=0)
-        obs = fleet.observe([1, 0], ride, 0, grid)
+        obs = observe(fleet, [1, 0], ride, grid)
         assert obs[:, 0].tolist() == [5.0, 0.0]
 
 
@@ -307,7 +315,7 @@ class TestDispatch:
                         np.random.default_rng(0)) == ([], None)
         assert agent.calls == 0
 
-    def test_squared_distance_rounding_does_not_reorder(self):
+    def test_squared_distance_rounding_does_not_reorder(self, grid):
         # Both drivers are 6.917406031446344 km away by hypot, a tie that
         # goes to id 0, yet driver 1's squared distance rounds lower.
         fleet = make_fleet((6.369616873214543, 2.697867137638703),
@@ -317,11 +325,15 @@ class TestDispatch:
         squared = dx * dx + dy * dy
         assert math.hypot(dx[0], dy[0]) == math.hypot(dx[1], dy[1])
         assert squared[1] < squared[0]
-        assert fleet.nearest_idle(0.0, 0.0, 1) == [0]
+        ride = Ride(pickup_x=0.0, pickup_y=0.0, drop_x=1.0, drop_y=1.0,
+                    distance_km=1.4, created_minute=0)
+        [(ids, _)] = candidates(fleet, [ride], grid, 1)
+        assert ids == [0]
 
-    def test_nearest_idle_matches_a_full_sort(self):
+    def test_nearest_idle_matches_a_full_sort(self, grid):
         # Coarse coordinates make many exact distance ties, fine ones make
-        # near-ties that squared distance and hypot may round apart.
+        # near-ties that squared distance and hypot may round apart. Each
+        # trial scores its rides alone and as one block.
         rng = np.random.default_rng(4)
         for trial in range(300):
             n = int(rng.integers(1, 40))
@@ -330,13 +342,23 @@ class TestDispatch:
             ys = np.round(rng.uniform(0, 10, n) / step) * step
             fleet = Fleet(xs, ys, goal=[1] * n)
             fleet.idle[:] = rng.random(n) < 0.7
-            px, py = float(xs[0]) + 1e-9 * trial, float(ys[-1])
+            rides = [Ride(pickup_x=float(xs[i]) + 1e-9 * trial,
+                          pickup_y=float(ys[-1 - i]), drop_x=1.0, drop_y=1.0,
+                          distance_km=1.0, created_minute=0)
+                     for i in range(min(n, 4))]
             k = int(rng.integers(1, 6))
-            expected = sorted((math.hypot(x - px, y - py), i)
-                              for i, (x, y) in enumerate(zip(xs.tolist(),
-                                                             ys.tolist()))
-                              if fleet.idle[i])
-            assert fleet.nearest_idle(px, py, k) == [i for _, i in expected[:k]]
+            alone = [c for ride in rides
+                     for c in candidates(fleet, [ride], grid, k)]
+            for ride, one, block in zip(rides, alone,
+                                        candidates(fleet, rides, grid, k)):
+                px, py = ride.pickup_x, ride.pickup_y
+                expected = sorted((math.hypot(x - px, y - py), i)
+                                  for i, (x, y) in enumerate(zip(xs.tolist(),
+                                                                 ys.tolist()))
+                                  if fleet.idle[i])
+                assert one[0] == block[0] == [i for _, i in expected[:k]]
+                assert one[1][:, 0].tolist() == block[1][:, 0].tolist() \
+                    == [d for d, _ in expected[:k]]
 
 
 class TestRunEpisode:

@@ -102,21 +102,26 @@ class _OneRowAgent(CategoricalQAgent):
 @given(drivers=st.integers(40, 120), max_offers=st.integers(1, 5),
        # at 0.5 km/h a trip takes hours, at 60 km/h it ends within a block
        speed=st.sampled_from([0.5, 6.0, 60.0]), peak=st.floats(0.6, 1.2),
-       epsilon=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+       epsilon=st.sampled_from([0.0, 0.3]), coin=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 # One offer a ride: every block's rides have a single candidate.
-@example(drivers=60, max_offers=1, speed=6.0, peak=0.9, epsilon=0.0, seed=1)
+@example(drivers=60, max_offers=1, speed=6.0, peak=0.9, epsilon=0.0,
+         coin=False, seed=1)
 @settings(max_examples=20, deadline=None)
 def test_dense_episode_matches_the_reference(drivers, max_offers, speed,
-                                             peak, epsilon, seed):
+                                             peak, epsilon, coin, seed):
     # Three busy hours a day, about one ride a minute: `run_episode` scores
     # rides in blocks, and both accepts and completions send later rides of
-    # a block back to be scored alone.
+    # a block back to be scored alone. A `_CoinAgent`, without greedy
+    # actions, takes its candidates from the same blocks.
     means = np.zeros((7, MINUTES_PER_DAY))
     means[:, 420:600] = np.random.default_rng(seed).uniform(0.0, peak, (7, 180))
     config = _config(means, driver_count=drivers, max_offers=max_offers,
                      speed_kmh=speed, initial_weekly_trips=[0, 2, 5])
 
     def agent():
+        if coin:
+            return _CoinAgent()
         return _OneRowAgent.create(
             FeatureScales.for_grid(GRID), -200.0, 400.0,
             np.random.default_rng(seed + 1), hidden=[8], atom_count=11,
