@@ -68,13 +68,18 @@ def write_artifact(path, body_lines, version: str, config_digest: str,
         header_lines(version, config_digest, seed), body_lines))
 
 
-def csv_lines(columns, rows) -> list:
+def csv_lines(columns, rows):
+    """The CSV records of `columns`, then of each row, without their line
+    terminator, one at a time: a record is handed out before the next row
+    is read, so `write_lines_atomic` streams a table to disk. A field that
+    holds a `\\n` is quoted, and its record is still one item."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
+    for row in itertools.chain([columns], rows):
         writer.writerow(row)
-    return buf.getvalue().splitlines()
+        yield buf.getvalue()[:-1]
+        buf.seek(0)
+        buf.truncate()
 
 
 def write_csv_artifact(path, columns, rows, version: str, config_digest: str,
@@ -142,13 +147,29 @@ def _read_keyed(path, magic: str, keys, build, optional=(), end=None):
         raise ValueError(exc if named else f"{path}: {exc}") from None
 
 
+def csv_rows(lines):
+    """`csv.reader(lines)`, whose csv.Error (a field over the reader's size
+    limit, say) is raised as a ValueError naming the row it stopped at."""
+    number = 0
+    try:
+        for row in csv.reader(lines):
+            yield row
+            number += 1
+    except csv.Error as exc:
+        where = f"data row {number}" if number else "header"
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def read_csv_artifact(path) -> tuple:
     """(columns, rows) from a headered CSV artifact whose every row has as
     many fields as the header."""
     lines = read_data_lines(path)
     if not lines:
         raise ValueError(f"{path} has no data")
-    columns, *rows = csv.reader(lines)
+    try:
+        columns, *rows = csv_rows(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path} {exc}") from None
     for number, row in enumerate(rows, start=1):
         if len(row) != len(columns):
             raise ValueError(f"{path} row {number}: field count "

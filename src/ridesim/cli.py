@@ -172,7 +172,7 @@ def cmd_synth(args) -> int:
     records = generate_synthetic_log(cfg.synth, cfg.grid, cfg.platform,
                                      cfg.sim.speed_kmh, cfg.seed)
     run.write_csv("synthetic_trips.csv", LOG_COLUMNS,
-                  [record_to_row(r) for r in records])
+                  map(record_to_row, records))
     accepted = sum(1 for r in records if r.status == "completed")
     print(f"wrote {len(records)} offers ({accepted} completed) to "
           f"{run.out / 'synthetic_trips.csv'}")
@@ -189,10 +189,9 @@ def cmd_ingest(args) -> int:
     if not records and not rejects:
         raise PipelineError(f"{log_path} contains no data rows")
     kept, report = clean(records, run.cfg.grid.latlon_bounds())
-    run.write_csv("cleaned_trips.csv", LOG_COLUMNS,
-                  [record_to_row(r) for r in kept])
+    run.write_csv("cleaned_trips.csv", LOG_COLUMNS, map(record_to_row, kept))
     run.write_csv("rejects.csv", ["row", "reason"],
-                  [[str(r.row_number), r.reason] for r in rejects])
+                  ([str(r.row_number), r.reason] for r in rejects))
     run.write("cleaning_report.txt",
               [f"parse_rejected {len(rejects)}"] + report.to_lines())
     print(f"parsed {len(records)} trips ({len(rejects)} rejected rows), "
@@ -275,8 +274,8 @@ def cmd_fit(args) -> int:
                                cfg.demand.scale_factor)
     run.write("time_profile.txt", time_profile_lines(profile))
     run.write_csv("driver_averages.csv", ["driver_id", "weekly_trips"],
-                  [[d, f"{v:.6f}"] for d, v in
-                   driver_weekly_averages(train).items()])
+                  ([d, f"{v:.6f}"] for d, v in
+                   driver_weekly_averages(train).items()))
     run.write("holdout.txt", _holdout_lines(cfg, records, holdout_win))
     weekly = profile.expected_weekly() * cfg.demand.scale_factor
     print(f"fitted {len(train)} trips from {train_win[0]:%Y-%m-%d} "
@@ -291,7 +290,7 @@ def cmd_generate(args) -> int:
     stream = ride_stream(_build_sim_config(run),
                          seed_stream(run.cfg.seed, "generate"))
     rides = [ride for _, batch in stream for ride in batch]
-    run.write_csv("rides.csv", RIDE_COLUMNS, [ride_to_row(r) for r in rides])
+    run.write_csv("rides.csv", RIDE_COLUMNS, map(ride_to_row, rides))
     print(f"generated {len(rides)} ride requests over "
           f"{run.cfg.sim.weeks} week(s) to {run.out / 'rides.csv'}")
     return 0
@@ -304,19 +303,26 @@ def _train(run: _Run, phase: str, train, *args):
                                                        agent.to_lines()))
     run.write_csv(f"{phase}_report.csv",
                   ["iteration", "loss", report.metric_name],
-                  [[str(s.iteration), f"{s.loss:.6f}", f"{s.metric:.6f}"]
-                   for s in report.iterations])
+                  ([str(s.iteration), f"{s.loss:.6f}", f"{s.metric:.6f}"]
+                   for s in report.iterations))
     return report
+
+
+def _demonstrations(run: _Run) -> list:
+    """train-bc: the training window's trajectories of cleaned_trips.csv.
+    The parsed log is freed when this returns, before training starts."""
+    cfg = run.cfg
+    records = _read_cleaned(run.need("cleaned_trips.csv"))
+    train_win, _ = training_window(records, cfg.demand.holdout_days)
+    return extract_demonstrations(records, cfg.platform, cfg.grid,
+                                  window=train_win,
+                                  speed_kmh=cfg.sim.speed_kmh)
 
 
 def cmd_train_bc(args) -> int:
     run = _load(args)
     cfg = run.cfg
-    records = _read_cleaned(run.need("cleaned_trips.csv"))
-    train_win, _ = training_window(records, cfg.demand.holdout_days)
-    trajectories = extract_demonstrations(records, cfg.platform, cfg.grid,
-                                          window=train_win,
-                                          speed_kmh=cfg.sim.speed_kmh)
+    trajectories = _demonstrations(run)
     agent = build_agent_for_demonstrations(trajectories,
                                            FeatureScales.for_grid(cfg.grid),
                                            seed_stream(cfg.seed, "bc-init"),

@@ -19,7 +19,6 @@ the service region, counting each removal under its first matching reason.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import csv_rows
 from .ridegen import GridSpec
 from .sim import (Action, PlatformParams, SimSettings, Trajectory,
                   chain_transitions, reward_from_observation, travel_minutes,
@@ -69,7 +69,7 @@ def parse_minute(text: str) -> datetime:
     raise ValueError(f"bad timestamp {text!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class TripRecord:
     driver_id: str
     trip_id: str
@@ -122,23 +122,34 @@ class CleaningReport:
                 f"retained {self.retained_count}"]
 
 
-def _parse_row(row: Sequence[str]) -> TripRecord:
+def _parse_row(row: Sequence[str], times: dict, texts: dict) -> TripRecord:
     """One data row as a TripRecord, field by position; the first failed
-    check raises ValueError naming its column."""
+    check raises ValueError naming its column.
+
+    Equal timestamps share one datetime from `times`, and equal driver ids,
+    statuses and payment methods one str from `texts`, keyed by their text:
+    a log repeats these values on many rows.
+    """
     if len(row) != len(LOG_COLUMNS):
         raise ValueError(f"expected {len(LOG_COLUMNS)} columns, got {len(row)}")
     vals = [v.strip() for v in row]
     for i in (0, 1, 13):  # driver_id, trip_id, payment_method
         if not vals[i]:
             raise ValueError(f"missing {LOG_COLUMNS[i]}")
+        # artifact readers split lines as str.splitlines() does
+        if vals[i].splitlines() != [vals[i]]:
+            raise ValueError(f"line break in {LOG_COLUMNS[i]}")
     for i in range(2, 6):  # created, assigned, decision and pickup time
         if i == 5 and not vals[i]:  # pickup_time may be empty
             vals[i] = None
             continue
-        try:
-            vals[i] = parse_minute(vals[i])
-        except ValueError:
-            raise ValueError(f"bad {LOG_COLUMNS[i]} {vals[i]!r}")
+        text = vals[i]
+        if text not in times:
+            try:
+                times[text] = parse_minute(text)
+            except ValueError:
+                raise ValueError(f"bad {LOG_COLUMNS[i]} {text!r}")
+        vals[i] = times[text]
     for i in range(6, 12):  # pickup and drop coordinates, then distances
         try:
             vals[i] = float(vals[i])
@@ -151,6 +162,8 @@ def _parse_row(row: Sequence[str]) -> TripRecord:
             raise ValueError(f"negative {LOG_COLUMNS[i]}")
     if vals[12] not in STATUSES:
         raise ValueError(f"unknown status {vals[12]!r}")
+    for i in (0, 12, 13):
+        vals[i] = texts.setdefault(vals[i], vals[i])
     return TripRecord(*vals)
 
 
@@ -158,11 +171,12 @@ def parse_trip_log(lines: Iterable[str]) -> tuple[list, list]:
     """Parse log lines into (records, rejects).
 
     The header row must match the schema exactly; a missing or wrong header
-    fails the whole file. Data rows that cannot be parsed become RejectedRow
-    entries numbered from 1 in data-row order.
+    fails the whole file, and so does a row the CSV reader cannot split.
+    Data rows that cannot be parsed become RejectedRow entries numbered
+    from 1 in data-row order.
     """
-    reader = csv.reader(ln for ln in lines
-                        if ln.strip() and not ln.lstrip().startswith("#"))
+    reader = csv_rows(ln for ln in lines
+                      if ln.strip() and not ln.lstrip().startswith("#"))
     try:
         header = next(reader)
     except StopIteration:
@@ -170,9 +184,10 @@ def parse_trip_log(lines: Iterable[str]) -> tuple[list, list]:
     if [h.strip() for h in header] != LOG_COLUMNS:
         raise ValueError("trip log header does not match the expected schema")
     records, rejects = [], []
+    times, texts = {}, {}
     for number, row in enumerate(reader, start=1):
         try:
-            records.append(_parse_row(row))
+            records.append(_parse_row(row, times, texts))
         except ValueError as exc:
             rejects.append(RejectedRow(row_number=number, reason=str(exc)))
     return records, rejects
@@ -182,7 +197,7 @@ def read_trip_log(path) -> tuple[list, list]:
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_trip_log(fh)
-    except UnicodeDecodeError as exc:
+    except ValueError as exc:  # UnicodeDecodeError among them
         raise ValueError(f"{path}: {exc}") from None
 
 

@@ -63,7 +63,7 @@ class GridSpec:
         return self.origin_lat, self.origin_lon, max_lat, max_lon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ride:
     pickup_x: float
     pickup_y: float

@@ -161,7 +161,7 @@ def reward_from_observation(params: PlatformParams, obs: np.ndarray,
         action=action)
 
 
-@dataclass
+@dataclass(slots=True)
 class Transition:
     obs: np.ndarray
     action: Action

@@ -1,3 +1,4 @@
+import gc
 import os
 import shutil
 import subprocess
@@ -18,6 +19,7 @@ from ridesim.config import (Config, ConfigError, apply_override,
                             config_from_dict, config_hash, config_to_dict,
                             load_config)
 from ridesim.distributions import fit_empirical
+from ridesim.ingest import LOG_COLUMNS, TripRecord
 from ridesim.ridegen import GridSpec
 from ridesim.sim import PlatformParams, run_episode
 from ridesim.synth import SyntheticLogSpec
@@ -849,6 +851,58 @@ class TestCliPipeline:
         assert err.startswith("error: drop placement failed to converge")
         assert "Traceback" not in err
         assert not (tmp_path / "rides.csv").exists()
+
+    def test_line_break_in_a_text_field_is_a_parse_reject(self, pipeline,
+                                                          tmp_path, capsys):
+        # str.splitlines() breaks at \x1c, so the row, had ingest kept it,
+        # would be cut in two in cleaned_trips.csv and fit would exit 2
+        cfg_path, out = pipeline
+        lines = (out / "synthetic_trips.csv").read_text().split("\n")
+        row = lines.index(",".join(LOG_COLUMNS)) + 18
+        lines[row] = lines[row].rpartition(",")[0] + ",ca\x1csh"
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join(lines), encoding="utf-8")
+        base = ["--config", str(cfg_path), "--out", str(tmp_path)]
+        assert cli.main(["ingest", *base, "--trip-log", str(raw)]) == 0
+        assert cli.main(["fit", *base]) == 0, capsys.readouterr().err
+        _, rejects = read_csv_artifact(tmp_path / "rejects.csv")
+        assert rejects == [["18", "line break in payment_method"]]
+
+    def test_over_long_field_exits_2(self, pipeline, tmp_path, capsys):
+        cfg_path, out = pipeline
+        lines = (out / "synthetic_trips.csv").read_text().split("\n")
+        row = lines.index(",".join(LOG_COLUMNS)) + 3
+        lines[row] = lines[row] + "x" * 200_000
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join(lines), encoding="utf-8")
+        code = cli.main(["ingest", "--config", str(cfg_path),
+                         "--out", str(tmp_path), "--trip-log", str(raw)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {raw}: data row 3: field larger than "
+                              "field limit")
+        assert "Traceback" not in err
+        assert not (tmp_path / "cleaned_trips.csv").exists()
+
+    def test_train_bc_trains_without_the_parsed_log(self, pipeline, tmp_path,
+                                                    monkeypatch):
+        cfg_path, out = pipeline
+        shutil.copy(out / "cleaned_trips.csv", tmp_path / "cleaned_trips.csv")
+        real, live = cli.train_bc, []
+
+        def records():
+            return sum(isinstance(o, TripRecord) for o in gc.get_objects())
+
+        def train_bc(*args, **kwargs):
+            live.append(records())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_bc", train_bc)
+        gc.collect()
+        before = records()
+        assert cli.main(["train-bc", "--config", str(cfg_path),
+                         "--out", str(tmp_path)]) == 0
+        assert live == [before]
 
     def test_read_helpers_skip_headers(self, pipeline):
         _, out = pipeline

@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -183,6 +185,38 @@ class TestParseTripLog:
         assert not records
         assert [r.reason for r in rejects] == [reason] * len(rows), column
         assert {c for c, _, _ in self.BAD_FIELDS} == set(LOG_COLUMNS)
+
+    LINE_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("column, key", [("driver_id", "driver"),
+                                             ("trip_id", "trip"),
+                                             ("payment_method", "pay")])
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+    def test_line_break_in_a_text_field_is_a_reject(self, column, key, brk):
+        # artifact readers split lines where str.splitlines() does, so the
+        # value could not be written to cleaned_trips.csv and read back
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerow(
+            csv_row(**{key: f"ca{brk}sh"}).split(","))
+        records, rejects = parse_trip_log(
+            io.StringIO(f"{HEADER}\n{csv_row(trip='ok')}\n{buf.getvalue()}"))
+        assert [r.trip_id for r in records] == ["ok"]
+        assert [(r.row_number, r.reason) for r in rejects] == \
+            [(2, f"line break in {column}")]
+
+    def test_unsplittable_row_fails_the_file_naming_it(self):
+        with pytest.raises(ValueError, match="^data row 2: field larger than "
+                                             "field limit"):
+            parse_trip_log([HEADER, csv_row(), csv_row(pay="x" * 200_000)])
+
+    def test_equal_values_share_one_object(self):
+        a, b = parse_trip_log([HEADER, csv_row(trip="t1"),
+                               csv_row(trip="t2")])[0]
+        for name in ("driver_id", "created_time", "assigned_time",
+                     "decision_time", "status", "payment_method"):
+            assert getattr(a, name) is getattr(b, name), name
+        assert a.created_time is a.decision_time
 
     def test_row_roundtrip(self):
         original = make_record(status="completed",
