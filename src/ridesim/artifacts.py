@@ -148,11 +148,23 @@ def _read_keyed(path, magic: str, keys, build, optional=(), end=None):
 
 
 def csv_rows(lines):
-    """`csv.reader(lines)`, whose csv.Error (a field over the reader's size
+    """The rows `csv.reader` reads from `lines`, skipping comment and blank
+    lines between records. Lines that keep their terminators keep a quoted
+    field's line breaks. The reader's csv.Error (a field over its size
     limit, say) is raised as a ValueError naming the row it stopped at."""
+    in_record = False   # the reader has read part of a record
+
+    def record_lines():
+        nonlocal in_record
+        for line in lines:
+            if in_record or line.strip() and not line.lstrip().startswith("#"):
+                in_record = True
+                yield line
+
     number = 0
     try:
-        for row in csv.reader(lines):
+        for row in csv.reader(record_lines()):
+            in_record = False
             yield row
             number += 1
     except csv.Error as exc:
@@ -163,13 +175,14 @@ def csv_rows(lines):
 def read_csv_artifact(path) -> tuple:
     """(columns, rows) from a headered CSV artifact whose every row has as
     many fields as the header."""
-    lines = read_data_lines(path)
-    if not lines:
-        raise ValueError(f"{path} has no data")
+    lines = read_text(path).splitlines(keepends=True)
     try:
-        columns, *rows = csv_rows(lines)
+        table = list(csv_rows(lines))
     except ValueError as exc:
         raise ValueError(f"{path} {exc}") from None
+    if not table:
+        raise ValueError(f"{path} has no data")
+    columns, *rows = table
     for number, row in enumerate(rows, start=1):
         if len(row) != len(columns):
             raise ValueError(f"{path} row {number}: field count "

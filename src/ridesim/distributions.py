@@ -12,7 +12,6 @@ between runs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -70,15 +69,7 @@ def inverse_sample(dist: EmpiricalDistribution, u) -> np.ndarray:
     if not np.all((u >= 0.0) & (u <= 1.0)):  # NaN fails both
         raise ValueError("u must lie in [0, 1]")
     n = dist.samples.size
-    return np.interp(u * (n - 1), _index_grid(n), dist.samples)
-
-
-@functools.lru_cache(maxsize=16)
-def _index_grid(n: int) -> np.ndarray:
-    """Read-only 0..n-1 positions of the order statistics, as floats."""
-    grid = np.arange(n, dtype=float)
-    grid.flags.writeable = False
-    return grid
+    return np.interp(u * (n - 1), np.arange(n, dtype=float), dist.samples)
 
 
 @dataclass(frozen=True)

@@ -175,8 +175,7 @@ def parse_trip_log(lines: Iterable[str]) -> tuple[list, list]:
     Data rows that cannot be parsed become RejectedRow entries numbered
     from 1 in data-row order.
     """
-    reader = csv_rows(ln for ln in lines
-                      if ln.strip() and not ln.lstrip().startswith("#"))
+    reader = csv_rows(lines)
     try:
         header = next(reader)
     except StopIteration:

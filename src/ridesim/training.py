@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import mmap
 import os
+import signal
 import sys
 import time
 from dataclasses import dataclass, field
@@ -123,12 +124,7 @@ def build_agent_for_demonstrations(trajectories, scales: FeatureScales,
 # Stale BC iterations in a row that a run tolerates; one more ends it.
 BC_PATIENCE = 12
 
-# Batches per request to the target helper, and requests kept in flight
-# beyond the one whose batches are being trained on.
-_BATCHES_PER_REQUEST = 4
-_REQUESTS_AHEAD = 2
-# Seconds a closed helper gets to exit before it is killed.
-_HELPER_EXIT_S = 5.0
+_AHEAD = 8   # batch slots in the target helper's ring: how far it runs ahead
 
 
 def usable_cpus() -> int:
@@ -143,131 +139,94 @@ def _shared_array(shape, dtype=float) -> np.ndarray:
     return np.frombuffer(memory, dtype=dtype, count=count).reshape(shape)
 
 
-class _Slots:
-    """Shared memory the helper computes in: the target weights, and per
-    batch slot the rows it reads and the targets it writes."""
-
-    def __init__(self, agent: CategoricalQAgent, count: int, batch_size: int):
-        self.weights = _shared_array(agent.target.flat.shape)
-        self.next_obs = _shared_array((count, batch_size, OBS_DIM))
-        self.reward = _shared_array((count, batch_size))
-        self.terminal = _shared_array((count, batch_size), bool)
-        self.targets = _shared_array((count, batch_size, agent.atoms.size))
-
-
-def _serve_targets(agent: CategoricalQAgent, slots: _Slots, cpu: int, conn,
-                   parent_conn) -> None:
-    """Helper-process loop on CPU `cpu`. A request (first slot, count, sync)
-    fills the targets of its slots, after loading the shared target weights
-    when `sync` is set, and is answered with (slots done, exception or None)."""
-    parent_conn.close()
-    os.sched_setaffinity(0, {cpu})
-    try:
-        while True:
-            first, count, sync = conn.recv()
-            if sync:
-                agent.target.flat[...] = slots.weights
-            done, error = count, None
-            for i in range(first, first + count):
-                try:
-                    slots.targets[i] = agent.bootstrap_targets(
-                        slots.next_obs[i], slots.reward[i], slots.terminal[i])
-                except Exception as exc:   # re-raised by the trainer
-                    done, error = i - first, exc
-                    break
-            conn.send((done, error))
-    except (EOFError, OSError):
-        pass   # the training call closed its end
-    finally:
-        os._exit(0)   # skip the exit handlers and stream flushes of the parent
-
-
 class _TargetHelper:
     """A forked process computing batch targets for one training call.
 
-    Rows, weights and targets pass through shared memory; the pipe carries
-    only requests and replies of a few bytes, so neither side can block on
-    a full pipe. Each request owns its own slots until its batches have
-    been trained on.
+    The target weights and a ring of `_AHEAD` batch slots live in shared
+    memory; each pipe carries one byte per batch, so neither side can block
+    on a full pipe. Request i asks for the targets of slot i % `_AHEAD`:
+    b"s" after loading the shared weights, b"b" with the weights the helper
+    has. Its reply is b"k", or b"e" when the targets raised.
     """
 
-    def __init__(self, agent: CategoricalQAgent, batch_size: int, cpu: int):
-        import multiprocessing   # here, to keep it off every CLI start
-        ctx = multiprocessing.get_context("fork")
-        self.slots = _Slots(agent, (_REQUESTS_AHEAD + 1) * _BATCHES_PER_REQUEST,
-                            batch_size)
-        self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(target=_serve_targets,
-                                   args=(agent, self.slots, cpu, child_conn,
-                                         self.conn), daemon=True)
-        self.process.start()
-        child_conn.close()
+    def __init__(self, agent: CategoricalQAgent, batch_size: int):
+        self.weights = _shared_array(agent.target.flat.shape)
+        self.next_obs = _shared_array((_AHEAD, batch_size, OBS_DIM))
+        self.reward = _shared_array((_AHEAD, batch_size))
+        self.terminal = _shared_array((_AHEAD, batch_size), bool)
+        self.targets = _shared_array((_AHEAD, batch_size, agent.atoms.size))
+        self.requested = 0
+        request_fd, self.request_fd = os.pipe()
+        self.reply_fd, reply_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            self._serve(agent, request_fd, reply_fd)
+        os.close(request_fd)
+        os.close(reply_fd)
 
-    def _request(self, index: int, chunk: list, sync: bool) -> None:
-        """Ask for the targets of request `index`, the batches in `chunk`."""
-        first = index % (_REQUESTS_AHEAD + 1) * _BATCHES_PER_REQUEST
-        for i, batch in enumerate(chunk, first):
-            self.slots.next_obs[i] = batch.next_obs
-            self.slots.reward[i] = batch.reward
-            self.slots.terminal[i] = batch.terminal
+    def _serve(self, agent: CategoricalQAgent, request_fd: int,
+               reply_fd: int) -> None:
+        """The helper: a reply to each request until the trainer's end
+        closes, then an exit that skips the parent's handlers."""
         try:
-            self.conn.send((first, len(chunk), sync))
-        except OSError as exc:
-            raise RuntimeError("target helper process died") from exc
+            os.close(self.request_fd)
+            os.close(self.reply_fd)
+            served = 0
+            while token := os.read(request_fd, 1):
+                if token == b"s":
+                    agent.target.flat[...] = self.weights
+                slot = served % _AHEAD
+                try:
+                    self.targets[slot] = agent.bootstrap_targets(
+                        self.next_obs[slot], self.reward[slot],
+                        self.terminal[slot])
+                    reply = b"k"
+                except Exception:   # raised again by the trainer
+                    reply = b"e"
+                os.write(reply_fd, reply)
+                served += 1
+        finally:
+            os._exit(0)
 
-    def _reply(self):
+    def _died(self) -> ChildProcessError:
+        return ChildProcessError(f"target helper process {self.pid} died")
+
+    def _request(self, batch: TransitionBatch, token: bytes) -> None:
+        slot = self.requested % _AHEAD
+        self.next_obs[slot] = batch.next_obs
+        self.reward[slot] = batch.reward
+        self.terminal[slot] = batch.terminal
         try:
-            return self.conn.recv()
-        except (EOFError, OSError) as exc:
-            raise RuntimeError("target helper process died") from exc
+            os.write(self.request_fd, token)
+        except BrokenPipeError:
+            raise self._died() from None
+        self.requested += 1
 
     def with_targets(self, agent: CategoricalQAgent, batches: list):
         """Yield `batches` in order with their targets set, from the current
-        target weights. A helper-side exception is raised in place of the
-        batch it failed on."""
-        self.slots.weights[...] = agent.target.flat
-        step, ahead = _BATCHES_PER_REQUEST, _REQUESTS_AHEAD
-        chunks = [batches[i:i + step] for i in range(0, len(batches), step)]
-        for k in range(min(ahead, len(chunks))):
-            self._request(k, chunks[k], sync=k == 0)
-        for k, chunk in enumerate(chunks):
-            done, error = self._reply()
-            if error is None and k + ahead < len(chunks):
-                self._request(k + ahead, chunks[k + ahead], sync=False)
-            first = k % (ahead + 1) * step
-            for i, batch in enumerate(chunk[:done], first):
-                yield batch._replace(targets=self.slots.targets[i])
-            if error is not None:
-                raise error
+        target weights. A batch whose targets raised in the helper comes
+        without them, so `train_step` computes them here and raises the
+        same error before its update."""
+        self.weights[...] = agent.target.flat
+        first = self.requested
+        for i, batch in enumerate(batches[:_AHEAD]):
+            self._request(batch, b"b" if i else b"s")
+        for i, batch in enumerate(batches):
+            reply = os.read(self.reply_fd, 1)
+            if not reply:
+                raise self._died()
+            if reply == b"k":
+                batch = batch._replace(
+                    targets=self.targets[(first + i) % _AHEAD])
+            yield batch
+            if i + _AHEAD < len(batches):   # its slot was just trained on
+                self._request(batches[i + _AHEAD], b"b")
 
     def close(self) -> None:
-        self.conn.close()
-        self.process.join(_HELPER_EXIT_S)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join()
-
-
-@contextlib.contextmanager
-def _target_helper(agent: CategoricalQAgent, batch_size: int):
-    """A `_TargetHelper` for the duration of a training call, or None when
-    there is no second CPU for it or the agent is not a CategoricalQAgent.
-
-    The helper and this thread get a CPU each meanwhile: left to the
-    scheduler, the helper is often woken on this thread's CPU, and the two
-    then take turns instead of overlapping.
-    """
-    if not (isinstance(agent, CategoricalQAgent) and usable_cpus() >= 2):
-        yield None
-        return
-    cpus = os.sched_getaffinity(0)
-    helper = _TargetHelper(agent, batch_size, cpu=max(cpus))
-    try:
-        os.sched_setaffinity(0, cpus - {max(cpus)} or cpus)
-        yield helper
-    finally:
-        os.sched_setaffinity(0, cpus)
-        helper.close()
+        os.close(self.request_fd)
+        os.close(self.reply_fd)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
 
 
 def _run_updates(agent: CategoricalQAgent, buffer: ReplayBuffer, count: int,
@@ -305,10 +264,13 @@ def _train(agent: CategoricalQAgent, report: TrainReport,
     iteration and returns its (losses, metric). `save(agent)` is called at
     each new best metric, or once at the end when no iteration scored;
     `patience + 1` iterations in a row without an improvement end the run
-    early."""
+    early. A target helper, when there is a second CPU for it, lives for
+    this call only."""
     stale = 0
     started = time.perf_counter()
-    with _target_helper(agent, config.batch_size) as helper:
+    forks = isinstance(agent, CategoricalQAgent) and usable_cpus() >= 2
+    with (contextlib.closing(_TargetHelper(agent, config.batch_size))
+          if forks else contextlib.nullcontext()) as helper:
         for iteration in range(config.iterations):
             losses, metric = run_iteration(helper)
             report.iterations.append(IterationStats(

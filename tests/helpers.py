@@ -3,10 +3,12 @@ agent's single-observation views, a forward-only loss, central finite
 differences, per-iteration series of a training report, summaries of fitted
 models and cleaning reports, file writers for bare networks and fitted
 artifacts, the minute-by-minute reference of the episode loop and a
-recorder of the rides episodes draw, and a ride's candidates read from
-the block scorer."""
+recorder of the rides episodes draw, a ride's candidates read from the
+block scorer, and a way to kill a forked child in mid-training."""
 
 import math
+import os
+import signal
 
 import numpy as np
 
@@ -208,6 +210,27 @@ def record_ride_streams(monkeypatch) -> list:
 
     monkeypatch.setattr(sim, "ride_stream", recording)
     return streams
+
+
+def kill_forked_child_at_third_update(monkeypatch) -> list:
+    """Make `os.fork` record the pids it returns, and `train_step` SIGKILL
+    the last child forked before the third update; returns the pids."""
+    fork, step = os.fork, CategoricalQAgent.train_step
+    forked, steps = [], []
+
+    def recording_fork():
+        forked.append(fork())
+        return forked[-1]
+
+    def kill_on_third(agent, batch):
+        steps.append(1)
+        if len(steps) == 3:
+            os.kill(forked[-1], signal.SIGKILL)
+        return step(agent, batch)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(CategoricalQAgent, "train_step", kill_on_third)
+    return forked
 
 
 def candidates(fleet, rides, grid, k) -> list:

@@ -57,3 +57,12 @@ def test_an_over_long_field_names_the_file_and_the_data_row(tmp_path):
         read_csv_artifact(path)
     assert str(caught.value).startswith(f"{path} data row 2: field larger "
                                         "than field limit")
+
+
+def test_quoted_line_breaks_survive_a_round_trip(tmp_path):
+    """Fields holding line breaks, blank lines and lines that look like
+    comments read back as written."""
+    path = tmp_path / "table.csv"
+    rows = ROWS + [["a\n\nb", "\n# not a comment\n", "#\n\n#"]]
+    write_csv_artifact(path, ["name", "value", "note"], rows, "0.1", "abc", 3)
+    assert read_csv_artifact(path) == (["name", "value", "note"], rows)

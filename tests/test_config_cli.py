@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import ridesim
-from helpers import record_ride_streams, write_distribution
+from helpers import (kill_forked_child_at_third_update, record_ride_streams,
+                     write_distribution)
 from ridesim import cli, training
 from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
@@ -753,6 +754,22 @@ class TestCliPipeline:
         assert err.startswith("error: non-finite training loss")
         assert "Traceback" not in err
         assert [w for w in caught if w.category is RuntimeWarning] == []
+
+    def test_dead_target_helper_exits_2(self, pipeline, tmp_path, capsys,
+                                        monkeypatch):
+        cfg_path, out = pipeline
+        shutil.copy(out / "cleaned_trips.csv", tmp_path / "cleaned_trips.csv")
+        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        forked = kill_forked_child_at_third_update(monkeypatch)
+        code = cli.main(["train-bc", "--config", str(cfg_path),
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: target helper process {forked[0]} "
+                              "died")
+        assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("command, name", [
         ("ingest", "synthetic_trips.csv"), ("generate", "time_profile.txt"),

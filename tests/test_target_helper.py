@@ -6,7 +6,6 @@ every reported loss and metric as the golden run recorded them, and a
 helper that fails or dies must stop the training call rather than hang it.
 """
 
-import multiprocessing
 import os
 import signal
 from contextlib import contextmanager
@@ -19,7 +18,8 @@ from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.training import (BcConfig, RlConfig,
                               build_agent_for_demonstrations, train_bc,
                               train_rl)
-from helpers import loss_series, metric_series
+from helpers import (kill_forked_child_at_third_update, loss_series,
+                     metric_series)
 from test_training_golden import (BC_GOLDEN, RL_BUFFER, RL_GOLDEN, _digest,
                                   _demonstrations, _sim_config)
 
@@ -32,7 +32,8 @@ PATHS = {"helper": True, "in_process": False}
 @pytest.fixture(params=sorted(PATHS))
 def path(request, monkeypatch):
     """Force one target path, and count target computations made here.
-    Afterwards no helper is left and this process's CPUs are as before."""
+    Afterwards no child process is left and this process's CPUs are as
+    before."""
     monkeypatch.setattr(training, "usable_cpus",
                         lambda: 2 if PATHS[request.param] else 1)
     calls = []
@@ -45,8 +46,13 @@ def path(request, monkeypatch):
     monkeypatch.setattr(CategoricalQAgent, "bootstrap_targets", counted)
     cpus = os.sched_getaffinity(0)
     yield request.param, calls
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     assert os.sched_getaffinity(0) == cpus
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _agent(trajs, rng, sync_every=7):
@@ -119,7 +125,7 @@ def test_target_error_mid_run_leaves_the_same_agent_on_both_paths(monkeypatch):
         with pytest.raises(ValueError, match="NaN"):
             train_bc(agent, trajs, BcConfig(iterations=3, batch_size=16), rng)
         outcomes[name] = (agent.train_steps, agent.to_lines())
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
     assert outcomes["helper"] == outcomes["in_process"]
     assert outcomes["helper"][0] > 0
 
@@ -140,21 +146,10 @@ def _deadline(seconds):
 
 def test_killed_helper_makes_training_raise(monkeypatch):
     monkeypatch.setattr(training, "usable_cpus", lambda: 2)
-    step = CategoricalQAgent.train_step
-    steps = []
-
-    def kill_helper_on_third(agent, batch):
-        steps.append(1)
-        if len(steps) == 3:
-            for child in multiprocessing.active_children():
-                child.kill()
-                child.join(10)
-        return step(agent, batch)
-
-    monkeypatch.setattr(CategoricalQAgent, "train_step", kill_helper_on_third)
+    kill_forked_child_at_third_update(monkeypatch)
     rng = np.random.default_rng(2024)
     trajs = _demonstrations(rng)
     agent = _agent(trajs, rng)
-    with _deadline(30), pytest.raises(RuntimeError, match="helper"):
+    with _deadline(30), pytest.raises(ChildProcessError, match="helper"):
         train_bc(agent, trajs, BcConfig(iterations=3, batch_size=16), rng)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
