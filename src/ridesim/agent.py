@@ -139,22 +139,15 @@ class ReplayBuffer:
     def extend(self, transitions) -> None:
         """Append in order; beyond capacity the oldest rows are overwritten.
 
-        Rows are written in place, in at most two contiguous runs, so no
-        temporary copy of the batch is made.
+        The transitions are stacked into one batch, and its last `capacity`
+        rows are written to the ring.
         """
-        ts = list(transitions)
-        n = len(ts)
-        kept = ts[max(0, n - self.capacity):]
-        start = (self._next + n - len(kept)) % self.capacity
-        split = min(len(kept), self.capacity - start)
-        for row, run in ((start, kept[:split]), (0, kept[split:])):
-            if run:
-                rows = slice(row, row + len(run))
-                np.stack([t.obs for t in run], out=self.obs[rows])
-                self.action[rows] = [int(t.action) for t in run]
-                self.reward[rows] = [t.reward for t in run]
-                np.stack([t.next_obs for t in run], out=self.next_obs[rows])
-                self.terminal[rows] = [t.terminal for t in run]
+        batch = TransitionBatch.of(transitions)
+        n = len(batch.reward)
+        kept = slice(max(0, n - self.capacity), n)
+        rows = np.arange(self._next + kept.start, self._next + n) % self.capacity
+        for name in ("obs", "action", "reward", "next_obs", "terminal"):
+            getattr(self, name)[rows] = getattr(batch, name)[kept]
         self._next = (self._next + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
 

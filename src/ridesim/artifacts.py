@@ -72,12 +72,18 @@ def csv_lines(columns, rows):
     """The CSV records of `columns`, then of each row, without their line
     terminator, one at a time: a record is handed out before the next row
     is read, so `write_lines_atomic` streams a table to disk. A field that
-    holds a `\\n` is quoted, and its record is still one item."""
+    holds a `\\r` or a `\\n`, where `csv_rows` can end a line, is quoted,
+    and its record is still one item. So is a first field that would make
+    `csv_rows` skip its record as a comment or blank line."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
     for row in itertools.chain([columns], rows):
         writer.writerow(row)
-        yield buf.getvalue()[:-1]
+        record = buf.getvalue()[:-2]
+        if not record.strip() or record.lstrip().startswith("#"):
+            first, comma, rest = record.partition(",")  # first is unquoted
+            record = f'"{first}"{comma}{rest}'
+        yield record
         buf.seek(0)
         buf.truncate()
 
@@ -98,13 +104,8 @@ def read_text(path) -> str:
 
 def read_data_lines(path) -> list:
     """File lines with comment and blank lines dropped."""
-    out = []
-    for line in read_text(path).splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append(line)
-    return out
+    return [line for line in read_text(path).splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
 
 
 def _read_keyed(path, magic: str, keys, build, optional=(), end=None):
@@ -149,9 +150,10 @@ def _read_keyed(path, magic: str, keys, build, optional=(), end=None):
 
 def csv_rows(lines):
     """The rows `csv.reader` reads from `lines`, skipping comment and blank
-    lines between records. Lines that keep their terminators keep a quoted
-    field's line breaks. The reader's csv.Error (a field over its size
-    limit, say) is raised as a ValueError naming the row it stopped at."""
+    lines between records. `lines` is a file opened with `newline=""`, or
+    any lines that keep their terminators, so a quoted field keeps its line
+    breaks. The reader's csv.Error (a field over its size limit, say) is
+    raised as a ValueError naming the row it stopped at."""
     in_record = False   # the reader has read part of a record
 
     def record_lines():
@@ -175,9 +177,11 @@ def csv_rows(lines):
 def read_csv_artifact(path) -> tuple:
     """(columns, rows) from a headered CSV artifact whose every row has as
     many fields as the header."""
-    lines = read_text(path).splitlines(keepends=True)
     try:
-        table = list(csv_rows(lines))
+        with open(path, encoding="utf-8", newline="") as fh:
+            table = list(csv_rows(fh))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path} {exc}") from None
     if not table:

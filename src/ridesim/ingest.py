@@ -136,7 +136,7 @@ def _parse_row(row: Sequence[str], times: dict, texts: dict) -> TripRecord:
     for i in (0, 1, 13):  # driver_id, trip_id, payment_method
         if not vals[i]:
             raise ValueError(f"missing {LOG_COLUMNS[i]}")
-        # artifact readers split lines as str.splitlines() does
+        # input validation: a logged id or payment method is one line
         if vals[i].splitlines() != [vals[i]]:
             raise ValueError(f"line break in {LOG_COLUMNS[i]}")
     for i in range(2, 6):  # created, assigned, decision and pickup time
@@ -194,7 +194,7 @@ def parse_trip_log(lines: Iterable[str]) -> tuple[list, list]:
 
 def read_trip_log(path) -> tuple[list, list]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return parse_trip_log(fh)
     except ValueError as exc:  # UnicodeDecodeError among them
         raise ValueError(f"{path}: {exc}") from None

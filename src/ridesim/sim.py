@@ -290,9 +290,10 @@ class Fleet:
     """Every driver's state as parallel arrays indexed by driver id.
 
     A driver is either idle at (x, y) or busy until `busy_until`, when the
-    trip completes: the driver then snaps to the drop point, its idle counter
-    restarts at `busy_until` (not at the minute the completion is processed)
-    and the trip counts toward this week's goal.
+    trip completes: its idle counter then restarts at `busy_until` (not at
+    the minute the completion is processed) and the trip counts toward this
+    week's goal. `assign` moves the driver to the drop point at once, since
+    only idle drivers' positions are read.
     """
 
     def __init__(self, x, y, goal):
@@ -301,8 +302,6 @@ class Fleet:
         n = self.x.size
         self.idle = np.ones(n, dtype=bool)
         self.busy_until = np.zeros(n, dtype=np.int64)
-        self.drop_x = np.zeros(n)
-        self.drop_y = np.zeros(n)
         self.idle_since = np.zeros(n, dtype=np.int64)
         self.trips_week = np.zeros(n, dtype=np.int64)
         self.goal = np.array(goal, dtype=np.int64)  # this week's trip goal
@@ -333,8 +332,6 @@ class Fleet:
         if now < self.next_completion:
             return _NO_DRIVERS
         done = np.flatnonzero(~self.idle & (self.busy_until <= now))
-        self.x[done] = self.drop_x[done]
-        self.y[done] = self.drop_y[done]
         self.idle_since[done] = self.busy_until[done]
         self.trips_week[done] += 1
         self.idle[done] = True
@@ -348,8 +345,8 @@ class Fleet:
                                self.y[driver_id] - ride.pickup_y)
         done = now + travel_minutes(pickup_km + ride.distance_km, speed_kmh)
         self.busy_until[driver_id] = done
-        self.drop_x[driver_id] = ride.drop_x
-        self.drop_y[driver_id] = ride.drop_y
+        self.x[driver_id] = ride.drop_x
+        self.y[driver_id] = ride.drop_y
         self.idle[driver_id] = False
         self.next_completion = min(self.next_completion, done)
 

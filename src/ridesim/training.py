@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .agent import (CategoricalQAgent, FeatureScales, ReplayBuffer,
                     TransitionBatch)
 from .sim import OBS_DIM, SimConfig, run_episode
@@ -142,11 +143,13 @@ def _shared_array(shape, dtype=float) -> np.ndarray:
 class _TargetHelper:
     """A forked process computing batch targets for one training call.
 
-    The target weights and a ring of `_AHEAD` batch slots live in shared
-    memory; each pipe carries one byte per batch, so neither side can block
-    on a full pipe. Request i asks for the targets of slot i % `_AHEAD`:
-    b"s" after loading the shared weights, b"b" with the weights the helper
-    has. Its reply is b"k", or b"e" when the targets raised.
+    The target weights, which the helper's target network views, and a ring
+    of `_AHEAD` batch slots live in shared memory; each pipe carries one
+    byte per batch, so neither side can block on a full pipe. Request i asks
+    for the targets of slot i % `_AHEAD`; the reply is b"k", or b"e" when
+    the targets raised. The weights are written only as `with_targets`
+    starts, when every request is answered (a window left part-way ends
+    the training call).
     """
 
     def __init__(self, agent: CategoricalQAgent, batch_size: int):
@@ -171,10 +174,9 @@ class _TargetHelper:
         try:
             os.close(self.request_fd)
             os.close(self.reply_fd)
+            agent.target = nn.Mlp(agent.target.layer_dims, self.weights)
             served = 0
-            while token := os.read(request_fd, 1):
-                if token == b"s":
-                    agent.target.flat[...] = self.weights
+            while os.read(request_fd, 1):
                 slot = served % _AHEAD
                 try:
                     self.targets[slot] = agent.bootstrap_targets(
@@ -191,13 +193,13 @@ class _TargetHelper:
     def _died(self) -> ChildProcessError:
         return ChildProcessError(f"target helper process {self.pid} died")
 
-    def _request(self, batch: TransitionBatch, token: bytes) -> None:
+    def _request(self, batch: TransitionBatch) -> None:
         slot = self.requested % _AHEAD
         self.next_obs[slot] = batch.next_obs
         self.reward[slot] = batch.reward
         self.terminal[slot] = batch.terminal
         try:
-            os.write(self.request_fd, token)
+            os.write(self.request_fd, b"r")
         except BrokenPipeError:
             raise self._died() from None
         self.requested += 1
@@ -209,8 +211,8 @@ class _TargetHelper:
         same error before its update."""
         self.weights[...] = agent.target.flat
         first = self.requested
-        for i, batch in enumerate(batches[:_AHEAD]):
-            self._request(batch, b"b" if i else b"s")
+        for batch in batches[:_AHEAD]:
+            self._request(batch)
         for i, batch in enumerate(batches):
             reply = os.read(self.reply_fd, 1)
             if not reply:
@@ -220,7 +222,7 @@ class _TargetHelper:
                     targets=self.targets[(first + i) % _AHEAD])
             yield batch
             if i + _AHEAD < len(batches):   # its slot was just trained on
-                self._request(batches[i + _AHEAD], b"b")
+                self._request(batches[i + _AHEAD])
 
     def close(self) -> None:
         os.close(self.request_fd)

@@ -24,6 +24,7 @@ def buffered_csv_lines(columns, rows) -> list:
     return buf.getvalue().splitlines()
 
 
+@pytest.mark.golden
 def test_streamed_writer_matches_the_buffered_one(tmp_path):
     columns = ["name", "value", "note"]
     streamed, buffered = tmp_path / "streamed.csv", tmp_path / "buffered.csv"
@@ -60,9 +61,23 @@ def test_an_over_long_field_names_the_file_and_the_data_row(tmp_path):
 
 
 def test_quoted_line_breaks_survive_a_round_trip(tmp_path):
-    """Fields holding line breaks, blank lines and lines that look like
-    comments read back as written."""
+    """Fields holding line breaks, blank lines, lines that look like
+    comments and every other character `str.splitlines` splits on read
+    back as written."""
     path = tmp_path / "table.csv"
-    rows = ROWS + [["a\n\nb", "\n# not a comment\n", "#\n\n#"]]
+    breaks = ["\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+    rows = ROWS + [["a\n\nb", "\n# not a comment\n", "#\n\n#"]] + [
+        [f"a{brk}b", f"{brk}# not a comment", brk] for brk in breaks]
     write_csv_artifact(path, ["name", "value", "note"], rows, "0.1", "abc", 3)
     assert read_csv_artifact(path) == (["name", "value", "note"], rows)
+
+
+def test_records_that_look_like_comments_or_blank_lines_read_back(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [["#x", "1"], [" # y", "2"], ["\x1c#z", "3"], ["", "#"]]
+    write_csv_artifact(path, ["name", "value"], rows, "0.1", "abc", 3)
+    assert read_csv_artifact(path) == (["name", "value"], rows)
+    single = [[" "], ["\v"], [""], ["#"]]
+    write_csv_artifact(path, ["name"], single, "0.1", "abc", 3)
+    assert read_csv_artifact(path) == (["name"], single)

@@ -126,6 +126,7 @@ class TestConfigHash:
         b = config_from_dict({"agent": {"gamma": 0.59}})
         assert config_hash(a) != config_hash(b)
 
+    @pytest.mark.golden
     def test_default_hash_is_pinned(self):
         # Artifact headers carry this digest; a moved default or a renamed
         # key changes it.
@@ -457,6 +458,7 @@ class TestCliPipeline:
         for name, lines in before.items():
             assert comparable_lines(out / name) == lines, name
 
+    @pytest.mark.golden
     def test_evaluate_never_reads_the_trip_log(self, pipeline, tmp_path,
                                                monkeypatch):
         # the log side of the comparison is holdout.txt, written by fit, so
@@ -604,6 +606,7 @@ class TestCliPipeline:
             best_is_last.append(rewards.index(max(rewards)) == len(rows) - 1)
         assert not all(best_is_last), "every variant saved its last iterate"
 
+    @pytest.mark.golden
     def test_sweep_values_share_each_replications_demand(self, pipeline,
                                                          tmp_path,
                                                          monkeypatch):
@@ -637,6 +640,7 @@ class TestCliPipeline:
         assert len(set(pids)) == workers
         assert all(len(set(pids[k::workers])) == 1 for k in range(workers))
 
+    @pytest.mark.golden
     def test_replications_merge_alike_on_one_or_two_workers(
             self, pipeline, tmp_path, monkeypatch):
         # three replications split unevenly over two workers: 0 and 2 run
@@ -773,13 +777,13 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("command, name", [
         ("ingest", "synthetic_trips.csv"), ("generate", "time_profile.txt"),
-        ("generate", "dist_trip_km.txt")])
+        ("generate", "dist_trip_km.txt"), ("generate", "driver_averages.csv")])
     def test_undecodable_file_exits_2_naming_it(self, pipeline, tmp_path,
                                                 capsys, command, name):
         cfg_path, out = pipeline
         for copied in ("synthetic_trips.csv", "dist_pickup_x.txt",
                        "dist_pickup_y.txt", "dist_trip_km.txt",
-                       "time_profile.txt"):
+                       "time_profile.txt", "driver_averages.csv"):
             shutil.copy(out / copied, tmp_path / copied)
         bad = tmp_path / name
         bad.write_bytes(bad.read_bytes() + b"\xff\n")
@@ -869,10 +873,11 @@ class TestCliPipeline:
         assert "Traceback" not in err
         assert not (tmp_path / "rides.csv").exists()
 
+    @pytest.mark.golden
     def test_line_break_in_a_text_field_is_a_parse_reject(self, pipeline,
                                                           tmp_path, capsys):
-        # str.splitlines() breaks at \x1c, so the row, had ingest kept it,
-        # would be cut in two in cleaned_trips.csv and fit would exit 2
+        # the CSV reader keeps \x1c in a field; ingest's input validation
+        # still rejects the row
         cfg_path, out = pipeline
         lines = (out / "synthetic_trips.csv").read_text().split("\n")
         row = lines.index(",".join(LOG_COLUMNS)) + 18

@@ -115,6 +115,7 @@ class TestProbabilisticRound:
         assert set(draws.tolist()) <= {2, 3}
         assert abs(np.mean(draws) - 2.3) < 0.02
 
+    @pytest.mark.golden
     def test_draws_once_for_the_fractional_entries_only(self):
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
         out = probabilistic_round([0.0, 2.0, 0.25, 0.0, 1.75, 3.0], rng)

@@ -10,8 +10,8 @@ from ridesim.ingest import (CleaningReport, LOG_COLUMNS, TIME_FORMAT,
                             TripRecord, clean,
                             driver_weekly_averages, extract_demonstrations,
                             format_minute, log_span, parse_minute,
-                            parse_trip_log, record_to_row, training_window,
-                            window_records)
+                            parse_trip_log, read_trip_log, record_to_row,
+                            training_window, window_records)
 from ridesim.ridegen import GridSpec
 from ridesim.sim import Action, PlatformParams, reward_for_features
 from ridesim.synth import SyntheticLogSpec, generate_synthetic_log
@@ -121,6 +121,25 @@ class TestParseTripLog:
         records, rejects = parse_trip_log(lines)
         assert len(records) == 1 and not rejects
 
+    def test_crlf_log_reads_as_its_lf_copy(self, tmp_path):
+        lines = ["# provenance", "", HEADER, csv_row(trip="t1"), "",
+                 csv_row(trip="bad", created="not-a-time"),
+                 csv_row(trip="t2", pay='"card, visa"'),
+                 csv_row(trip="t3", pay='"ca\nsh"'), "too,short"]
+        parsed = {}
+        for name, end in (("lf", "\n"), ("crlf", "\r\n")):
+            path = tmp_path / f"{name}.csv"
+            text = "\n".join(lines) + "\n"  # t3's field breaks with `end` too
+            path.write_bytes(text.replace("\n", end).encode())
+            parsed[name] = read_trip_log(path)
+        assert parsed["crlf"] == parsed["lf"]
+        records, rejects = parsed["lf"]
+        assert [r.trip_id for r in records] == ["t1", "t2"]
+        assert records[1].payment_method == "card, visa"
+        assert [(r.row_number, r.reason) for r in rejects] == [
+            (2, "bad created_time 'not-a-time'"),
+            (4, "line break in payment_method"), (5, "expected 14 columns, got 2")]
+
     def test_rejects_numbered_in_data_row_order(self):
         lines = [HEADER,
                  csv_row(trip="ok1"),
@@ -194,8 +213,8 @@ class TestParseTripLog:
                                              ("payment_method", "pay")])
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
     def test_line_break_in_a_text_field_is_a_reject(self, column, key, brk):
-        # artifact readers split lines where str.splitlines() does, so the
-        # value could not be written to cleaned_trips.csv and read back
+        # an id or a payment method holding any character str.splitlines()
+        # splits on is damaged input, although the CSV reader keeps it
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerow(
             csv_row(**{key: f"ca{brk}sh"}).split(","))

@@ -21,6 +21,8 @@ from ridesim.ridegen import GridSpec
 from ridesim.sim import PlatformParams
 from ridesim.synth import SyntheticLogSpec, generate_synthetic_log
 
+pytestmark = pytest.mark.golden
+
 GRID = GridSpec(width_km=9.0, height_km=7.0, origin_lat=6.9, origin_lon=79.86)
 PARAMS = PlatformParams(default_weekly_goal=3, weekly_target_multiplier=1.5)
 SPEED_KMH = 24.0

@@ -34,6 +34,7 @@ class TestForward:
         np.testing.assert_allclose(out, [1.0, -1.0])
 
 
+@pytest.mark.golden
 class TestRowsAreBatchIndependent:
     """`sim.run_episode` scores a block's rides in one forward pass and
     compares each ride's decisions with the ride scored alone, so it relies

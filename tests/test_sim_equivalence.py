@@ -11,6 +11,7 @@ seed see the same rides (common random numbers).
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,8 @@ from ridesim.distributions import MINUTES_PER_DAY, TimeProfile, fit_empirical
 from ridesim.ridegen import GridSpec, generate_rides, ride_to_row
 from ridesim.sim import (MINUTES_PER_WEEK, Action, PlatformParams,
                          SimConfig, ride_stream, run_episode)
+
+pytestmark = pytest.mark.golden
 
 GRID = GridSpec(width_km=3.0, height_km=2.0, noise_epsilon_km=0.1)
 

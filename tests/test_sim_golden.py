@@ -17,6 +17,8 @@ from ridesim.distributions import TimeProfile, fit_empirical
 from ridesim.ridegen import GridSpec
 from ridesim.sim import Action, PlatformParams, SimConfig, run_episode
 
+pytestmark = pytest.mark.golden
+
 
 class _CoinAgent:
     """Draws from the simulation rng on every offer it decides.

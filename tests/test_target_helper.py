@@ -23,8 +23,9 @@ from helpers import (kill_forked_child_at_third_update, loss_series,
 from test_training_golden import (BC_GOLDEN, RL_BUFFER, RL_GOLDEN, _digest,
                                   _demonstrations, _sim_config)
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="the target helper is forked")
+pytestmark = [pytest.mark.golden,
+              pytest.mark.skipif(not hasattr(os, "fork"),
+                                 reason="the target helper is forked")]
 
 PATHS = {"helper": True, "in_process": False}
 

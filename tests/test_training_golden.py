@@ -12,6 +12,7 @@ to keep outputs identical.
 import hashlib
 
 import numpy as np
+import pytest
 
 from ridesim.agent import FeatureScales, ReplayBuffer
 from ridesim.distributions import TimeProfile, fit_empirical
@@ -21,6 +22,8 @@ from ridesim.sim import (Action, PlatformParams, SimConfig, Trajectory,
 from ridesim.training import (BcConfig, RlConfig,
                               build_agent_for_demonstrations, train_bc,
                               train_rl)
+
+pytestmark = pytest.mark.golden
 
 BC_GOLDEN = "8914f7c2e19fe55c5fc8f0409e35b3a1478efa2075f0a7b216ffc946a3f13e13"
 RL_GOLDEN = "9911ed0131310d598c470281aa9d879f859695d04099e897e2cb33d17def5a38"
