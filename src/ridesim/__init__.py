@@ -15,8 +15,7 @@ from .distributions import (EmpiricalDistribution, TimeProfile, fit_empirical,
                             probabilistic_round)
 from .ingest import TripRecord, clean, extract_demonstrations, read_trip_log
 from .metrics import (acceptance_by_distance, acceptance_by_hour,
-                      bootstrap_mean_diff, daily_counts, delta_percent,
-                      pearson)
+                      daily_counts, delta_percent, pearson)
 from .ridegen import GridSpec, Ride, generate_rides
 from .sim import (Action, Fleet, PlatformParams, SimConfig, Trajectory,
                   Transition, run_episode)
@@ -30,7 +29,7 @@ __all__ = [
     "ReplayBuffer", "Ride", "RlConfig", "SimConfig", "SyntheticLogSpec",
     "TimeProfile", "Trajectory", "Transition", "TransitionBatch",
     "TripRecord", "acceptance_by_distance", "acceptance_by_hour",
-    "bootstrap_mean_diff", "clean", "daily_counts", "delta_percent",
+    "clean", "daily_counts", "delta_percent",
     "extract_demonstrations", "fit_empirical", "fit_time_profile",
     "generate_rides", "generate_synthetic_log", "inverse_sample", "pearson",
     "probabilistic_round", "read_trip_log", "run_episode", "train_bc",

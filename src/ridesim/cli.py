@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, training
+from . import __version__
 from .agent import CategoricalQAgent, FeatureScales
 from .artifacts import (_read_keyed, csv_lines, read_csv_artifact,
                         seed_stream, write_artifact)
@@ -354,12 +354,17 @@ def cmd_train_rl(args) -> int:
     return 0
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set on Linux, else 1."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
 def _in_workers(task, count: int) -> list:
     """`[task(i) for i in range(count)]` on min(count, usable CPUs)
     processes: worker k runs every i ≡ k (mod workers). This process is
     worker 0 and forks the others; each pipes back its results, or its
     exception to raise here, pickled. No child outlives the call."""
-    workers = min(count, training.usable_cpus())
+    workers = min(count, usable_cpus())
     children = []   # (pid, read end of its pipe)
     try:
         for k in range(1, workers):

@@ -220,19 +220,3 @@ def curve_pearson(a: AcceptanceCurve, b: AcceptanceCurve) -> float:
         raise ValueError("fewer than 2 jointly populated bins")
     return pearson(xs, ys)
 
-
-def bootstrap_mean_diff(high: Sequence[float], low: Sequence[float],
-                        rng: np.random.Generator,
-                        resamples: int = 1000,
-                        alpha: float = 0.05) -> tuple[float, float]:
-    """Percentile bootstrap interval for mean(high) - mean(low)."""
-    hi = np.asarray(high, dtype=float)
-    lo = np.asarray(low, dtype=float)
-    if hi.size == 0 or lo.size == 0:
-        raise ValueError("empty sample")
-    diffs = np.empty(resamples)
-    for i in range(resamples):
-        diffs[i] = (hi[rng.integers(0, hi.size, hi.size)].mean()
-                    - lo[rng.integers(0, lo.size, lo.size)].mean())
-    lo_q, hi_q = np.percentile(diffs, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return float(lo_q), float(hi_q)

@@ -9,31 +9,21 @@ and stop early once their metric (holdout agreement, episode reward) stops
 improving.
 
 The targets of a minibatch depend only on its rows and on the target
-weights, which stay fixed from one target sync to the next. So on Linux
-with a second CPU, each training call forks a helper process that computes
-them a few batches ahead while this process runs the updates: the batches
-of a window, which runs from one sync to the next or to the end of an
-iteration's updates, are all drawn before its first update. Elsewhere
-`train_step` computes them itself. The results are bitwise the same either
-way.
+weights, which stay fixed from one target sync to the next. So the updates
+draw their batches a few at a time, never across a sync, and compute the
+targets of those batches in one forward pass of the target network.
 """
 
 from __future__ import annotations
 
-import contextlib
-import mmap
-import os
-import signal
-import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
 from .agent import (CategoricalQAgent, FeatureScales, ReplayBuffer,
                     TransitionBatch)
-from .sim import OBS_DIM, SimConfig, run_episode
+from .sim import SimConfig, run_episode
 
 
 @dataclass
@@ -71,6 +61,8 @@ class RlConfig:
             raise ValueError("patience must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.buffer_transitions < 1:
+            raise ValueError("buffer_transitions must be at least 1")
 
 
 @dataclass
@@ -125,132 +117,34 @@ def build_agent_for_demonstrations(trajectories, scales: FeatureScales,
 # Stale BC iterations in a row that a run tolerates; one more ends it.
 BC_PATIENCE = 12
 
-_AHEAD = 8   # batch slots in the target helper's ring: how far it runs ahead
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set on Linux, else 1."""
-    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-
-
-def _shared_array(shape, dtype=float) -> np.ndarray:
-    """A zeroed array in anonymous shared memory, shared with forked children."""
-    count = int(np.prod(shape))
-    memory = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
-    return np.frombuffer(memory, dtype=dtype, count=count).reshape(shape)
-
-
-class _TargetHelper:
-    """A forked process computing batch targets for one training call.
-
-    The target weights, which the helper's target network views, and a ring
-    of `_AHEAD` batch slots live in shared memory; each pipe carries one
-    byte per batch, so neither side can block on a full pipe. Request i asks
-    for the targets of slot i % `_AHEAD`; the reply is b"k", or b"e" when
-    the targets raised. The weights are written only as `with_targets`
-    starts, when every request is answered (a window left part-way ends
-    the training call).
-    """
-
-    def __init__(self, agent: CategoricalQAgent, batch_size: int):
-        self.weights = _shared_array(agent.target.flat.shape)
-        self.next_obs = _shared_array((_AHEAD, batch_size, OBS_DIM))
-        self.reward = _shared_array((_AHEAD, batch_size))
-        self.terminal = _shared_array((_AHEAD, batch_size), bool)
-        self.targets = _shared_array((_AHEAD, batch_size, agent.atoms.size))
-        self.requested = 0
-        request_fd, self.request_fd = os.pipe()
-        self.reply_fd, reply_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            self._serve(agent, request_fd, reply_fd)
-        os.close(request_fd)
-        os.close(reply_fd)
-
-    def _serve(self, agent: CategoricalQAgent, request_fd: int,
-               reply_fd: int) -> None:
-        """The helper: a reply to each request until the trainer's end
-        closes, then an exit that skips the parent's handlers."""
-        try:
-            os.close(self.request_fd)
-            os.close(self.reply_fd)
-            agent.target = nn.Mlp(agent.target.layer_dims, self.weights)
-            served = 0
-            while os.read(request_fd, 1):
-                slot = served % _AHEAD
-                try:
-                    self.targets[slot] = agent.bootstrap_targets(
-                        self.next_obs[slot], self.reward[slot],
-                        self.terminal[slot])
-                    reply = b"k"
-                except Exception:   # raised again by the trainer
-                    reply = b"e"
-                os.write(reply_fd, reply)
-                served += 1
-        finally:
-            os._exit(0)
-
-    def _died(self) -> ChildProcessError:
-        return ChildProcessError(f"target helper process {self.pid} died")
-
-    def _request(self, batch: TransitionBatch) -> None:
-        slot = self.requested % _AHEAD
-        self.next_obs[slot] = batch.next_obs
-        self.reward[slot] = batch.reward
-        self.terminal[slot] = batch.terminal
-        try:
-            os.write(self.request_fd, b"r")
-        except BrokenPipeError:
-            raise self._died() from None
-        self.requested += 1
-
-    def with_targets(self, agent: CategoricalQAgent, batches: list):
-        """Yield `batches` in order with their targets set, from the current
-        target weights. A batch whose targets raised in the helper comes
-        without them, so `train_step` computes them here and raises the
-        same error before its update."""
-        self.weights[...] = agent.target.flat
-        first = self.requested
-        for batch in batches[:_AHEAD]:
-            self._request(batch)
-        for i, batch in enumerate(batches):
-            reply = os.read(self.reply_fd, 1)
-            if not reply:
-                raise self._died()
-            if reply == b"k":
-                batch = batch._replace(
-                    targets=self.targets[(first + i) % _AHEAD])
-            yield batch
-            if i + _AHEAD < len(batches):   # its slot was just trained on
-                self._request(batches[i + _AHEAD])
-
-    def close(self) -> None:
-        os.close(self.request_fd)
-        os.close(self.reply_fd)
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
+# Batches whose targets one `bootstrap_targets` call computes: one forward
+# pass over their stacked rows costs less than one per batch.
+_GROUP = 8
 
 
 def _run_updates(agent: CategoricalQAgent, buffer: ReplayBuffer, count: int,
-                 batch_size: int, rng: np.random.Generator,
-                 helper: _TargetHelper | None) -> list:
+                 batch_size: int, rng: np.random.Generator) -> list:
     """`count` minibatch updates through `agent.train_step`; their losses.
 
-    Without a helper each batch is drawn right before its update. With one,
-    a window's batches are all drawn before its first update, by the same
-    `rng` calls in the same order.
+    The batches are drawn in groups of up to `_GROUP` that never span a
+    target sync, by the same `rng` calls in the same order as one at a
+    time, and one `bootstrap_targets` call computes a group's targets. If
+    that call raises, the group's batches go to `train_step` without
+    targets, which raises the error again at the batch that caused it.
     """
     losses = []
     while len(losses) < count:
-        window = count - len(losses)
-        if helper is not None:   # its targets use the window's first weights
-            window = min(window, agent.sync_every
-                         - agent.train_steps % agent.sync_every)
-        batches = (buffer.sample(batch_size, rng) for _ in range(window))
-        if helper is not None:
-            batches = helper.with_targets(agent, list(batches))
-        for batch in batches:
-            losses.append(agent.train_step(batch))
+        size = min(_GROUP, count - len(losses),
+                   agent.sync_every - agent.train_steps % agent.sync_every)
+        group = [buffer.sample(batch_size, rng) for _ in range(size)]
+        try:
+            targets = np.split(agent.bootstrap_targets(
+                *(np.concatenate([getattr(batch, name) for batch in group])
+                  for name in ("next_obs", "reward", "terminal"))), size)
+        except Exception:   # raised again by train_step, at its batch
+            targets = [None] * size
+        for batch, rows in zip(group, targets):
+            losses.append(agent.train_step(batch._replace(targets=rows)))
     return losses
 
 
@@ -262,32 +156,28 @@ def _holdout_agreement(agent: CategoricalQAgent,
 def _train(agent: CategoricalQAgent, report: TrainReport,
            config: BcConfig | RlConfig, patience: int, run_iteration,
            save) -> TrainReport:
-    """The loop both phases share. `run_iteration(helper)` trains for one
+    """The loop both phases share. `run_iteration()` trains for one
     iteration and returns its (losses, metric). `save(agent)` is called at
     each new best metric, or once at the end when no iteration scored;
     `patience + 1` iterations in a row without an improvement end the run
-    early. A target helper, when there is a second CPU for it, lives for
-    this call only."""
+    early."""
     stale = 0
     started = time.perf_counter()
-    forks = isinstance(agent, CategoricalQAgent) and usable_cpus() >= 2
-    with (contextlib.closing(_TargetHelper(agent, config.batch_size))
-          if forks else contextlib.nullcontext()) as helper:
-        for iteration in range(config.iterations):
-            losses, metric = run_iteration(helper)
-            report.iterations.append(IterationStats(
-                iteration=iteration, loss=float(np.mean(losses)),
-                metric=metric))
-            if metric > report.best_metric:
-                report.best_metric = metric
-                report.best_iteration = iteration
-                stale = 0
-                save(agent)
-            else:
-                stale += 1
-                if stale > patience:
-                    report.stop_reason = "early_stop"
-                    break
+    for iteration in range(config.iterations):
+        losses, metric = run_iteration()
+        report.iterations.append(IterationStats(
+            iteration=iteration, loss=float(np.mean(losses)),
+            metric=metric))
+        if metric > report.best_metric:
+            report.best_metric = metric
+            report.best_iteration = iteration
+            stale = 0
+            save(agent)
+        else:
+            stale += 1
+            if stale > patience:
+                report.stop_reason = "early_stop"
+                break
     report.stop_reason = report.stop_reason or "max_iterations"
     report.wall_clock_s = time.perf_counter() - started
     if report.best_iteration < 0:
@@ -328,9 +218,8 @@ def train_bc(agent: CategoricalQAgent, trajectories, config: BcConfig,
     holdout_batch = TransitionBatch.of(holdout_transitions)
     batches = max(1, len(buffer) // config.batch_size)
 
-    def run_iteration(helper):
-        losses = _run_updates(agent, buffer, batches, config.batch_size, rng,
-                              helper)
+    def run_iteration():
+        losses = _run_updates(agent, buffer, batches, config.batch_size, rng)
         return losses, _holdout_agreement(agent, holdout_batch)
 
     return _train(agent, TrainReport("bc", "holdout_agreement"), config,
@@ -354,13 +243,12 @@ def train_rl(agent: CategoricalQAgent, sim_config: SimConfig, config: RlConfig,
     buffer = ReplayBuffer(capacity=config.buffer_transitions)
     agent.epsilon = config.exploration
 
-    def run_iteration(helper):
+    def run_iteration():
         episode = run_episode(sim_config, agent, rng)
         buffer.extend(t for traj in episode.trajectories.values()
                       for t in traj.transitions)
         batches = max(1, len(buffer) // config.batch_size)
-        losses = _run_updates(agent, buffer, batches, config.batch_size, rng,
-                              helper)
+        losses = _run_updates(agent, buffer, batches, config.batch_size, rng)
         return losses, episode.total_reward
 
     return _train(agent, TrainReport("rl", "episode_reward"), config,

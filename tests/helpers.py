@@ -4,11 +4,9 @@ differences, per-iteration series of a training report, summaries of fitted
 models and cleaning reports, file writers for bare networks and fitted
 artifacts, the minute-by-minute reference of the episode loop and a
 recorder of the rides episodes draw, a ride's candidates read from the
-block scorer, and a way to kill a forked child in mid-training."""
+block scorer, and a percentile bootstrap of a difference in means."""
 
 import math
-import os
-import signal
 
 import numpy as np
 
@@ -212,25 +210,20 @@ def record_ride_streams(monkeypatch) -> list:
     return streams
 
 
-def kill_forked_child_at_third_update(monkeypatch) -> list:
-    """Make `os.fork` record the pids it returns, and `train_step` SIGKILL
-    the last child forked before the third update; returns the pids."""
-    fork, step = os.fork, CategoricalQAgent.train_step
-    forked, steps = [], []
-
-    def recording_fork():
-        forked.append(fork())
-        return forked[-1]
-
-    def kill_on_third(agent, batch):
-        steps.append(1)
-        if len(steps) == 3:
-            os.kill(forked[-1], signal.SIGKILL)
-        return step(agent, batch)
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(CategoricalQAgent, "train_step", kill_on_third)
-    return forked
+def bootstrap_mean_diff(high, low, rng: np.random.Generator,
+                        resamples: int = 1000,
+                        alpha: float = 0.05) -> tuple[float, float]:
+    """Percentile bootstrap interval for mean(high) - mean(low)."""
+    hi = np.asarray(high, dtype=float)
+    lo = np.asarray(low, dtype=float)
+    if hi.size == 0 or lo.size == 0:
+        raise ValueError("empty sample")
+    diffs = np.empty(resamples)
+    for i in range(resamples):
+        diffs[i] = (hi[rng.integers(0, hi.size, hi.size)].mean()
+                    - lo[rng.integers(0, lo.size, lo.size)].mean())
+    lo_q, hi_q = np.percentile(diffs, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return float(lo_q), float(hi_q)
 
 
 def candidates(fleet, rides, grid, k) -> list:

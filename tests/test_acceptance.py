@@ -16,8 +16,9 @@ import pytest
 import scipy.stats
 
 from ridesim import cli
-from helpers import (candidates, expected_daily, gradient_check,
-                     ks_statistic, project_target, tabular_q_update)
+from helpers import (bootstrap_mean_diff, candidates, expected_daily,
+                     gradient_check, ks_statistic, project_target,
+                     tabular_q_update)
 from ridesim.agent import (CategoricalQAgent, FeatureScales, TransitionBatch,
                            expected_q)
 from ridesim.artifacts import comparable_lines, seed_stream
@@ -25,8 +26,8 @@ from ridesim.distributions import (fit_empirical,
                                    fit_time_profile, inverse_sample,
                                    probabilistic_round)
 from ridesim.ingest import extract_demonstrations, training_window
-from ridesim.metrics import (acceptance_by_distance, bootstrap_mean_diff,
-                             curve_pearson, delta_percent)
+from ridesim.metrics import (acceptance_by_distance, curve_pearson,
+                             delta_percent)
 from ridesim.nn import Mlp, loss_and_grad_batch
 from ridesim.ridegen import GridSpec, generate_rides
 from ridesim.sim import (Action, Fleet, PlatformParams, Ride, SimConfig,

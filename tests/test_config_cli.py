@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import ridesim
-from helpers import (kill_forked_child_at_third_update, record_ride_streams,
-                     write_distribution)
-from ridesim import cli, training
+from helpers import record_ride_streams, write_distribution
+from ridesim import cli
 from ridesim.agent import CategoricalQAgent, FeatureScales
 from ridesim.artifacts import (comparable_lines, read_csv_artifact,
                                read_data_lines, seed_stream, write_artifact)
@@ -258,7 +257,11 @@ class TestValuesCheckedAtLoad:
          "platform: peak_fare_multiplier must be finite"),
         ("demand.holdout_days=-1", "demand: holdout_days must be non-negative"),
         ("evaluate.replications=0",
-         "evaluate: replications must be at least 1")])
+         "evaluate: replications must be at least 1"),
+        ("rl.buffer_transitions=0",
+         "rl: buffer_transitions must be at least 1"),
+        ("rl.buffer_transitions=-5",
+         "rl: buffer_transitions must be at least 1")])
     def test_generate_names_the_key_of_a_bad_value(self, tmp_path, capsys,
                                                     override, message):
         code = cli.main(["generate", "--out", str(tmp_path),
@@ -584,7 +587,7 @@ class TestCliPipeline:
                      "driver_averages.csv", "agent_bc.txt"):
             shutil.copy(out / name, tmp_path / name)
         # the calls are recorded in this process, so no replication forks
-        monkeypatch.setattr(training, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
         scored = []
 
         def replicate(sim_config, agent, rng):
@@ -615,7 +618,7 @@ class TestCliPipeline:
                      "dist_trip_km.txt", "time_profile.txt",
                      "driver_averages.csv", "agent_bc.txt"):
             shutil.copy(out / name, tmp_path / name)
-        monkeypatch.setattr(training, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
         streams = record_ride_streams(monkeypatch)
         assert cli.main(["sweep", "--config", str(cfg_path),
                          "--out", str(tmp_path),
@@ -631,7 +634,7 @@ class TestCliPipeline:
     @pytest.mark.parametrize("cpus, count", [(1, 3), (2, 5), (4, 3)])
     def test_worker_k_runs_the_replications_congruent_to_k(
             self, monkeypatch, cpus, count):
-        monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         results = cli._in_workers(lambda i: (i, os.getpid()), count)
         assert [i for i, _ in results] == list(range(count))
         workers = min(cpus, count)
@@ -648,7 +651,7 @@ class TestCliPipeline:
         cfg_path, out = pipeline
         payloads = {}
         for cpus in (1, 2):
-            monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
             run_dir = tmp_path / f"cpus{cpus}"
             run_dir.mkdir()
             for name in EVALUATE_INPUTS + ("holdout.txt", "agent_bc.txt"):
@@ -684,7 +687,7 @@ class TestCliPipeline:
                 raise ValueError(f"replication failed in the {where}")
             return run_episode(sim_config, agent, rng)
 
-        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "run_episode", episode)
         code = cli.main(["evaluate", "--config", str(cfg_path),
                          "--out", str(tmp_path),
@@ -758,22 +761,6 @@ class TestCliPipeline:
         assert err.startswith("error: non-finite training loss")
         assert "Traceback" not in err
         assert [w for w in caught if w.category is RuntimeWarning] == []
-
-    def test_dead_target_helper_exits_2(self, pipeline, tmp_path, capsys,
-                                        monkeypatch):
-        cfg_path, out = pipeline
-        shutil.copy(out / "cleaned_trips.csv", tmp_path / "cleaned_trips.csv")
-        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
-        forked = kill_forked_child_at_third_update(monkeypatch)
-        code = cli.main(["train-bc", "--config", str(cfg_path),
-                         "--out", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"error: target helper process {forked[0]} "
-                              "died")
-        assert "Traceback" not in err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("command, name", [
         ("ingest", "synthetic_trips.csv"), ("generate", "time_profile.txt"),

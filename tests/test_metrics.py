@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import bootstrap_mean_diff
 from ridesim.metrics import (AcceptanceCurve, acceptance_by_distance,
                              acceptance_by_hour, acceptance_curves,
-                             bootstrap_mean_diff, curve_pearson, curve_rows,
-                             daily_counts, delta_percent, pearson)
+                             curve_pearson, curve_rows, daily_counts,
+                             delta_percent, pearson)
 from ridesim.ridegen import Ride
 from ridesim.sim import Action, OfferRecord, Transition
 

@@ -201,10 +201,14 @@ class _StubAgent:
     def __init__(self):
         self.epsilon = 0.0
         self.train_steps = 1
+        self.sync_every = 1000
         self.saved = 0
 
     def decide(self, obs_batch, rng):
         return iter([Action.REJECT] * len(obs_batch))
+
+    def bootstrap_targets(self, next_obs, reward, terminal):
+        return np.zeros((len(reward), 2))
 
     def train_step(self, batch):
         return 0.0
