@@ -29,6 +29,8 @@ AGENT_HEADER_KEYS = ("atoms", "v_min", "v_max", "gamma", "epsilon",
 N_ACTIONS = 2
 _ACTIONS = tuple(Action)  # indexed by action value
 
+EXPLORATION = 0.05  # a fresh agent's epsilon, and rl.exploration's default
+
 
 @dataclass
 class AgentSpec:
@@ -37,7 +39,6 @@ class AgentSpec:
     hidden: list = field(default_factory=lambda: [64, 64])
     atom_count: int = 51
     gamma: float = 0.6
-    epsilon: float = 0.05
     learning_rate: float = 1e-3
     sync_every: int = 100
 
@@ -48,8 +49,6 @@ class AgentSpec:
             raise ValueError("atom_count must be at least 2")
         if not (0.0 <= self.gamma < 1.0):
             raise ValueError("gamma must be in [0, 1)")
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError("epsilon must be in [0, 1]")
         if not (0.0 < self.learning_rate < math.inf):
             raise ValueError("learning_rate must be a positive, finite "
                              "learning rate")
@@ -212,8 +211,10 @@ class CategoricalQAgent:
                  scales: FeatureScales, *, gamma: float, epsilon: float,
                  learning_rate: float, sync_every: int, train_steps: int = 0):
         AgentSpec(hidden=online.layer_dims[1:-1], atom_count=atoms.size,
-                  gamma=gamma, epsilon=epsilon, learning_rate=learning_rate,
+                  gamma=gamma, learning_rate=learning_rate,
                   sync_every=sync_every)
+        if not (0.0 <= epsilon <= 1.0):
+            raise ValueError("epsilon must be in [0, 1]")
         if not np.all(np.diff(atoms) > 0):
             raise ValueError("atom support must be strictly increasing")
         if online.layer_dims[0] != OBS_DIM:
@@ -238,7 +239,8 @@ class CategoricalQAgent:
 
     @classmethod
     def create(cls, scales: FeatureScales, v_min: float, v_max: float,
-               rng: np.random.Generator, **spec) -> "CategoricalQAgent":
+               rng: np.random.Generator, *, epsilon: float = EXPLORATION,
+               **spec) -> "CategoricalQAgent":
         """A fresh agent; `spec` sets `AgentSpec` fields by keyword."""
         spec = AgentSpec(**spec)
         if not (v_min < v_max):
@@ -247,7 +249,7 @@ class CategoricalQAgent:
         dims = [OBS_DIM, *spec.hidden, N_ACTIONS * spec.atom_count]
         online = nn.Mlp.create(dims, rng)
         return cls(online=online, target=online.copy(), atoms=atoms,
-                   scales=scales, gamma=spec.gamma, epsilon=spec.epsilon,
+                   scales=scales, gamma=spec.gamma, epsilon=epsilon,
                    learning_rate=spec.learning_rate,
                    sync_every=spec.sync_every)
 

@@ -510,10 +510,11 @@ def cmd_sweep(args) -> int:
     param, values = run.cfg.sweep.param, run.cfg.sweep.values
     if not param:
         raise PipelineError("sweep.param is not set")
-    if param.split(".")[0] in ("synth", "demand", "grid", "bc"):
-        raise PipelineError(f"sweep cannot vary {param}: only synth, ingest, "
-                            "fit and train-bc read it, and every variant "
-                            "reuses their outputs from the base run")
+    read = ("seed", "platform", "sim", "rl", "evaluate")
+    if param.split(".")[0] not in read:
+        raise PipelineError(f"sweep cannot vary {param}: a variant reruns only "
+                            "train-rl and evaluate, which read only "
+                            f"{', '.join(read)}")
     if not values:
         raise PipelineError("sweep.values is empty")
     summary = []

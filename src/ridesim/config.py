@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import yaml
@@ -85,13 +86,16 @@ class Config:
 
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(Config)
              if f.name != "seed"}
+# YAML 1.1 reads 1e-3 as a string: its floats need a dot and a signed exponent
+_EXPONENT = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 
 def _checked(default, value, key: str):
     """`value` coerced to the type of the field's default, or ConfigError.
 
     Null is accepted only where the default is null; the section's type
-    checks such fields. A tuple default holds [start, end] hour pairs.
+    checks such fields. A float field also takes a string in exponent
+    notation. A tuple default holds [start, end] hour pairs.
     """
     if default is None:
         return value
@@ -100,7 +104,8 @@ def _checked(default, value, key: str):
             raise ConfigError(f"{key} must be an integer")
         return value
     if isinstance(default, float):
-        if not (_is_int(value) or isinstance(value, float)):
+        if not (_is_int(value) or isinstance(value, float)
+                or isinstance(value, str) and _EXPONENT.fullmatch(value)):
             raise ConfigError(f"{key} must be a number")
         return float(value)
     if isinstance(default, str):

@@ -9,7 +9,7 @@ the grid the distance is halved and the direction redrawn until it fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,14 @@ from .distributions import EmpiricalDistribution, inverse_sample
 KM_PER_DEG_LAT = 111.32
 
 MAX_HALVING_ITERATIONS = 64
+
+
+def check_finite_fields(spec) -> None:
+    """ValueError naming the first float field of `spec` that is not finite."""
+    for f in fields(spec):
+        if isinstance(f.default, float) and not math.isfinite(
+                getattr(spec, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -31,10 +39,13 @@ class GridSpec:
     origin_lon: float = 0.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.width_km <= 0 or self.height_km <= 0:
             raise ValueError("grid dimensions must be positive")
         if not (0 <= self.noise_epsilon_km < min(self.width_km, self.height_km) / 2):
             raise ValueError("noise epsilon must be below half the grid extent")
+        if not -90 < self.origin_lat < 90 - self.height_km / KM_PER_DEG_LAT:
+            raise ValueError("grid must lie strictly between latitudes -90 and 90")
 
     @property
     def km_per_deg_lon(self) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import groupby
 from operator import attrgetter
@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import (MINUTES_PER_DAY, EmpiricalDistribution,
                             TimeProfile, inverse_sample, probabilistic_round)
-from .ridegen import GridSpec, Ride, generate_rides
+from .ridegen import GridSpec, Ride, check_finite_fields, generate_rides
 
 MINUTES_PER_WEEK = 7 * MINUTES_PER_DAY
 
@@ -64,18 +64,11 @@ class PlatformParams:
     peak_fare_multiplier: float = 2.0
     weekly_reward_amount: float = 2000.0
     weekly_target_multiplier: float = 1.0
-    fare_weight: float = 1.0
-    cost_weight: float = 1.0
-    idle_cost_weight: float = 1.0
-    bonus_weight: float = 1.0
     idle_cost_per_minute: float = 1.0
     default_weekly_goal: int = 40
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
+        check_finite_fields(self)
         for name in ("fare_per_km", "cost_per_km", "peak_fare_multiplier",
                      "weekly_reward_amount", "idle_cost_per_minute"):
             if getattr(self, name) < 0:
@@ -138,12 +131,12 @@ def reward_for_features(params: PlatformParams, *, pickup_km: float,
     """
     if action == Action.REJECT:
         return 0.0
-    earnings = params.fare_weight * (params.effective_fare(minute_of_day) * trip_km)
-    travel_cost = params.cost_weight * (params.cost_per_km * (trip_km + pickup_km))
-    idle_cost = params.idle_cost_weight * (idle_minutes * params.idle_cost_per_minute)
+    earnings = params.effective_fare(minute_of_day) * trip_km
+    travel_cost = params.cost_per_km * (trip_km + pickup_km)
+    idle_cost = idle_minutes * params.idle_cost_per_minute
     bonus = 0.0
     if trips_to_goal > 0 and goal_trips > 0:
-        bonus = params.bonus_weight * (params.weekly_reward_amount / goal_trips)
+        bonus = params.weekly_reward_amount / goal_trips
     return earnings - travel_cost - idle_cost + bonus
 
 

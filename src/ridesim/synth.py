@@ -20,7 +20,7 @@ import numpy as np
 
 from .agent import FeatureScales
 from .ingest import TIME_FORMAT, DriverLedger, TripRecord
-from .ridegen import GridSpec, drop_location
+from .ridegen import GridSpec, check_finite_fields, drop_location
 from .sim import PlatformParams, travel_minutes
 
 HOURLY_WEIGHTS = (0.20, 0.15, 0.10, 0.10, 0.15, 0.40,
@@ -59,12 +59,15 @@ class SyntheticLogSpec:
     trip_km_max: float = 25.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.driver_count < 1:
             raise ValueError("driver_count must be at least 1")
         if self.days < 1:
             raise ValueError("days must be at least 1")
         if self.offers_per_driver_day <= 0:
             raise ValueError("offers_per_driver_day must be positive")
+        if self.trip_km_min > self.trip_km_max:
+            raise ValueError("trip_km_min must not exceed trip_km_max")
         start = self.start_time()
         if start.hour or start.minute:
             raise ValueError("start must be a midnight timestamp")

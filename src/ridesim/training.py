@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import (CategoricalQAgent, FeatureScales, ReplayBuffer,
-                    TransitionBatch)
+from .agent import (EXPLORATION, CategoricalQAgent, FeatureScales,
+                    ReplayBuffer, TransitionBatch)
 from .sim import SimConfig, run_episode
 
 
@@ -47,7 +47,7 @@ class BcConfig:
 @dataclass
 class RlConfig:
     iterations: int = 50
-    exploration: float = 0.05
+    exploration: float = EXPLORATION
     patience: int = 5
     batch_size: int = 64
     buffer_transitions: int = 50_000

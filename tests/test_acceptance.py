@@ -76,8 +76,8 @@ def test_reward_formula_hand_values(capsys):
         assert reward_for_features(params, action=Action.ACCEPT, **met) \
             == pytest.approx(310.0, abs=1e-9)
 
-        # Halving the fare weight removes half the fare term.
-        half = replace(params, fare_weight=0.5)
+        # Halving the fare removes half the fare term.
+        half = replace(params, fare_per_km=params.fare_per_km / 2)
         assert reward_for_features(half, action=Action.ACCEPT, **base) \
             == pytest.approx(110.0, abs=1e-9)
 

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -110,12 +112,35 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(None, ["agent.gama=0.5"])
 
+    def test_float_keys_take_exponent_notation(self, tmp_path):
+        # YAML 1.1 reads 1e-3 and 1.0e3 as strings
+        path = tmp_path / "cfg.yaml"
+        path.write_text("agent:\n  learning_rate: 1e-3\n"
+                        "platform:\n  fare_per_km: 1.0e2\n")
+        cfg = load_config(path, ["rl.exploration=5E-2",
+                                 "sim.speed_kmh=2.5E+1"])
+        assert cfg.agent.learning_rate == 1e-3
+        assert cfg.platform.fare_per_km == 100.0
+        assert cfg.rl.exploration == 0.05 and cfg.sim.speed_kmh == 25.0
+        with pytest.raises(ConfigError, match="agent: learning_rate must be"):
+            load_config(None, ["agent.learning_rate=-1e-4"])
+        for bad in ("1e", "e3", "1e-3x", "nan", "1_0e3"):
+            with pytest.raises(ConfigError,
+                               match="agent.learning_rate must be a number"):
+                load_config(None, [f"agent.learning_rate={bad}"])
+
+    def test_int_and_string_keys_keep_exponent_strings(self):
+        with pytest.raises(ConfigError, match="sim.driver_count must be an "
+                                              "integer"):
+            load_config(None, ["sim.driver_count=1e3"])
+        assert load_config(None, ["paths.out_dir=1e3"]).paths.out_dir == "1e3"
+
 
 class TestConfigHash:
     def test_stable_across_key_order(self):
         a = config_from_dict({"seed": 9, "agent": {"gamma": 0.5,
-                                                   "epsilon": 0.1}})
-        b = config_from_dict({"agent": {"epsilon": 0.1, "gamma": 0.5},
+                                                   "sync_every": 10}})
+        b = config_from_dict({"agent": {"sync_every": 10, "gamma": 0.5},
                               "seed": 9})
         assert config_hash(a) == config_hash(b)
         assert len(config_hash(a)) == 64
@@ -130,7 +155,7 @@ class TestConfigHash:
         # Artifact headers carry this digest; a moved default or a renamed
         # key changes it.
         assert config_hash(Config()) == (
-            "0fa5bf70f99435ad167519f9afc2bdf4ae95612b367a372f1c37a1f1e936b9fd")
+            "b0730853ca1eec9f6e5d09e1078086bc8fc68ef825db086a964d71882af6bcf7")
 
     def test_dict_roundtrip(self):
         # `sweep` rebuilds every variant through this path.
@@ -148,6 +173,24 @@ class TestConfigHash:
         assert config_hash(back) == config_hash(cfg)
         scalar = config_from_dict({"sim": {"initial_weekly_trips": 5}})
         assert config_from_dict(config_to_dict(scalar)) == scalar
+
+
+def test_readme_config_table_names_every_key():
+    """Each row of README's configuration table names, in backticks,
+    exactly the fields of its section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    table = readme.split("## Configuration reference", 1)[1].split("\n\n")[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        section, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[section.strip("`")] = set(re.findall(r"`(\w+)`", keys))
+    cfg = Config()
+    expected = {"top level": {"seed"}}
+    for section in dataclasses.fields(cfg):
+        if section.name != "seed":
+            expected[section.name] = {
+                f.name for f in dataclasses.fields(getattr(cfg, section.name))}
+    assert rows == expected
 
 
 class TestBuilders:
@@ -247,6 +290,37 @@ class TestValuesCheckedAtLoad:
         with pytest.raises(ConfigError, match=f"platform: {key} must be finite"):
             config_from_dict({"platform": {key: float("nan")}})
 
+    @pytest.mark.parametrize("section, key", [
+        ("grid", "origin_lat"), ("grid", "origin_lon"), ("grid", "width_km"),
+        ("grid", "noise_epsilon_km"), ("synth", "bias"),
+        ("synth", "weight_trip_km"), ("synth", "offers_per_driver_day"),
+        ("synth", "trip_km_log_mean"), ("synth", "trip_km_max")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_world_values_must_be_finite(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}: {key} must be finite"):
+            config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("origin_lat, height_km, ok", [
+        (-90.0, 10.0, False), (95.0, 10.0, False), (89.95, 10.0, False),
+        (-89.95, 10.0, True), (89.9, 10.0, True), (60.0, 10.0, True)])
+    def test_grid_lies_between_the_poles(self, origin_lat, height_km, ok):
+        grid = {"origin_lat": origin_lat, "height_km": height_km}
+        if ok:
+            assert config_from_dict({"grid": grid}).grid.origin_lat == origin_lat
+        else:
+            with pytest.raises(ConfigError, match="grid: grid must lie "
+                                                  "strictly between latitudes"):
+                config_from_dict({"grid": grid})
+
+    def test_synth_trip_bounds_ordered(self):
+        with pytest.raises(ConfigError, match="synth: trip_km_min must not "
+                                              "exceed trip_km_max"):
+            config_from_dict({"synth": {"trip_km_min": 30.0}})
+        spec = config_from_dict({"synth": {"trip_km_min": 5.0,
+                                           "trip_km_max": 5.0}}).synth
+        assert spec.trip_km_min == spec.trip_km_max == 5.0
+
     @pytest.mark.parametrize("override, message", [
         ("sim.speed_kmh=0.0", "sim: speed_kmh must be positive and finite"),
         ("sim.speed_kmh=.nan", "sim: speed_kmh must be positive and finite"),
@@ -261,13 +335,29 @@ class TestValuesCheckedAtLoad:
         ("rl.buffer_transitions=0",
          "rl: buffer_transitions must be at least 1"),
         ("rl.buffer_transitions=-5",
-         "rl: buffer_transitions must be at least 1")])
+         "rl: buffer_transitions must be at least 1"),
+        ("grid.origin_lat=.nan", "grid: origin_lat must be finite"),
+        ("grid.origin_lon=.inf", "grid: origin_lon must be finite"),
+        ("grid.origin_lat=95", "grid: grid must lie strictly between "
+                               "latitudes -90 and 90"),
+        ("synth.bias=.nan", "synth: bias must be finite"),
+        ("synth.trip_km_min=30",
+         "synth: trip_km_min must not exceed trip_km_max")])
     def test_generate_names_the_key_of_a_bad_value(self, tmp_path, capsys,
                                                     override, message):
         code = cli.main(["generate", "--out", str(tmp_path),
                          "--set", override])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_removed_keys_are_unknown(self, tmp_path, capsys):
+        # agent.epsilon had no reader (train-rl sets rl.exploration, evaluate
+        # acts greedily) and each *_weight only scaled its price
+        for key in ("agent.epsilon=0.1", "platform.fare_weight=2"):
+            code = cli.main(["generate", "--out", str(tmp_path), "--set", key])
+            assert code == 2
+            name = key.split("=")[0]
+            assert capsys.readouterr().err == f"error: unknown key: {name}\n"
 
     def test_bad_values_exit_2_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
@@ -705,7 +795,9 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("key, values", [
         ("demand.scale_factor", "[2.0, 4.0]"), ("bc.iterations", "[1, 50]"),
-        ("grid.width_km", "[8.0, 12.0]"), ("synth.days", "[14, 21]")])
+        ("grid.width_km", "[8.0, 12.0]"), ("synth.days", "[14, 21]"),
+        ("agent.learning_rate", "[0.001, 0.01]"),
+        ("paths.out_dir", "[a, b]")])
     def test_sweep_refuses_a_key_fixed_before_training(self, pipeline,
                                                        tmp_path, capsys, key,
                                                        values):

@@ -117,9 +117,9 @@ class TestReward:
                                      action=Action.ACCEPT)
         assert reward == pytest.approx(310.0, abs=1e-9)
 
-    def test_component_weights_scale_terms(self, params):
+    def test_halved_fare_halves_the_fare_term(self, params):
         from dataclasses import replace
-        half_fare = replace(params, fare_weight=0.5)
+        half_fare = replace(params, fare_per_km=params.fare_per_km / 2)
         reward = reward_for_features(half_fare, pickup_km=1.0, trip_km=5.0,
                                      minute_of_day=12 * 60, trips_to_goal=3,
                                      idle_minutes=10.0, goal_trips=40,
