@@ -1,20 +1,8 @@
 """Command line pipeline from raw trip logs to simulated marketplace runs.
 
-Subcommands, in pipeline order:
-
-  synth      write a synthetic trip log driven by a known decision rule
-  ingest     parse and clean a raw trip log
-  fit        fit location, distance and demand models from the cleaned log
-  generate   sample ride requests from the fitted models
-  train-bc   imitate the logged driver decisions
-  train-rl   refine the imitation agent inside the simulator
-  evaluate   replicate simulations and compare them against the held-out days
-  sweep      train-rl, then evaluate of the saved agent, for each value of
-             one configuration key, in sweep/<key>=<value>/
-
-Each step reads the previous step's artifacts from the output directory and
-fails with the name of the producing subcommand when one is missing. Exit
-codes: 0 success, 1 bad usage, 2 runtime failure.
+`STAGES` lists the subcommands in pipeline order: what each reads of the
+configuration, the artifacts it needs and those it writes. Exit codes: 0
+success, 1 bad usage, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -25,6 +13,7 @@ import os
 import pickle
 import signal
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -57,37 +46,30 @@ class PipelineError(RuntimeError):
     pass
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise argparse.ArgumentError(None, message)
 
 
-# The subcommand that writes each artifact a later one cannot run without.
-_PRODUCERS = {"cleaned_trips.csv": "ingest", "dist_pickup_x.txt": "fit",
-              "dist_pickup_y.txt": "fit", "dist_trip_km.txt": "fit",
-              "time_profile.txt": "fit", "holdout.txt": "fit",
-              "agent_bc.txt": "train-bc"}
+_FITTED = ("dist_pickup_x.txt", "dist_pickup_y.txt", "dist_trip_km.txt",
+           "time_profile.txt")
 
 
 class _Run:
     """One command's resolved configuration and its artifact directories.
 
     Artifacts are read from `inputs`, which is `out` unless a sweep variant
-    reads its base run's. Every artifact written carries the provenance
-    header of `cfg`: package version, configuration digest and seed.
+    reads its base run's. Every artifact written carries a provenance
+    header: package version, the digest of what the stage that writes it
+    reads of `cfg`, and the seed.
     """
 
     def __init__(self, cfg: Config, out: Path, inputs: Path | None = None):
         self.cfg, self.out, self.inputs = cfg, out, inputs or out
-        self.digest = config_hash(cfg)
 
     def write(self, name: str, lines) -> None:
-        write_artifact(self.out / name, lines, __version__, self.digest,
-                       self.cfg.seed)
+        write_artifact(self.out / name, lines, __version__, config_hash(
+            self.cfg, STAGES[_WRITTEN_BY[name]].reads), self.cfg.seed)
 
     def write_csv(self, name: str, columns, rows) -> None:
         self.write(name, csv_lines(columns, rows))
@@ -96,17 +78,14 @@ class _Run:
         path = self.inputs / name
         if not path.exists():
             raise PipelineError(f"missing {path}; "
-                                f"run `ridesim {_PRODUCERS[name]}` first")
+                                f"run `ridesim {_WRITTEN_BY[name]}` first")
         return path
 
 
 def _load(args) -> _Run:
-    overrides = list(args.overrides or [])
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.out is not None:
-        overrides.append(f"paths.out_dir={args.out}")
-    cfg = load_config(args.config, overrides)
+    flags = {"seed": args.seed, "paths.out_dir": args.out}
+    cfg = load_config(args.config, (args.overrides or []) + [
+        f"{key}={value}" for key, value in flags.items() if value is not None])
     return _Run(cfg, Path(cfg.paths.out_dir))
 
 
@@ -143,9 +122,9 @@ def _initial_trips(run: _Run):
 
 
 def _build_sim_config(run: _Run) -> SimConfig:
-    px, py, tkm = (read_distribution(run.need(f"dist_{name}.txt"))[1]
-                   for name in ("pickup_x", "pickup_y", "trip_km"))
-    profile = read_time_profile(run.need("time_profile.txt"))
+    *dists, profile = map(run.need, _FITTED)
+    px, py, tkm = (read_distribution(path)[1] for path in dists)
+    profile = read_time_profile(profile)
     settings = vars(run.cfg.sim) | {"initial_weekly_trips":
                                     _initial_trips(run)}
     return SimConfig(grid=run.cfg.grid, params=run.cfg.platform,
@@ -163,11 +142,10 @@ def _find_agent(out: Path, explicit) -> Path:
         if (out / name).exists():
             return out / name
     raise PipelineError(f"no agent checkpoint in {out}; "
-                        "run `ridesim train-bc` first")
+                        f"run `ridesim {_WRITTEN_BY['agent_bc.txt']}` first")
 
 
-def cmd_synth(args) -> int:
-    run = _load(args)
+def cmd_synth(run: _Run, args) -> int:
     cfg = run.cfg
     records = generate_synthetic_log(cfg.synth, cfg.grid, cfg.platform,
                                      cfg.sim.speed_kmh, cfg.seed)
@@ -179,8 +157,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    run = _load(args)
+def cmd_ingest(run: _Run, args) -> int:
     log_path = args.trip_log or run.cfg.paths.trip_log
     if not log_path:
         raise PipelineError("no trip log given: set paths.trip_log "
@@ -257,8 +234,7 @@ def _read_holdout(run: _Run):
                        ("holdout_days", "start_dow"), build)
 
 
-def cmd_fit(args) -> int:
-    run = _load(args)
+def cmd_fit(run: _Run, args) -> int:
     cfg = run.cfg
     records = _read_cleaned(run.need("cleaned_trips.csv"))
     train_win, holdout_win = training_window(records, cfg.demand.holdout_days)
@@ -285,8 +261,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    run = _load(args)
+def cmd_generate(run: _Run, args) -> int:
     stream = ride_stream(_build_sim_config(run),
                          seed_stream(run.cfg.seed, "generate"))
     rides = [ride for _, batch in stream for ride in batch]
@@ -319,8 +294,7 @@ def _demonstrations(run: _Run) -> list:
                                   speed_kmh=cfg.sim.speed_kmh)
 
 
-def cmd_train_bc(args) -> int:
-    run = _load(args)
+def cmd_train_bc(run: _Run, args) -> int:
     cfg = run.cfg
     trajectories = _demonstrations(run)
     agent = build_agent_for_demonstrations(trajectories,
@@ -346,8 +320,8 @@ def _refine(run: _Run, stream: str):
     return report, sim_config
 
 
-def cmd_train_rl(args) -> int:
-    report, _ = _refine(_load(args), "rl-train")
+def cmd_train_rl(run: _Run, args) -> int:
+    report, _ = _refine(run, "rl-train")
     print(f"refined over {len(report.iterations)} episodes, best reward "
           f"{report.best_metric:.2f} at iteration {report.best_iteration} "
           f"({report.stop_reason}, {report.wall_clock_s:.1f}s)")
@@ -456,8 +430,7 @@ def _correlation_line(name: str, fn, *args) -> str:
         return f"{name} unavailable"
 
 
-def cmd_evaluate(args) -> int:
-    run = _load(args)
+def cmd_evaluate(run: _Run, args) -> int:
     agent_path = _find_agent(run.out, args.agent)
     sim_config = _build_sim_config(run)
     log = _read_holdout(run)
@@ -505,8 +478,7 @@ def _variant(cfg: Config, value) -> Config:
         raise ConfigError(f"sweep {cfg.sweep.param}={value!r}: {exc}") from None
 
 
-def cmd_sweep(args) -> int:
-    run = _load(args)
+def cmd_sweep(run: _Run, args) -> int:
     param, values = run.cfg.sweep.param, run.cfg.sweep.values
     if not param:
         raise PipelineError("sweep.param is not set")
@@ -538,6 +510,41 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# A subcommand: its handler and help, the config it reads (a section, or
+# `section.key` for one key of one), the inputs it needs and what it writes.
+Stage = namedtuple("Stage", "handler help reads needs writes")
+
+
+STAGES = {name: Stage(*row) for name, *row in [
+    ("synth", cmd_synth, "write a synthetic trip log",
+     ("synth", "grid", "platform", "sim.speed_kmh"), (),
+     ("synthetic_trips.csv",)),
+    ("ingest", cmd_ingest, "parse and clean a trip log", ("grid",), (),
+     ("cleaned_trips.csv", "rejects.csv", "cleaning_report.txt")),
+    ("fit", cmd_fit, "fit demand and location models",
+     ("demand", "grid", "platform", "sim.speed_kmh"), ("cleaned_trips.csv",),
+     _FITTED + ("driver_averages.csv", "holdout.txt")),
+    ("generate", cmd_generate, "sample ride requests from the fitted models",
+     ("grid", "platform", "sim"), _FITTED, ("rides.csv",)),
+    ("train-bc", cmd_train_bc, "imitate logged driver decisions",
+     ("demand.holdout_days", "grid", "platform", "sim.speed_kmh", "agent",
+      "bc"), ("cleaned_trips.csv",), ("agent_bc.txt", "bc_report.csv")),
+    ("train-rl", cmd_train_rl, "refine the agent in the simulator",
+     ("grid", "platform", "sim", "rl"), ("agent_bc.txt",) + _FITTED,
+     ("agent_rl.txt", "rl_report.csv")),
+    ("evaluate", cmd_evaluate, "replicate simulations and compare to the log",
+     ("demand.holdout_days", "grid", "platform", "sim", "evaluate"),
+     _FITTED + ("holdout.txt",), ("daily_counts.csv", "acceptance_by_hour.csv",
+                                  "acceptance_by_distance.csv",
+                                  "correlations.txt"))]}
+STAGES["sweep"] = Stage(  # each value reruns train-rl, then evaluate
+    cmd_sweep, "retrain and evaluate across one config key",
+    ("sweep",) + STAGES["train-rl"].reads + STAGES["evaluate"].reads,
+    STAGES["train-rl"].needs, ("sweep/summary.csv",))
+_WRITTEN_BY = {name: command for command, stage in STAGES.items()
+               for name in stage.writes}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH",
@@ -557,19 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    for name, func, text in (
-            ("synth", cmd_synth, "write a synthetic trip log"),
-            ("ingest", cmd_ingest, "parse and clean a trip log"),
-            ("fit", cmd_fit, "fit demand and location models"),
-            ("generate", cmd_generate,
-             "sample ride requests from the fitted models"),
-            ("train-bc", cmd_train_bc, "imitate logged driver decisions"),
-            ("train-rl", cmd_train_rl, "refine the agent in the simulator"),
-            ("evaluate", cmd_evaluate,
-             "replicate simulations and compare to the log"),
-            ("sweep", cmd_sweep, "retrain and evaluate across one config key")):
-        sub.add_parser(name, parents=[common],
-                       help=text).set_defaults(func=func)
+    for name, stage in STAGES.items():
+        sub.add_parser(name, parents=[common], help=stage.help)
     sub.choices["ingest"].add_argument(
         "--trip-log", metavar="PATH", help="raw log (default paths.trip_log)")
     sub.choices["evaluate"].add_argument(
@@ -579,16 +575,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return STAGES[args.command].handler(_load(args), args)
     except (PipelineError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

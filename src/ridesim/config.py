@@ -9,8 +9,8 @@ checked once, when the section is built (`ridegen.check_bounds`). The
 keys are fatal and reported by their dotted path, so a typo in a nested
 section fails loudly instead of silently running defaults. Command line
 overrides (`section.key=value`) are applied to the raw mapping before
-validation and therefore obey the same rules. A canonical hash of the fully
-resolved configuration is stamped into every artifact header.
+validation and therefore obey the same rules. `config_hash` digests the
+resolved configuration, or only the sections and keys one command reads.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class DemandSection:
 
 @dataclass
 class EvaluateSection:
-    replications: int = bounded(20, ge=1)
+    # each replication simulates one whole episode
+    replications: int = bounded(20, ge=1, le=10_000)
 
     def __post_init__(self):
         check_bounds(self)
@@ -202,10 +203,14 @@ def config_to_dict(cfg: Config) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def config_hash(cfg: Config) -> str:
-    """Hash of the resolved configuration, stable across key order."""
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True,
-                       separators=(",", ":"))
+def config_hash(cfg: Config, reads=None) -> str:
+    """Hash of the resolved configuration, stable across key order; with
+    `reads`, of only those sections and `section.key` keys."""
+    data = config_to_dict(cfg)
+    if reads is not None:
+        data = {item: data[section][key] if key else data[section]
+                for item in reads for section, _, key in [item.partition(".")]}
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

@@ -39,6 +39,8 @@ LOG_COLUMNS = ["driver_id", "trip_id", "created_time", "assigned_time",
                "trip_distance_km", "status", "payment_method"]
 
 STATUSES = ("accepted", "rejected", "completed", "cancelled")
+# half the Earth's circumference: no road trip is longer
+MAX_DISTANCE_KM = 20_000
 
 TIME_FORMAT = "%Y-%m-%dT%H:%M"
 
@@ -160,6 +162,8 @@ def _parse_row(row: Sequence[str], times: dict, texts: dict) -> TripRecord:
     for i in (10, 11):
         if vals[i] < 0:
             raise ValueError(f"negative {LOG_COLUMNS[i]}")
+        if vals[i] > MAX_DISTANCE_KM:
+            raise ValueError(f"{LOG_COLUMNS[i]} over {MAX_DISTANCE_KM} km")
     if vals[12] not in STATUSES:
         raise ValueError(f"unknown status {vals[12]!r}")
     for i in (0, 12, 13):
@@ -378,7 +382,12 @@ def extract_demonstrations(records: Sequence[TripRecord],
                 params, obs, ledger.goal, action)))
             if rec.status == "completed" and rec.pickup_time is not None:
                 minutes = travel_minutes(rec.trip_distance_km, speed_kmh)
-                ledger.complete(rec.pickup_time + timedelta(minutes=minutes))
+                try:   # past datetime.max
+                    done = rec.pickup_time + timedelta(minutes=minutes)
+                except OverflowError:
+                    raise ValueError(f"trip {rec.trip_id} would end after the "
+                                     "last date a datetime holds") from None
+                ledger.complete(done)
         trajectories.append(Trajectory(driver_id=driver_id,
                                        transitions=chain_transitions(steps)))
     return trajectories

@@ -231,7 +231,8 @@ class SimSettings:
     driver_count: int = bounded(50, ge=1, le=100_000)
     weeks: int = bounded(1, ge=1)
     max_offers: int = bounded(5, ge=1)
-    speed_kmh: float = bounded(30.0, gt=0)
+    # a metre an hour; far slower, a trip outlasts the dates datetime holds
+    speed_kmh: float = bounded(30.0, ge=0.001)
     start_dow: int = bounded(0, ge=0, le=6)  # 0 = Monday
     # An int or a per-driver list; None starts drivers at the params default.
     initial_weekly_trips: object = None

@@ -336,7 +336,7 @@ class TestValuesCheckedAtLoad:
         assert spec.trip_km_min == spec.trip_km_max == 5.0
 
     @pytest.mark.parametrize("override, message", [
-        ("sim.speed_kmh=0.0", "sim: speed_kmh must be positive"),
+        ("sim.speed_kmh=0.0", "sim: speed_kmh must be at least 0.001"),
         ("sim.speed_kmh=.nan", "sim: speed_kmh must be finite"),
         ("agent.sync_every=0", "agent: sync_every must be at least 1"),
         ("demand.scale_factor=.inf", "demand: scale_factor must be finite"),
@@ -344,7 +344,11 @@ class TestValuesCheckedAtLoad:
          "platform: peak_fare_multiplier must be finite"),
         ("demand.holdout_days=-1", "demand: holdout_days must be non-negative"),
         ("evaluate.replications=0",
-         "evaluate: replications must be at least 1"),
+         "evaluate: replications must be in [1, 10000]"),
+        ("evaluate.replications=1000000000000",
+         "evaluate: replications must be in [1, 10000]"),
+        ("sim.speed_kmh=5e-324", "sim: speed_kmh must be at least 0.001"),
+        ("sim.speed_kmh=1e-300", "sim: speed_kmh must be at least 0.001"),
         ("rl.buffer_transitions=0",
          "rl: buffer_transitions must be in [1, 10000000]"),
         ("rl.buffer_transitions=-5",
@@ -457,7 +461,9 @@ class TestDeclaredRanges:
     @pytest.mark.parametrize("override", [
         "synth.offers_per_driver_day=1e12", "synth.trip_km_log_sigma=-1",
         "rl.buffer_transitions=10000000000000", "agent.hidden=[100000000000]",
-        "rl.batch_size=10000000000000", "sim.driver_count=1000000000000"])
+        "rl.batch_size=10000000000000", "sim.driver_count=1000000000000",
+        "sim.speed_kmh=5e-324", "sim.speed_kmh=1e-300",
+        "evaluate.replications=1000000000000"])
     def test_values_that_used_to_end_in_a_traceback_exit_2(
             self, tmp_path, capsys, override):
         # numpy's _ArrayMemoryError, or "sigma < 0" naming no key
@@ -1086,6 +1092,27 @@ class TestCliPipeline:
         assert cli.main(["fit", *base]) == 0, capsys.readouterr().err
         _, rejects = read_csv_artifact(tmp_path / "rejects.csv")
         assert rejects == [["18", "line break in payment_method"]]
+
+    def test_distance_past_half_the_earth_is_a_parse_reject(
+            self, pipeline, tmp_path, capsys):
+        # at 1e12 km the trip's end overflowed a timedelta in train-bc
+        cfg_path, out = pipeline
+        lines = (out / "synthetic_trips.csv").read_text().split("\n")
+        header = lines.index(",".join(LOG_COLUMNS))
+        row = next(i for i in range(header, len(lines))
+                   if ",completed," in lines[i])
+        fields = lines[row].split(",")
+        fields[LOG_COLUMNS.index("trip_distance_km")] = "1000000000000"
+        lines[row] = ",".join(fields)
+        raw = tmp_path / "raw.csv"
+        raw.write_text("\n".join(lines), encoding="utf-8")
+        base = ["--config", str(cfg_path), "--out", str(tmp_path)]
+        for command in (["ingest", "--trip-log", str(raw)], ["fit"],
+                        ["train-bc"]):
+            assert cli.main(command + base) == 0, capsys.readouterr().err
+        _, rejects = read_csv_artifact(tmp_path / "rejects.csv")
+        assert rejects == [[str(row - header),
+                            "trip_distance_km over 20000 km"]]
 
     def test_over_long_field_exits_2(self, pipeline, tmp_path, capsys):
         cfg_path, out = pipeline

@@ -205,6 +205,16 @@ class TestParseTripLog:
         assert [r.reason for r in rejects] == [reason] * len(rows), column
         assert {c for c, _, _ in self.BAD_FIELDS} == set(LOG_COLUMNS)
 
+    @pytest.mark.parametrize("column, key", [("pickup_distance_km", "pdist"),
+                                             ("trip_distance_km", "tdist")])
+    def test_distance_past_half_the_earth_is_a_reject(self, column, key):
+        rows = [csv_row(**{key: value}) for value in
+                ("20000", "20000.001", "1000000000000", "1e308")]
+        records, rejects = parse_trip_log([HEADER] + rows)
+        assert [getattr(r, column) for r in records] == [20000.0]
+        assert [(r.row_number, r.reason) for r in rejects] == [
+            (n, f"{column} over 20000 km") for n in (2, 3, 4)]
+
     LINE_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                    "\u2028", "\u2029"]
 
@@ -454,6 +464,16 @@ class TestExtractDemonstrations:
             extract_demonstrations(self.mini_log(grid), params, grid,
                                    window=(datetime(2027, 1, 1),
                                            datetime(2027, 1, 8)))
+
+    @pytest.mark.parametrize("pickup, tdist", [
+        (datetime(2026, 2, 2, 8, 5), 1e12),
+        (datetime(9999, 12, 31, 20, 0), 20000.0)])
+    def test_trip_ending_past_the_last_datetime_names_it(self, grid, params,
+                                                         pickup, tdist):
+        rec = make_record(trip="far", created=pickup - timedelta(minutes=5),
+                          status="completed", pickup_time=pickup, tdist=tdist)
+        with pytest.raises(ValueError, match="^trip far would end after"):
+            extract_demonstrations([rec], params, grid)
 
     def test_drivers_sorted_and_separate(self, grid, params):
         log = self.mini_log(grid)
