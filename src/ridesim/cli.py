@@ -33,9 +33,9 @@ from .ingest import (LOG_COLUMNS, clean, driver_weekly_averages,
                      extract_demonstrations, read_trip_log, record_to_row,
                      training_window, window_records)
 from .metrics import (ACCEPTANCE_COLUMNS, DAILY_COUNT_COLUMNS,
-                      acceptance_by_distance, acceptance_by_hour,
-                      acceptance_curves, curve_pearson,
-                      curve_rows, daily_counts, delta_percent, pearson)
+                      acceptance_curves, curve_pearson, curve_rows,
+                      daily_counts, delta_percent, distance_curve, hour_curve,
+                      pearson)
 from .ridegen import RIDE_COLUMNS, ride_to_row
 from .sim import SimConfig, ride_stream, run_episode
 from .synth import generate_synthetic_log
@@ -185,22 +185,20 @@ _HOLDOUT_LINES = ("daily", "hour_offers", "hour_accepted", "distance_offers",
 
 def _holdout_lines(cfg: Config, records, window) -> list:
     """fit: holdout.txt, the log side of every `evaluate` comparison: trips
-    per held-out day and the acceptance curves of the held-out decisions."""
+    per held-out day and the acceptance curves of the held-out rows."""
     start, days = window[0], cfg.demand.holdout_days
     lines = [HOLDOUT_MAGIC, f"holdout_days {days}",
              f"start_dow {start.weekday()}"]
     if days < 1:
         return lines
     holdout = window_records(records, window)  # holds the last trip
-    counts = [0] * days
-    for rec in holdout:
-        counts[(rec.created_time - start).days] += 1
-    decisions = [t for traj in extract_demonstrations(
-                     holdout, cfg.platform, cfg.grid, window=window,
-                     speed_kmh=cfg.sim.speed_kmh)
-                 for t in traj.transitions]
-    curves = acceptance_by_hour(decisions), acceptance_by_distance(decisions)
-    values = [counts] + [n for c in curves for n in (c.offers, c.accepted)]
+    daily = np.bincount([(r.created_time - start).days for r in holdout],
+                        minlength=days).tolist()
+    accepted = np.array([r.accepted() for r in holdout], dtype=bool)
+    curves = (hour_curve([r.created_time.hour * 60 + r.created_time.minute
+                          for r in holdout], accepted),
+              distance_curve([r.trip_distance_km for r in holdout], accepted))
+    values = [daily] + [n for c in curves for n in (c.offers, c.accepted)]
     return lines + [" ".join([key, *map(str, v)])
                     for key, v in zip(_HOLDOUT_LINES, values)]
 
@@ -225,7 +223,7 @@ def _read_holdout(run: _Run):
         daily, *counts = ([int(v) for v in row[1:]] for row in rows)
         if len(daily) != days or min(daily) < 0:
             raise ValueError(f"daily needs {days} non-negative counts")
-        hour, dist = acceptance_by_hour(()), acceptance_by_distance(())
+        hour, dist = acceptance_curves(())
         return SimpleNamespace(
             start_dow=dow, daily=daily,
             hour_curve=replace(hour, offers=counts[0], accepted=counts[1]),
@@ -482,11 +480,14 @@ def cmd_sweep(run: _Run, args) -> int:
     param, values = run.cfg.sweep.param, run.cfg.sweep.values
     if not param:
         raise PipelineError("sweep.param is not set")
-    read = ("seed", "platform", "sim", "rl", "evaluate")
-    if param.split(".")[0] not in read:
-        raise PipelineError(f"sweep cannot vary {param}: a variant reruns only "
-                            "train-rl and evaluate, which read only "
-                            f"{', '.join(read)}")
+    read_by = {command for command in ("fit", "train-rl", "evaluate") if
+               {param, param.partition(".")[0]} & set(STAGES[command].reads)}
+    if param != "seed" and not read_by - {"fit"}:
+        raise PipelineError(f"sweep cannot vary {param}: neither train-rl "
+                            "nor evaluate reads it")
+    if "fit" in read_by:
+        raise PipelineError(f"sweep cannot vary {param}: fit fixed it in "
+                            "the fitted files that every variant reuses")
     if not values:
         raise PipelineError("sweep.values is empty")
     summary = []
@@ -521,11 +522,10 @@ STAGES = {name: Stage(*row) for name, *row in [
      ("synthetic_trips.csv",)),
     ("ingest", cmd_ingest, "parse and clean a trip log", ("grid",), (),
      ("cleaned_trips.csv", "rejects.csv", "cleaning_report.txt")),
-    ("fit", cmd_fit, "fit demand and location models",
-     ("demand", "grid", "platform", "sim.speed_kmh"), ("cleaned_trips.csv",),
-     _FITTED + ("driver_averages.csv", "holdout.txt")),
+    ("fit", cmd_fit, "fit demand and location models", ("demand", "grid"),
+     ("cleaned_trips.csv",), _FITTED + ("driver_averages.csv", "holdout.txt")),
     ("generate", cmd_generate, "sample ride requests from the fitted models",
-     ("grid", "platform", "sim"), _FITTED, ("rides.csv",)),
+     ("grid", "sim.weeks", "sim.start_dow"), _FITTED, ("rides.csv",)),
     ("train-bc", cmd_train_bc, "imitate logged driver decisions",
      ("demand.holdout_days", "grid", "platform", "sim.speed_kmh", "agent",
       "bc"), ("cleaned_trips.csv",), ("agent_bc.txt", "bc_report.csv")),

@@ -152,12 +152,12 @@ def curve_rows(curve: AcceptanceCurve) -> list:
     return rows
 
 
-def _stack(offers) -> tuple:
-    """(n, OBS_DIM) observations and (n,) accepted flags of offers: sim
-    OfferRecords or log Transitions, anything with `obs` and `action`."""
+def _columns(offers, *features) -> tuple:
+    """Columns `features` of the offers' observations, then accepted flags;
+    offers are sim OfferRecords or log Transitions (`obs` and `action`)."""
     obs = np.array([o.obs for o in offers], dtype=float).reshape(-1, OBS_DIM)
     accepted = np.array([o.action for o in offers], dtype=np.int64) == Action.ACCEPT
-    return obs, accepted
+    return *(obs[:, f] for f in features), accepted
 
 
 def _curve(labels, index, accepted) -> AcceptanceCurve:
@@ -168,18 +168,20 @@ def _curve(labels, index, accepted) -> AcceptanceCurve:
         accepted=np.bincount(index[accepted], minlength=len(labels)).tolist())
 
 
-def _hour_curve(obs, accepted) -> AcceptanceCurve:
+def hour_curve(minute, accepted) -> AcceptanceCurve:
+    """24 hourly bins over offers' minutes of day and (bool) accepted flags."""
     return _curve([f"{h:02d}" for h in range(24)],
-                  obs[:, F_MINUTE_OF_DAY].astype(np.int64) // 60, accepted)
+                  np.asarray(minute).astype(np.int64) // 60, accepted)
 
 
-def _distance_curve(obs, accepted, bin_km: float = 1.0,
-                    max_km: float = 20.0) -> AcceptanceCurve:
+def distance_curve(km, accepted, bin_km: float = 1.0,
+                   max_km: float = 20.0) -> AcceptanceCurve:
+    """Bins of bin_km width up to max_km, then an overflow bin, over trip km."""
     edges = np.arange(0.0, max_km + bin_km, bin_km)
     labels = [f"{edges[i]:g}-{edges[i + 1]:g}" for i in range(len(edges) - 1)]
     labels.append(f"{max_km:g}+")
     overflow = len(labels) - 1
-    km = obs[:, F_TRIP_KM]
+    km = np.asarray(km, dtype=float)
     inside = km < max_km  # NaN and inf go to the overflow bin
     index = np.full(km.shape, overflow, dtype=np.int64)
     index[inside] = np.minimum(km[inside] // bin_km, overflow)
@@ -187,23 +189,21 @@ def _distance_curve(obs, accepted, bin_km: float = 1.0,
 
 
 def acceptance_by_hour(offers: Sequence) -> AcceptanceCurve:
-    """24 hourly bins over the minute-of-day feature of each offer: a sim
-    OfferRecord or a log Transition, anything with `obs` and `action`."""
-    return _hour_curve(*_stack(offers))
+    """`hour_curve` of offers: sim OfferRecords or log Transitions."""
+    return hour_curve(*_columns(offers, F_MINUTE_OF_DAY))
 
 
-def acceptance_by_distance(offers: Sequence,
-                           bin_km: float = 1.0,
+def acceptance_by_distance(offers: Sequence, bin_km: float = 1.0,
                            max_km: float = 20.0) -> AcceptanceCurve:
-    """Distance bins of bin_km width up to max_km plus one overflow bin."""
-    return _distance_curve(*_stack(offers), bin_km, max_km)
+    """`distance_curve` of offers: sim OfferRecords or log Transitions."""
+    return distance_curve(*_columns(offers, F_TRIP_KM), bin_km, max_km)
 
 
 def acceptance_curves(offers: Sequence) -> tuple:
     """`acceptance_by_hour` and `acceptance_by_distance` (default bins) of
     the same offers, which are stacked once for both."""
-    stacked = _stack(offers)
-    return _hour_curve(*stacked), _distance_curve(*stacked)
+    minute, km, accepted = _columns(offers, F_MINUTE_OF_DAY, F_TRIP_KM)
+    return hour_curve(minute, accepted), distance_curve(km, accepted)
 
 
 def curve_pearson(a: AcceptanceCurve, b: AcceptanceCurve) -> float:

@@ -6,15 +6,20 @@ is the same table."""
 import json
 import re
 import shutil
+from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from ridesim import cli
-from ridesim.artifacts import comparable_lines
+from ridesim.artifacts import comparable_lines, write_csv_artifact
 from ridesim.config import (Config, config_from_dict, config_hash,
                             config_to_dict, load_config)
+from ridesim.ingest import (LOG_COLUMNS, TripRecord, extract_demonstrations,
+                            record_to_row, training_window)
+from ridesim.metrics import acceptance_by_distance, acceptance_by_hour
 
 TINY = {
     "seed": 5,
@@ -190,3 +195,77 @@ def test_readme_command_table_is_the_stage_table():
     for command, stage in cli.STAGES.items():
         assert rows[command] == [set(stage.reads), set(stage.needs),
                                  set(stage.writes)], command
+
+
+def test_sweep_varies_seed_and_what_its_stages_read_but_fit_did_not():
+    data = json.loads(json.dumps(config_to_dict(Config())))
+    keys = ["seed"] + [f"{s}.{k}" for s, v in data.items()
+                       if isinstance(v, dict) for k in v]
+    refusals = {}
+    for key in keys:
+        try:
+            cli.cmd_sweep(cli._Run(config_from_dict(
+                {"sweep": {"param": key}}), Path("unused")), None)
+        except cli.PipelineError as exc:
+            refusals[key] = str(exc)
+    varied = {key for key, error in refusals.items()
+              if error == "sweep.values is empty"}
+    assert varied == {key for key in keys if key == "seed" or
+                      key.split(".")[0] in ("platform", "sim", "rl",
+                                            "evaluate")}
+    for key, reason in [
+            ("grid.width_km", "fit fixed it in the fitted files"),
+            ("demand.holdout_days", "fit fixed it in the fitted files"),
+            ("demand.scale_factor", "neither train-rl nor evaluate reads it"),
+            ("bc.iterations", "neither train-rl nor evaluate reads it"),
+            ("paths.out_dir", "neither train-rl nor evaluate reads it")]:
+        assert refusals[key].startswith(f"sweep cannot vary {key}: {reason}")
+
+
+def _log_of_every_status(days=21, drivers=3, offers_per_day=6, seed=3):
+    """Trips on every day for every driver, so each driver's offers straddle
+    any split; statuses of every kind and trips past the distance bins."""
+    rng = np.random.default_rng(seed)
+    first = datetime(2026, 2, 2)
+    records = []
+    for day in range(days):
+        for d in range(drivers):
+            for i in range(offers_per_day):
+                created = first + timedelta(days=day, minutes=int(
+                    rng.integers(24 * 60)))
+                status = str(rng.choice(["rejected", "cancelled",
+                                         "completed", "accepted"]))
+                records.append(TripRecord(
+                    f"d{d}", f"t{day}-{d}-{i}", created, created, created,
+                    created + timedelta(minutes=4)
+                    if status == "completed" else None,
+                    *(float(v) for v in rng.uniform(0.0, 0.08, 4)),
+                    float(rng.uniform(0, 3)), float(rng.uniform(0, 24)),
+                    status, "cash"))
+    return records
+
+
+def test_fit_bins_the_held_out_rows_as_the_replayed_decisions(tmp_path):
+    """holdout.txt's curves are those of the held-out window's decisions as
+    train-bc's log replay builds them."""
+    records = _log_of_every_status()
+    assert {r.status for r in records} == {"rejected", "cancelled",
+                                           "completed", "accepted"}
+    write_csv_artifact(tmp_path / "cleaned_trips.csv", LOG_COLUMNS,
+                       map(record_to_row, records), "test", "digest", 0)
+    assert cli.main(["fit", "--out", str(tmp_path)]) == 0
+    cfg = Config()
+    _, window = training_window(records, cfg.demand.holdout_days)
+    decisions = [t for traj in extract_demonstrations(
+                     records, cfg.platform, cfg.grid, window=window,
+                     speed_kmh=cfg.sim.speed_kmh) for t in traj.transitions]
+    hour, dist = acceptance_by_hour(decisions), acceptance_by_distance(decisions)
+    assert 0 < sum(hour.accepted) < sum(hour.offers) == len(decisions)
+    assert dist.offers[-1] > 0   # the overflow bin
+    lines = dict(line.split(" ", 1) for line in comparable_lines(
+        tmp_path / "holdout.txt") if not line.startswith("#"))
+    for key, counts in [("hour_offers", hour.offers),
+                        ("hour_accepted", hour.accepted),
+                        ("distance_offers", dist.offers),
+                        ("distance_accepted", dist.accepted)]:
+        assert lines[key] == " ".join(map(str, counts)), key
