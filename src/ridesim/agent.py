@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .artifacts import _read_keyed, write_lines_atomic
 from .ridegen import GridSpec, bounded, check_bounds
-from .sim import Action, OBS_DIM, _is_int
+from .sim import FEATURES, OBS_DIM, Action, _is_int
 
 AGENT_MAGIC = "ridesim-agent v1"
 # Header lines an agent file must carry; learning_rate is optional.
@@ -53,7 +53,8 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class FeatureScales:
-    """Per-feature divisors that bring raw observations near [0, 1]."""
+    """Per-feature divisors that bring raw observations near [0, 1]: one
+    field per `sim.FEATURES` name, in its order."""
 
     pickup_km: float = bounded(5.0, gt=0)
     trip_km: float = bounded(10.0, gt=0)
@@ -72,9 +73,7 @@ class FeatureScales:
         return cls(**kwargs)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.pickup_km, self.trip_km, self.minute_of_day,
-                         self.trips_to_goal, self.drop_center_km,
-                         self.idle_minutes], dtype=float)
+        return np.array([getattr(self, name) for name in FEATURES], dtype=float)
 
 
 class TransitionBatch(NamedTuple):

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import itertools
 import os
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,17 +75,15 @@ def csv_lines(columns, rows):
     holds a `\\r` or a `\\n`, where `csv_rows` can end a line, is quoted,
     and its record is still one item. So is a first field that would make
     `csv_rows` skip its record as a comment or blank line."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
+    # writerow returns what its file's write returns: here, the record
+    writer = csv.writer(SimpleNamespace(write=lambda record: record),
+                        lineterminator="\r\n")
     for row in itertools.chain([columns], rows):
-        writer.writerow(row)
-        record = buf.getvalue()[:-2]
+        record = writer.writerow(row)[:-2]
         if not record.strip() or record.lstrip().startswith("#"):
             first, comma, rest = record.partition(",")  # first is unquoted
             record = f'"{first}"{comma}{rest}'
         yield record
-        buf.seek(0)
-        buf.truncate()
 
 
 def write_csv_artifact(path, columns, rows, version: str, config_digest: str,

@@ -53,6 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 _FITTED = ("dist_pickup_x.txt", "dist_pickup_y.txt", "dist_trip_km.txt",
            "time_profile.txt")
+# Most rides one episode may expect: an episode holds every ride, about 250
+# bytes, and its offers until it ends.
+RIDE_BUDGET = 1_000_000
 
 
 class _Run:
@@ -125,6 +128,12 @@ def _build_sim_config(run: _Run) -> SimConfig:
     *dists, profile = map(run.need, _FITTED)
     px, py, tkm = (read_distribution(path)[1] for path in dists)
     profile = read_time_profile(profile)
+    rides = run.cfg.sim.weeks * profile.expected_weekly()
+    if not rides <= RIDE_BUDGET:   # NaN too
+        raise PipelineError(
+            f"sim.weeks times the fitted weekly demand is {rides:.4g} rides, "
+            f"over the budget of {RIDE_BUDGET} an episode: lower sim.weeks, "
+            "or rerun `ridesim fit` with a larger demand.scale_factor")
     settings = vars(run.cfg.sim) | {"initial_weekly_trips":
                                     _initial_trips(run)}
     return SimConfig(grid=run.cfg.grid, params=run.cfg.platform,
@@ -252,8 +261,8 @@ def cmd_fit(run: _Run, args) -> int:
                    driver_weekly_averages(train).items()))
     run.write("holdout.txt", _holdout_lines(cfg, records, holdout_win))
     weekly = profile.expected_weekly() * cfg.demand.scale_factor
-    print(f"fitted {len(train)} trips from {train_win[0]:%Y-%m-%d} "
-          f"to {train_win[1]:%Y-%m-%d}")
+    print(f"fitted {len(train)} trips from {train_win[0].date()} "
+          f"to {train_win[1].date()}")
     print(f"estimated demand {weekly:.0f} requests/week "
           f"(simulated at 1/{cfg.demand.scale_factor:g} scale)")
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
 
@@ -29,14 +29,10 @@ import numpy as np
 
 from .artifacts import csv_rows
 from .ridegen import GridSpec
-from .sim import (Action, PlatformParams, SimSettings, Trajectory,
-                  chain_transitions, reward_from_observation, travel_minutes,
-                  weekly_goal)
-
-LOG_COLUMNS = ["driver_id", "trip_id", "created_time", "assigned_time",
-               "decision_time", "pickup_time", "pickup_lat", "pickup_lon",
-               "drop_lat", "drop_lon", "pickup_distance_km",
-               "trip_distance_km", "status", "payment_method"]
+from .sim import (F_DROP_CENTER_KM, F_IDLE_MINUTES, F_MINUTE_OF_DAY,
+                  F_PICKUP_KM, F_TRIP_KM, F_TRIPS_TO_GOAL, OBS_DIM, Action,
+                  PlatformParams, SimSettings, Trajectory, chain_transitions,
+                  reward_from_observation, travel_minutes, weekly_goal)
 
 STATUSES = ("accepted", "rejected", "completed", "cancelled")
 # half the Earth's circumference: no road trip is longer
@@ -46,7 +42,8 @@ TIME_FORMAT = "%Y-%m-%dT%H:%M"
 
 
 def format_minute(t: datetime) -> str:
-    return t.strftime(TIME_FORMAT)
+    """`t` in TIME_FORMAT; unlike strftime, zero-pads years before 1000."""
+    return t.isoformat(timespec="minutes")
 
 
 # Zero-padded timestamps in ASCII digits, which datetime.fromisoformat reads
@@ -100,6 +97,10 @@ class TripRecord:
         if not (self.created_time <= self.assigned_time <= self.decision_time):
             problems.append("timestamps out of order")
         return problems
+
+
+# the log's columns, in order, are TripRecord's fields
+LOG_COLUMNS = [f.name for f in fields(TripRecord)]
 
 
 @dataclass(frozen=True)
@@ -319,21 +320,22 @@ class DriverLedger:
 
     def observe(self, created: datetime, pickup_km: float, trip_km: float,
                 drop_x: float, drop_y: float) -> np.ndarray:
-        """The offer's observation (see the sim.F_* layout), after rolling
-        the goal over every week boundary since the previous offer."""
+        """The offer's observation (see `sim.FEATURES`), after rolling the
+        goal over every week boundary since the previous offer."""
         offer_week = (created - self.reference).days // 7
         while self.week < offer_week:
             self.week += 1
             self.goal = weekly_goal(self.completed, self.multiplier)
             self.completed = 0
-        idle = max(0, int((created - self.last_completion)
-                          .total_seconds() // 60))
         cx, cy = self.center
-        return np.array([pickup_km, trip_km,
-                         float(created.hour * 60 + created.minute),
-                         float(max(0, self.goal - self.completed)),
-                         math.hypot(drop_x - cx, drop_y - cy),
-                         float(idle)], dtype=float)
+        obs = np.empty(OBS_DIM)
+        obs[F_PICKUP_KM], obs[F_TRIP_KM] = pickup_km, trip_km
+        obs[F_MINUTE_OF_DAY] = created.hour * 60 + created.minute
+        obs[F_TRIPS_TO_GOAL] = max(0, self.goal - self.completed)
+        obs[F_DROP_CENTER_KM] = math.hypot(drop_x - cx, drop_y - cy)
+        obs[F_IDLE_MINUTES] = max(0, int((created - self.last_completion)
+                                         .total_seconds() // 60))
+        return obs
 
     def complete(self, t: datetime) -> None:
         """Count a trip completed at `t`; the idle clock restarts there."""

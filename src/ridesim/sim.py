@@ -28,14 +28,23 @@ from .ridegen import GridSpec, Ride, bounded, check_bounds, generate_rides
 
 MINUTES_PER_WEEK = 7 * MINUTES_PER_DAY
 
-# Observation vector layout (fixed order, raw units).
-OBS_DIM = 6
-F_PICKUP_KM = 0       # driver to pickup point, km
-F_TRIP_KM = 1         # pickup to drop, km
-F_MINUTE_OF_DAY = 2   # 0..1439
-F_TRIPS_TO_GOAL = 3   # remaining trips until the weekly bonus, >= 0
-F_DROP_CENTER_KM = 4  # drop point's distance from the grid center, km
-F_IDLE_MINUTES = 5    # minutes since the driver's last completed trip
+# The observation's features in vector order, in raw units: the one list
+# of that order, which the F_* indices and every per-feature field follow.
+FEATURES = (
+    "pickup_km",       # driver to pickup point, km
+    "trip_km",         # pickup to drop, km
+    "minute_of_day",   # 0..1439
+    "trips_to_goal",   # remaining trips until the weekly bonus, >= 0
+    "drop_center_km",  # drop point's distance from the grid center, km
+    "idle_minutes",    # minutes since the driver's last completed trip
+)
+OBS_DIM = len(FEATURES)
+F_PICKUP_KM = FEATURES.index("pickup_km")
+F_TRIP_KM = FEATURES.index("trip_km")
+F_MINUTE_OF_DAY = FEATURES.index("minute_of_day")
+F_TRIPS_TO_GOAL = FEATURES.index("trips_to_goal")
+F_DROP_CENTER_KM = FEATURES.index("drop_center_km")
+F_IDLE_MINUTES = FEATURES.index("idle_minutes")
 
 # Most upcoming rides of one day that `run_episode` scores in one pass
 # (`_BlockScores`). On a 500-driver fleet a city-eval episode ran fastest at
@@ -109,41 +118,26 @@ def travel_minutes(distance_km: float, speed_kmh: float) -> int:
     return max(1, int(math.ceil(raw - 1e-9)))
 
 
-def reward_for_features(params: PlatformParams, *, pickup_km: float,
-                        trip_km: float, minute_of_day: int,
-                        trips_to_goal: int, idle_minutes: float,
-                        goal_trips: int, action: Action) -> float:
-    """Scalar reward of one accept/reject decision.
+def reward_from_observation(params: PlatformParams, obs: np.ndarray,
+                            goal_trips: int, action: Action) -> float:
+    """Scalar reward of one accept/reject decision on observation `obs`.
 
     Accepting earns the (peak-adjusted) fare over the trip distance, pays the
     driving cost over pickup plus trip distance, pays the opportunity cost of
     the idle minutes that preceded the offer, and collects the amortized
-    weekly bonus when the trip still progresses an unmet goal. Rejecting is
-    worth exactly zero.
+    weekly bonus of a `goal_trips` goal when the trip still progresses it.
+    Rejecting is worth exactly zero.
     """
     if action == Action.REJECT:
         return 0.0
-    earnings = params.effective_fare(minute_of_day) * trip_km
-    travel_cost = params.cost_per_km * (trip_km + pickup_km)
-    idle_cost = idle_minutes * params.idle_cost_per_minute
+    trip_km = float(obs[F_TRIP_KM])
+    earnings = params.effective_fare(int(obs[F_MINUTE_OF_DAY])) * trip_km
+    travel_cost = params.cost_per_km * (trip_km + float(obs[F_PICKUP_KM]))
+    idle_cost = float(obs[F_IDLE_MINUTES]) * params.idle_cost_per_minute
     bonus = 0.0
-    if trips_to_goal > 0 and goal_trips > 0:
+    if int(obs[F_TRIPS_TO_GOAL]) > 0 and goal_trips > 0:
         bonus = params.weekly_reward_amount / goal_trips
     return earnings - travel_cost - idle_cost + bonus
-
-
-def reward_from_observation(params: PlatformParams, obs: np.ndarray,
-                            goal_trips: int, action: Action) -> float:
-    """Recompute the reward of a stored observation. Exact re-application."""
-    return reward_for_features(
-        params,
-        pickup_km=float(obs[F_PICKUP_KM]),
-        trip_km=float(obs[F_TRIP_KM]),
-        minute_of_day=int(obs[F_MINUTE_OF_DAY]),
-        trips_to_goal=int(obs[F_TRIPS_TO_GOAL]),
-        idle_minutes=float(obs[F_IDLE_MINUTES]),
-        goal_trips=goal_trips,
-        action=action)
 
 
 @dataclass(slots=True)
@@ -229,7 +223,8 @@ class SimSettings:
 
     # the fleet's arrays and each ride block's distances hold a row a driver
     driver_count: int = bounded(50, ge=1, le=100_000)
-    weeks: int = bounded(1, ge=1)
+    # each simulated day costs a demand draw, even a day with no rides
+    weeks: int = bounded(1, ge=1, le=1_000)
     max_offers: int = bounded(5, ge=1)
     # a metre an hour; far slower, a trip outlasts the dates datetime holds
     speed_kmh: float = bounded(30.0, ge=0.001)
@@ -458,9 +453,7 @@ def dispatch(ride: Ride, fleet: Fleet, agent, config: SimConfig, clock: int,
     decisions = (agent.decide(obs_batch, rng) if greedy is None
                  else agent.decide(obs_batch, rng, greedy))
     for driver_id, obs, goal, action in zip(ids, obs_batch, goals, decisions):
-        # reward_for_features is 0.0 for every reject
-        reward = (0.0 if action == Action.REJECT else
-                  reward_from_observation(config.params, obs, goal, action))
+        reward = reward_from_observation(config.params, obs, goal, action)
         # positional: this runs for every offer, and keywords cost a third more
         records.append(OfferRecord(clock, driver_id, obs, action, reward, goal,
                                    ride))

@@ -12,6 +12,7 @@ ride generator's `drop_location`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -21,7 +22,7 @@ import numpy as np
 from .agent import FeatureScales
 from .ingest import TIME_FORMAT, DriverLedger, TripRecord
 from .ridegen import GridSpec, bounded, check_bounds, drop_location
-from .sim import PlatformParams, travel_minutes
+from .sim import FEATURES, PlatformParams, travel_minutes
 
 HOURLY_WEIGHTS = (0.20, 0.15, 0.10, 0.10, 0.15, 0.40,
                   1.20, 1.50, 1.30, 0.80, 0.70, 0.70,
@@ -30,16 +31,21 @@ HOURLY_WEIGHTS = (0.20, 0.15, 0.10, 0.10, 0.15, 0.40,
 
 WEEKDAY_FACTORS = (1.0, 1.0, 1.0, 1.05, 1.15, 1.25, 0.85)
 
+# Most offers one log may expect: the log is held whole, about 500 bytes an
+# offer.
+OFFER_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class SyntheticLogSpec:
     """Size of the synthetic log and the logistic policy that labels it.
 
-    The accept logit is the `weight_*` vector dotted with the observation
-    divided by the grid's feature scales, plus `bias`. The idle weight must
-    stay small: the idle feature is unbounded minutes since the last
-    completion, and a strong penalty locks rarely-accepting drivers into
-    rejecting forever. `start` is a midnight timestamp in TIME_FORMAT.
+    The accept logit is the `weight_*` vector, a field per `sim.FEATURES`
+    name in its order, dotted with the observation divided by the grid's
+    feature scales, plus `bias`. The idle weight must stay small: the idle
+    feature is unbounded minutes since the last completion, and a strong
+    penalty locks rarely-accepting drivers into rejecting forever. `start`
+    is a midnight timestamp in TIME_FORMAT.
     """
 
     driver_count: int = bounded(50, ge=1)
@@ -63,6 +69,13 @@ class SyntheticLogSpec:
         check_bounds(self)
         if self.trip_km_min > self.trip_km_max:
             raise ValueError("trip_km_min must not exceed trip_km_max")
+        offers = (self.driver_count * self.days
+                  * max(1.0, self.offers_per_driver_day))
+        if offers > OFFER_BUDGET:
+            raise ValueError(
+                "driver_count * days * offers_per_driver_day must be at most "
+                f"{OFFER_BUDGET}, counting a day of under one offer as one; "
+                f"it is {offers:.4g}")
         start = self.start_time()
         if start.hour or start.minute:
             raise ValueError("start must be a midnight timestamp")
@@ -76,15 +89,15 @@ class SyntheticLogSpec:
             raise ValueError(f"start {self.start!r} does not match "
                              f"{TIME_FORMAT}") from None
 
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        return np.array([self.weight_pickup_km, self.weight_trip_km,
-                         self.weight_minute_of_day, self.weight_trips_to_goal,
-                         self.weight_drop_center_km, self.weight_idle_minutes],
+        return np.array([getattr(self, f"weight_{name}") for name in FEATURES],
                         dtype=float)
 
-    def accept_probability(self, obs: np.ndarray, scales: FeatureScales) -> float:
-        logit = float(self.weights() @ (np.asarray(obs, dtype=float)
-                                        / scales.as_array())) + self.bias
+    def accept_probability(self, obs: np.ndarray, scales: np.ndarray) -> float:
+        """`scales` is the grid's `FeatureScales.as_array()`."""
+        logit = float(self.weights @ (np.asarray(obs, dtype=float)
+                                      / scales)) + self.bias
         try:
             return 1.0 / (1.0 + math.exp(-logit))
         except OverflowError:  # exp(-logit) is past the float range
@@ -110,7 +123,7 @@ def generate_synthetic_log(spec: SyntheticLogSpec, grid: GridSpec,
     midnight) are dropped so the log spans exactly spec.days dates.
     """
     rng = np.random.default_rng(seed)
-    scales = FeatureScales.for_grid(grid)
+    scales = FeatureScales.for_grid(grid).as_array()
     spread = min(grid.width_km, grid.height_km) / 4.0
     start = spec.start_time()
     hourly = np.array(HOURLY_WEIGHTS, dtype=float)

@@ -4,7 +4,8 @@ differences, per-iteration series of a training report, summaries of fitted
 models and cleaning reports, file writers for bare networks and fitted
 artifacts, the minute-by-minute reference of the episode loop and a
 recorder of the rides episodes draw, a ride's candidates read from the
-block scorer, and a percentile bootstrap of a difference in means."""
+block scorer, a percentile bootstrap of a difference in means, and an
+observation built from named features."""
 
 import math
 
@@ -18,8 +19,8 @@ from ridesim.distributions import MINUTES_PER_DAY
 from ridesim import sim
 from ridesim.nn import (Mlp, _softmax, checkpoint_lines, forward,
                         loss_and_grad_batch, parse_checkpoint)
-from ridesim.sim import (MINUTES_PER_WEEK, Action, EpisodeLog, Fleet,
-                         OfferRecord, Trajectory, chain_transitions,
+from ridesim.sim import (FEATURES, MINUTES_PER_WEEK, Action, EpisodeLog,
+                         Fleet, OfferRecord, Trajectory, chain_transitions,
                          episode_streams, reward_from_observation, ride_stream)
 
 
@@ -248,12 +249,13 @@ def reference_dispatch(ride, fleet, agent, config, clock, rng):
         return records, None
     cx, cy = config.grid.center()
     drop_center_km = math.hypot(ride.drop_x - cx, ride.drop_y - cy)
-    # the sim.F_* layout
-    obs_batch = np.array([
-        [km, ride.distance_km, clock % MINUTES_PER_DAY,
-         max(0, int(fleet.goal[i] - fleet.trips_week[i])), drop_center_km,
-         max(0, clock - int(fleet.idle_since[i]))] for km, i in nearest],
-        dtype=float)
+    obs_batch = np.array([observation(
+        pickup_km=km, trip_km=ride.distance_km,
+        minute_of_day=clock % MINUTES_PER_DAY,
+        trips_to_goal=max(0, int(fleet.goal[i] - fleet.trips_week[i])),
+        drop_center_km=drop_center_km,
+        idle_minutes=max(0, clock - int(fleet.idle_since[i])))
+        for km, i in nearest])
     for (_, driver_id), obs, action in zip(nearest, obs_batch,
                                            agent.decide(obs_batch, rng)):
         goal = int(fleet.goal[driver_id])
@@ -308,3 +310,12 @@ def reference_episode(config, agent, rng) -> EpisodeLog:
                                            for o in by_driver[i]))
         for i in sorted(by_driver)}
     return log
+
+
+def observation(**features) -> np.ndarray:
+    """An observation row from `sim.FEATURES` names; a feature not named
+    is 0."""
+    unknown = set(features) - set(FEATURES)
+    assert not unknown, f"not features: {sorted(unknown)}"
+    return np.array([features.get(name, 0.0) for name in FEATURES],
+                    dtype=float)

@@ -17,8 +17,8 @@ import scipy.stats
 
 from ridesim import cli
 from helpers import (bootstrap_mean_diff, candidates, expected_daily,
-                     gradient_check, ks_statistic, project_target,
-                     tabular_q_update)
+                     gradient_check, ks_statistic, observation,
+                     project_target, tabular_q_update)
 from ridesim.agent import (CategoricalQAgent, FeatureScales, TransitionBatch,
                            expected_q)
 from ridesim.artifacts import comparable_lines, seed_stream
@@ -31,8 +31,7 @@ from ridesim.metrics import (acceptance_by_distance, curve_pearson,
 from ridesim.nn import Mlp, loss_and_grad_batch
 from ridesim.ridegen import GridSpec, generate_rides
 from ridesim.sim import (Action, Fleet, PlatformParams, Ride, SimConfig,
-                         Transition, reward_for_features,
-                         reward_from_observation, run_episode)
+                         Transition, reward_from_observation, run_episode)
 from ridesim.synth import SyntheticLogSpec, generate_synthetic_log
 from ridesim.training import BcConfig, RlConfig, reward_support, train_bc, train_rl
 
@@ -61,24 +60,29 @@ def test_reward_formula_hand_values(capsys):
 
         # Off-peak accept: 100*5 - 30*(5+1) - 10*1 + 2000/40 = 360.
         base = dict(pickup_km=1.0, trip_km=5.0, minute_of_day=12 * 60,
-                    trips_to_goal=3, idle_minutes=10.0, goal_trips=40)
-        assert reward_for_features(params, action=Action.ACCEPT, **base) \
+                    trips_to_goal=3, idle_minutes=10.0)
+        assert reward_from_observation(params, observation(**base), 40,
+                                       Action.ACCEPT) \
             == pytest.approx(360.0, abs=1e-9)
-        assert reward_for_features(params, action=Action.REJECT, **base) == 0.0
+        assert reward_from_observation(params, observation(**base), 40,
+                                       Action.REJECT) == 0.0
 
         # Same offer in a peak minute doubles the fare term only: 860.
         peak = dict(base, minute_of_day=6 * 60 + 40)
-        assert reward_for_features(params, action=Action.ACCEPT, **peak) \
+        assert reward_from_observation(params, observation(**peak), 40,
+                                       Action.ACCEPT) \
             == pytest.approx(860.0, abs=1e-9)
 
         # Goal already met: the bonus term drops out, 310.
         met = dict(base, trips_to_goal=0)
-        assert reward_for_features(params, action=Action.ACCEPT, **met) \
+        assert reward_from_observation(params, observation(**met), 40,
+                                       Action.ACCEPT) \
             == pytest.approx(310.0, abs=1e-9)
 
         # Halving the fare removes half the fare term.
         half = replace(params, fare_per_km=params.fare_per_km / 2)
-        assert reward_for_features(half, action=Action.ACCEPT, **base) \
+        assert reward_from_observation(half, observation(**base), 40,
+                                       Action.ACCEPT) \
             == pytest.approx(110.0, abs=1e-9)
 
         # The full driver/ride path reproduces the same 360 state.

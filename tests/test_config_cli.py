@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -417,8 +418,11 @@ class TestValuesCheckedAtLoad:
         assert proc.stdout == "3\n"
 
 
-# A grid a hair wide leaves no room for the default noise band.
-_COMPANIONS = {"grid": {"noise_epsilon_km": 0.0}}
+# A grid a hair wide leaves no room for the default noise band, and 1440
+# offers a driver-day over the default 50 drivers and 28 days pass synth's
+# offer budget.
+_COMPANIONS = {"grid": {"noise_epsilon_km": 0.0},
+               "synth": {"driver_count": 1, "days": 1}}
 
 
 def _names_key(section, key):
@@ -463,18 +467,23 @@ class TestDeclaredRanges:
         "rl.buffer_transitions=10000000000000", "agent.hidden=[100000000000]",
         "rl.batch_size=10000000000000", "sim.driver_count=1000000000000",
         "sim.speed_kmh=5e-324", "sim.speed_kmh=1e-300",
-        "evaluate.replications=1000000000000"])
+        "evaluate.replications=1000000000000", "sim.weeks=1000000000",
+        "synth.driver_count=1000000000", "synth.days=1000000"])
     def test_values_that_used_to_end_in_a_traceback_exit_2(
             self, tmp_path, capsys, override):
-        # numpy's _ArrayMemoryError, or "sigma < 0" naming no key
+        # numpy's _ArrayMemoryError, "sigma < 0" naming no key, or a run
+        # that went on until it was killed (`generate` over 10^9 weeks, or
+        # `synth` over 10^9 drivers); a synth size names its product
         section, key = override.split("=")[0].split(".")
-        code = cli.main(["synth", "--out", str(tmp_path), "--set", override])
+        command = "generate" if key == "weeks" else "synth"
+        code = cli.main([command, "--out", str(tmp_path), "--set", override])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: {section}: {key} must be ")
+        product = rf"(\w+ \* )*{key}( \* \w+)*"   # or a budget's product
+        assert re.match(rf"error: {section}: {product} must be ", err), err
 
     def test_accept_probability_saturates_without_overflow(self):
-        obs, scales = np.zeros(6), FeatureScales()
+        obs, scales = np.zeros(6), FeatureScales().as_array()
         for bias, p in ((1000.0, 1.0), (-1000.0, 0.0),
                         (-2.0, 1.0 / (1.0 + math.exp(2.0)))):
             assert SyntheticLogSpec(bias=bias).accept_probability(
@@ -1178,6 +1187,37 @@ class TestCliErrors:
         code = cli.main(["train-rl", "--out", str(tmp_path / "empty")])
         assert code == 2
         assert "train-bc" in capsys.readouterr().err
+
+    def test_a_log_before_the_year_1000_ingests_without_rejects(
+            self, tmp_path, capsys):
+        # strftime wrote the year 999 as "999", which ingest then rejected
+        base = ["--out", str(tmp_path), "--set", "synth.start=0999-01-05T00:00",
+                "--set", "synth.days=14", "--set", "synth.driver_count=2"]
+        assert cli.main(["synth", *base]) == 0
+        assert cli.main(["ingest", *base, "--trip-log",
+                         str(tmp_path / "synthetic_trips.csv")]) == 0
+        assert read_csv_artifact(tmp_path / "rejects.csv")[1] == []
+        _, rows = read_csv_artifact(tmp_path / "cleaned_trips.csv")
+        assert rows and all(row[2].startswith("0999-01-") for row in rows)
+        capsys.readouterr()
+        assert cli.main(["fit", *base]) == 0
+        assert "from 0999-01-05 to 0999-01-12" in capsys.readouterr().out
+
+    def test_demand_over_the_ride_budget_names_the_keys(self, tmp_path,
+                                                        capsys):
+        # fitted at 1e-6 scale, a week expects ~10^8 rides: generate ended
+        # in a MemoryError
+        base = ["--out", str(tmp_path), "--set", "synth.driver_count=3",
+                "--set", "synth.days=14"]
+        for command in (["synth"], ["ingest", "--trip-log",
+                                    str(tmp_path / "synthetic_trips.csv")],
+                        ["fit", "--set", "demand.scale_factor=1e-6"]):
+            assert cli.main(command + base) == 0
+        capsys.readouterr()
+        assert cli.main(["generate", *base]) == 2
+        err = capsys.readouterr().err
+        assert "sim.weeks" in err and "demand.scale_factor" in err
+        assert not (tmp_path / "rides.csv").exists()
 
     def test_version_flag(self, capsys):
         from ridesim import __version__

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from helpers import reconciles
+from helpers import observation, reconciles
 from ridesim.ingest import (CleaningReport, LOG_COLUMNS, TIME_FORMAT,
                             TripRecord, clean,
                             driver_weekly_averages, extract_demonstrations,
@@ -13,7 +13,7 @@ from ridesim.ingest import (CleaningReport, LOG_COLUMNS, TIME_FORMAT,
                             parse_trip_log, read_trip_log, record_to_row,
                             training_window, window_records)
 from ridesim.ridegen import GridSpec
-from ridesim.sim import Action, PlatformParams, reward_for_features
+from ridesim.sim import Action, PlatformParams, reward_from_observation
 from ridesim.synth import SyntheticLogSpec, generate_synthetic_log
 
 HEADER = ",".join(LOG_COLUMNS)
@@ -51,8 +51,9 @@ def _or_none(parse, *args):
 
 class TestTimestamps:
     def test_roundtrip(self):
-        t = datetime(2026, 2, 2, 8, 5)
-        assert parse_minute(format_minute(t)) == t
+        for year in (2026, 999, 1):
+            t = datetime(year, 2, 2, 8, 5)
+            assert parse_minute(format_minute(t)) == t
 
     def test_seconds_tolerated(self):
         assert parse_minute("2026-02-02T08:05:30") == datetime(2026, 2, 2, 8, 5, 30)
@@ -441,11 +442,12 @@ class TestExtractDemonstrations:
         for traj in extract_demonstrations(self.mini_log(grid), params, grid):
             goal_seen = {0: 40, 1: 40, 2: 1}
             for i, tr in enumerate(traj.transitions):
-                want = reward_for_features(
-                    params, pickup_km=tr.obs[0], trip_km=tr.obs[1],
-                    minute_of_day=int(tr.obs[2]), trips_to_goal=int(tr.obs[3]),
-                    idle_minutes=tr.obs[5], goal_trips=goal_seen[i],
-                    action=tr.action)
+                want = reward_from_observation(
+                    params, observation(
+                        pickup_km=tr.obs[0], trip_km=tr.obs[1],
+                        minute_of_day=int(tr.obs[2]),
+                        trips_to_goal=int(tr.obs[3]), idle_minutes=tr.obs[5]),
+                    goal_seen[i], tr.action)
                 assert tr.reward == pytest.approx(want, abs=1e-9)
 
     def test_window_filters_and_anchors_reference(self, grid, params):

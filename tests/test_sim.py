@@ -1,15 +1,18 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from helpers import candidates
+from helpers import candidates, observation
+from ridesim.agent import FeatureScales
 from ridesim.distributions import TimeProfile, fit_empirical
 from ridesim.ridegen import GridSpec, Ride
-from ridesim.sim import (Action, EpisodeLog, Fleet, OfferRecord,
+from ridesim.sim import (FEATURES, Action, EpisodeLog, Fleet, OfferRecord,
                          PlatformParams, SimConfig, Transition, dispatch,
-                         reward_for_features, reward_from_observation,
-                         run_episode, travel_minutes, weekly_goal)
+                         reward_from_observation, run_episode, travel_minutes,
+                         weekly_goal)
+from ridesim.synth import SyntheticLogSpec
 
 
 @pytest.fixture
@@ -90,40 +93,36 @@ class TestPeakHours:
 class TestReward:
     def test_accept_economics(self, params):
         # 100*5 - 30*(5+1) - 10*1 + 2000/40 = 360
-        reward = reward_for_features(params, pickup_km=1.0, trip_km=5.0,
-                                     minute_of_day=12 * 60, trips_to_goal=3,
-                                     idle_minutes=10.0, goal_trips=40,
-                                     action=Action.ACCEPT)
+        obs = observation(pickup_km=1.0, trip_km=5.0, minute_of_day=12 * 60,
+                          trips_to_goal=3, idle_minutes=10.0)
+        reward = reward_from_observation(params, obs, 40, Action.ACCEPT)
         assert reward == pytest.approx(360.0, abs=1e-9)
 
     def test_reject_is_zero(self, params):
-        reward = reward_for_features(params, pickup_km=1.0, trip_km=5.0,
-                                     minute_of_day=12 * 60, trips_to_goal=3,
-                                     idle_minutes=10.0, goal_trips=40,
-                                     action=Action.REJECT)
+        obs = observation(pickup_km=1.0, trip_km=5.0, minute_of_day=12 * 60,
+                          trips_to_goal=3, idle_minutes=10.0)
+        reward = reward_from_observation(params, obs, 40, Action.REJECT)
         assert reward == 0.0
 
     def test_peak_multiplier_applies_to_fare_only(self, params):
-        reward = reward_for_features(params, pickup_km=1.0, trip_km=5.0,
-                                     minute_of_day=6 * 60 + 40, trips_to_goal=3,
-                                     idle_minutes=10.0, goal_trips=40,
-                                     action=Action.ACCEPT)
+        obs = observation(pickup_km=1.0, trip_km=5.0,
+                          minute_of_day=6 * 60 + 40, trips_to_goal=3,
+                          idle_minutes=10.0)
+        reward = reward_from_observation(params, obs, 40, Action.ACCEPT)
         assert reward == pytest.approx(860.0, abs=1e-9)  # fare doubled
 
     def test_no_bonus_once_goal_met(self, params):
-        reward = reward_for_features(params, pickup_km=1.0, trip_km=5.0,
-                                     minute_of_day=12 * 60, trips_to_goal=0,
-                                     idle_minutes=10.0, goal_trips=40,
-                                     action=Action.ACCEPT)
+        obs = observation(pickup_km=1.0, trip_km=5.0, minute_of_day=12 * 60,
+                          trips_to_goal=0, idle_minutes=10.0)
+        reward = reward_from_observation(params, obs, 40, Action.ACCEPT)
         assert reward == pytest.approx(310.0, abs=1e-9)
 
     def test_halved_fare_halves_the_fare_term(self, params):
         from dataclasses import replace
         half_fare = replace(params, fare_per_km=params.fare_per_km / 2)
-        reward = reward_for_features(half_fare, pickup_km=1.0, trip_km=5.0,
-                                     minute_of_day=12 * 60, trips_to_goal=3,
-                                     idle_minutes=10.0, goal_trips=40,
-                                     action=Action.ACCEPT)
+        obs = observation(pickup_km=1.0, trip_km=5.0, minute_of_day=12 * 60,
+                          trips_to_goal=3, idle_minutes=10.0)
+        reward = reward_from_observation(half_fare, obs, 40, Action.ACCEPT)
         assert reward == pytest.approx(360.0 - 250.0, abs=1e-9)
 
     def test_observation_reward_matches_feature_reward(self, params, grid):
@@ -133,10 +132,10 @@ class TestReward:
                     distance_km=5.0, created_minute=147)
         obs = observe(fleet, [0], ride, grid)[0]
         via_obs = reward_from_observation(params, obs, 40, Action.ACCEPT)
-        direct = reward_for_features(params, pickup_km=1.0, trip_km=5.0,
-                                     minute_of_day=147, trips_to_goal=40,
-                                     idle_minutes=47.0, goal_trips=40,
-                                     action=Action.ACCEPT)
+        direct = reward_from_observation(
+            params, observation(pickup_km=1.0, trip_km=5.0, minute_of_day=147,
+                                trips_to_goal=40, idle_minutes=47.0),
+            40, Action.ACCEPT)
         assert via_obs == pytest.approx(direct, abs=1e-12)
 
 
@@ -168,6 +167,14 @@ class TestObservation:
         ride = Ride(pickup_x=1.0, pickup_y=0.0, drop_x=2.0, drop_y=1.0,
                     distance_km=1.0, created_minute=0)
         assert observe(fleet, [0], ride, grid)[0][3] == 0.0
+
+    def test_per_feature_fields_follow_features(self):
+        # the scales divide, and the synthetic policy weighs, the
+        # observation column of the same name
+        assert [f.name for f in fields(FeatureScales)] == list(FEATURES)
+        assert [f.name.removeprefix("weight_")
+                for f in fields(SyntheticLogSpec)
+                if f.name.startswith("weight_")] == list(FEATURES)
 
     def test_rows_follow_the_requested_driver_order(self, grid):
         fleet = make_fleet((0.0, 0.0), (3.0, 4.0))
